@@ -5,13 +5,19 @@ edge connectivity from the fixed root 0, each local value by unit-capacity
 max-flow (Dinic).  Correctness is pinned by edge_connectivity_bruteforce,
 which scans every bipartition; the two routes are compared exhaustively in
 the test suite and must never be merged.
+
+Every bipartition scan in the package (the oracle, min-cut enumeration and
+the fragment hosts) runs through one flow-free scanner, _scan_bipartitions.
+It walks the sides in Gray-code order on adjacency masks restricted to an
+alive-vertex mask, so a host with deleted vertices is scanned in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .graph import Graph, _bits, boundary_edge_count, components, mask_of
+from .graph import Graph, _bits, _edges_between, components
 
 EXHAUSTIVE_LIMIT = 16
 _INF = float("inf")
@@ -159,10 +165,40 @@ class EdgeCut:
 
 def _cut_from_side(g: Graph, side_mask: int) -> EdgeCut:
     other = g.full_mask() & ~side_mask
-    crossing = frozenset(
-        (u, v) for u, v in g.edges() if (side_mask >> u & 1) != (side_mask >> v & 1)
-    )
+    crossing = _edges_between(g, side_mask, other)
     return EdgeCut(crossing, tuple(_bits(side_mask)), tuple(_bits(other)))
+
+
+def _scan_bipartitions(masks: Sequence[int], alive: int) -> tuple[int, list[int]]:
+    """Minimum boundary over the bipartitions of `alive`, and the sides reaching it.
+
+    `masks` are adjacency masks; only edges inside `alive` count.  The side
+    always holds the lowest alive vertex and walks the subsets of the other
+    alive vertices in Gray-code order, skipping `alive` itself, so each step
+    moves one vertex across and changes the boundary by that vertex's
+    neighbours outside the side minus those inside it.  Sides come back as
+    masks in visiting order.  `alive` needs at least two vertices.
+    """
+    root = alive & -alive
+    others = list(_bits(alive & ~root))
+    flips = [1 << v for v in others]
+    nbs = [masks[v] & alive for v in others]
+    degs = [nb.bit_count() for nb in nbs]
+    side = root
+    boundary = (masks[root.bit_length() - 1] & alive).bit_count()
+    best = boundary
+    sides = [side]
+    for i in range(1, 1 << len(others)):
+        j = (i & -i).bit_length() - 1
+        side ^= flips[j]
+        delta = degs[j] - 2 * (nbs[j] & side).bit_count()
+        boundary += delta if side & flips[j] else -delta
+        if boundary <= best and side != alive:
+            if boundary < best:
+                best = boundary
+                sides = []
+            sides.append(side)
+    return best, sides
 
 
 def local_edge_connectivity(g: Graph, s: int, t: int, cap: float = _INF) -> int:
@@ -232,7 +268,7 @@ def is_k_edge_connected(g: Graph, k: int) -> bool:
     return True
 
 
-def edge_connectivity_bruteforce(g: Graph, max_vertices: int = 20) -> int:
+def edge_connectivity_bruteforce(g: Graph, max_vertices: int = EXHAUSTIVE_LIMIT) -> int:
     """Independent oracle: minimum boundary over all 2^(n-1)-1 bipartitions.
 
     Deliberately ignorant of flows; used to pin down the max-flow route.
@@ -242,24 +278,7 @@ def edge_connectivity_bruteforce(g: Graph, max_vertices: int = 20) -> int:
         raise ValueError("edge connectivity needs at least two vertices")
     if n > max_vertices:
         raise ValueError(f"bruteforce oracle capped at n={max_vertices}, got {n}")
-    masks = g.adjacency_masks()
-    full = (1 << n) - 1
-    best = n * n
-    for half in range(1 << (n - 1)):
-        side = half << 1 | 1  # always contains vertex 0
-        if side == full:
-            continue
-        other = full & ~side
-        count = 0
-        for v in _bits(side):
-            count += (masks[v] & other).bit_count()
-            if count >= best:
-                break
-        if count < best:
-            best = count
-    # the loop above skips exactly the full set; bipartitions with side not
-    # containing 0 are mirrors of ones it does visit
-    return best
+    return _scan_bipartitions(g.adjacency_masks(), g.full_mask())[0]
 
 
 def enumerate_min_edge_cuts(g: Graph, max_vertices: int = EXHAUSTIVE_LIMIT) -> list[EdgeCut]:
@@ -278,24 +297,12 @@ def enumerate_min_edge_cuts(g: Graph, max_vertices: int = EXHAUSTIVE_LIMIT) -> l
         )
     if not g.is_connected():
         raise ValueError("cut enumeration expects a connected graph")
-    masks = g.adjacency_masks()
-    full = (1 << n) - 1
-    value = edge_connectivity_bruteforce(g, max_vertices)
-    sides = []
-    for half in range(1 << (n - 1)):
-        side = half << 1 | 1
-        if side == full:
-            continue
-        other = full & ~side
-        count = 0
-        for v in _bits(side):
-            count += (masks[v] & other).bit_count()
-            if count > value:
-                break
-        if count != value:
-            continue
-        if g.connected_within(side) and g.connected_within(other):
-            sides.append(side)
+    full = g.full_mask()
+    _, sides = _scan_bipartitions(g.adjacency_masks(), full)
+    sides = [
+        side for side in sides
+        if g.connected_within(side) and g.connected_within(full & ~side)
+    ]
     sides.sort(key=lambda m: tuple(_bits(m)))
     return [_cut_from_side(g, side) for side in sides]
 

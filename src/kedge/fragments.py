@@ -22,13 +22,14 @@ from enum import Enum
 from .connectivity import (
     EXHAUSTIVE_LIMIT,
     EdgeCut,
-    edge_connectivity_bruteforce,
-    enumerate_min_edge_cuts,
+    _scan_bipartitions,
     is_k_edge_connected,
 )
 from .errors import InternalCheckError, TheoremViolation
 from .graph import (
     Graph,
+    _bits,
+    _edges_between,
     boundary_edge_count,
     build,
     components,
@@ -44,8 +45,8 @@ class Fragment:
     `side` and `complement` partition the surviving vertices, `cut_edges`
     is exactly the set of host edges between them, and `host_kprime` is the
     edge connectivity of the host (so `len(cut_edges) == host_kprime`).
-    All vertices and edges use ambient-graph labels; the reindexed host is
-    rebuilt on demand.
+    All vertices and edges use ambient-graph labels; the host is the ambient
+    graph restricted to the surviving vertices.
     """
 
     graph: Graph
@@ -82,12 +83,6 @@ class Fragment:
             self.host_kprime,
         )
 
-    def host(self) -> Graph:
-        return self.graph.delete_vertices(self.deleted)[0]
-
-    def host_and_map(self) -> tuple[Graph, dict[int, int]]:
-        return self.graph.delete_vertices(self.deleted)
-
     def host_cut(self) -> EdgeCut:
         """The defining cut, reindexed into host labels."""
         _, index = self.graph.delete_vertices(self.deleted)
@@ -116,36 +111,30 @@ class Fragment:
             raise ValueError("side and complement must both be nonempty")
         if self.side & self.complement:
             raise ValueError("side and complement overlap")
-        remaining = frozenset(g.vertices()) - set(self.deleted)
-        if (self.side | self.complement) != remaining:
+        alive = g.full_mask() & ~mask_of(self.deleted)
+        if (self.side | self.complement) != frozenset(_bits(alive)):
             raise ValueError("side and complement must partition the host vertices")
-        host, index = g.delete_vertices(self.deleted)
-        if host.n > EXHAUSTIVE_LIMIT:
+        if alive.bit_count() > EXHAUSTIVE_LIMIT:
             raise ValueError(
-                f"host on {host.n} vertices exceeds the exhaustive limit"
+                f"host on {alive.bit_count()} vertices exceeds the exhaustive limit"
                 f" of {EXHAUSTIVE_LIMIT}"
             )
-        kprime = edge_connectivity_bruteforce(host)
+        kprime, _ = _scan_bipartitions(g.adjacency_masks(), alive)
         if kprime != self.host_kprime:
             raise ValueError(
                 f"stored host connectivity {self.host_kprime} is wrong"
                 f" (actual {kprime})"
             )
-        crossing = set()
-        for u in self.side:
-            for w in g.neighbors(u):
-                if w in self.complement:
-                    crossing.add((u, w) if u < w else (w, u))
-        if frozenset(crossing) != self.cut_edges:
+        side = mask_of(self.side)
+        complement = mask_of(self.complement)
+        if _edges_between(g, side, complement) != self.cut_edges:
             raise ValueError("cut_edges is not the side/complement boundary")
         if len(self.cut_edges) != kprime:
             raise ValueError("cut is not a minimum edge-cut of the host")
         if kprime > 0:
-            side_mask = mask_of(index[v] for v in self.side)
-            comp_mask = mask_of(index[v] for v in self.complement)
-            if not host.connected_within(side_mask):
+            if not g.connected_within(side):
                 raise ValueError("side does not induce a connected subgraph")
-            if not host.connected_within(comp_mask):
+            if not g.connected_within(complement):
                 raise ValueError("complement does not induce a connected subgraph")
 
 
@@ -199,38 +188,39 @@ def _host_fragments(g: Graph, e: tuple[int, int]) -> tuple[int, list[Fragment]]:
 
     A disconnected host contributes one fragment per component with an empty
     cut.  A connected host contributes both sides of every minimum edge-cut,
-    deduplicated by side and sorted by sorted side.
+    sorted by sorted side.  The host is scanned on g's own masks, with the
+    endpoints of e masked out.
     """
-    host, index = g.delete_vertices(e)
-    if host.n > EXHAUSTIVE_LIMIT:
+    alive = g.full_mask() & ~mask_of(e)
+    size = alive.bit_count()
+    if size > EXHAUSTIVE_LIMIT:
         raise ValueError(
-            f"residual graph on {host.n} vertices exceeds the exhaustive"
+            f"residual graph on {size} vertices exceeds the exhaustive"
             f" limit of {EXHAUSTIVE_LIMIT}"
         )
-    if host.n < 2:
+    if size < 2:
         raise ValueError("residual graph must keep at least two vertices")
-    back = {new: old for old, new in index.items()}
-    remaining = frozenset(index)
+    remaining = frozenset(_bits(alive))
     out: list[Fragment] = []
-    if not host.is_connected():
-        for comp in components(host):
-            side = frozenset(back[v] for v in comp)
+    if not g.connected_within(alive):
+        rest = alive
+        while rest:
+            comp = g.component_within(rest)
+            rest &= ~comp
+            side = frozenset(_bits(comp))
             out.append(Fragment(g, tuple(e), side, remaining - side, frozenset(), 0))
         kprime = 0
     else:
-        cuts = enumerate_min_edge_cuts(host)
-        kprime = cuts[0].value
-        seen: set[frozenset[int]] = set()
-        for cut in cuts:
-            cut_edges = frozenset(
-                (back[u], back[v]) if back[u] < back[v] else (back[v], back[u])
-                for u, v in cut.edges
-            )
-            for half in (cut.side_a, cut.side_b):
-                side = frozenset(back[v] for v in half)
-                if side in seen:
-                    continue
-                seen.add(side)
+        kprime, sides = _scan_bipartitions(g.adjacency_masks(), alive)
+        # each cut comes once, with the lowest alive vertex in `first`, so
+        # no side repeats
+        for first in sides:
+            second = alive & ~first
+            if not (g.connected_within(first) and g.connected_within(second)):
+                continue
+            cut_edges = _edges_between(g, first, second)
+            for half in (first, second):
+                side = frozenset(_bits(half))
                 out.append(
                     Fragment(g, tuple(e), side, remaining - side, cut_edges, kprime)
                 )
@@ -289,6 +279,15 @@ def _unmet(reason: str) -> OverlapResult:
     return OverlapResult(OverlapVerdict.HYPOTHESES_UNMET, reason=reason)
 
 
+def _require_fragment_of(
+    g: Graph, e: tuple[int, int], f: Fragment, f_name: str, e_name: str
+) -> None:
+    if f.graph != g or set(f.deleted) != set(e):
+        raise ValueError(
+            f"{f_name} is not a fragment of g minus the endpoints of {e_name}"
+        )
+
+
 def check_fragment_overlap(
     g: Graph,
     e: tuple[int, int],
@@ -318,11 +317,26 @@ def check_fragment_overlap(
     e1 = normalize_edge(g, e1)
     f.validate()
     f1.validate()
-    if f.graph != g or set(f.deleted) != set(e):
-        raise ValueError("f is not a fragment of g minus the endpoints of e")
-    if f1.graph != g or set(f1.deleted) != set(e1):
-        raise ValueError("f1 is not a fragment of g minus the endpoints of e1")
+    _require_fragment_of(g, e, f, "f", "e")
+    _require_fragment_of(g, e1, f1, "f1", "e1")
+    host_sides = frozenset(fr.side for fr in _host_fragments(g, e)[1])
+    return _overlap_verdict(g, e, e1, f, f1, host_sides)
 
+
+def _overlap_verdict(
+    g: Graph,
+    e: tuple[int, int],
+    e1: tuple[int, int],
+    f: Fragment,
+    f1: Fragment,
+    host_sides: frozenset[frozenset[int]],
+) -> OverlapResult:
+    """The verdict of check_fragment_overlap on inputs already checked.
+
+    `e` and `e1` are normalized edges of g, f and f1 are valid fragments of
+    their hosts, and `host_sides` holds the side of every fragment of g
+    minus the endpoints of e.
+    """
     if set(e) & set(e1):
         return _unmet("edges share an endpoint")
     if not set(e) <= f1.side:
@@ -333,6 +347,32 @@ def check_fragment_overlap(
     if not intersection:
         return _unmet("fragment sides are disjoint")
 
+    if f.complement & f1.complement:
+        remainder = f.side - f1.side
+        d_a = boundary_edge_count(g, intersection, remainder)
+        d_b = boundary_edge_count(g, remainder, f.complement)
+        # outward avoids V(e) (e is inside f1.side), so counting in g equals
+        # counting in the first host
+        d_out = boundary_edge_count(g, intersection, f.complement | f1.complement)
+        if intersection not in host_sides:
+            failure = "side intersection is not a fragment of the first host"
+        elif d_a != d_b:
+            failure = "boundary counts around the side intersection differ"
+        elif d_out != f.host_kprime:
+            failure = "side intersection's host boundary is not a minimum cut"
+        else:
+            return OverlapResult(
+                OverlapVerdict.INTERSECTION_FRAGMENT,
+                intersection=intersection,
+                d_intersection_remainder=d_a,
+                d_remainder_complement=d_b,
+                d_intersection_outward=d_out,
+                host_kprime=f.host_kprime,
+            )
+    elif len(f.complement) < len(f1.side):
+        return OverlapResult(OverlapVerdict.SMALL_COMPLEMENT, intersection=intersection)
+    else:
+        failure = "disjoint complements but f's complement is not smaller than f1's side"
     payload = {
         "n": g.n,
         "edges": g.edges(),
@@ -341,43 +381,7 @@ def check_fragment_overlap(
         "f_side": tuple(sorted(f.side)),
         "f1_side": tuple(sorted(f1.side)),
     }
-    if f.complement & f1.complement:
-        _, frags = _host_fragments(g, e)
-        if not any(fr.side == intersection for fr in frags):
-            raise TheoremViolation(
-                "side intersection is not a fragment of the first host", payload
-            )
-        remainder = f.side - f1.side
-        d_a = boundary_edge_count(g, intersection, remainder)
-        d_b = boundary_edge_count(g, remainder, f.complement)
-        # outward avoids V(e) (e is inside f1.side), so counting in g equals
-        # counting in the first host
-        outward = f.complement | f1.complement
-        d_out = boundary_edge_count(g, intersection, outward)
-        if d_a != d_b:
-            raise TheoremViolation(
-                "boundary counts around the side intersection differ", payload
-            )
-        if d_out != f.host_kprime:
-            raise TheoremViolation(
-                "side intersection's host boundary is not a minimum cut", payload
-            )
-        return OverlapResult(
-            OverlapVerdict.INTERSECTION_FRAGMENT,
-            intersection=intersection,
-            d_intersection_remainder=d_a,
-            d_remainder_complement=d_b,
-            d_intersection_outward=d_out,
-            host_kprime=f.host_kprime,
-        )
-
-    if not len(f.complement) < len(f1.side):
-        raise TheoremViolation(
-            "disjoint complements but f's complement is not smaller than"
-            " f1's side",
-            payload,
-        )
-    return OverlapResult(OverlapVerdict.SMALL_COMPLEMENT, intersection=intersection)
+    raise TheoremViolation(failure, payload)
 
 
 @dataclass(frozen=True)
@@ -393,31 +397,40 @@ def scan_overlap_cases(g: Graph) -> OverlapScanStats:
 
     Enumerates all ordered pairs of nonadjacent edges and all fragment
     pairs of the two residual graphs, filters to configurations meeting the
-    overlap hypotheses, and runs the full check on each.  Any conclusion
-    failure surfaces as the checker's TheoremViolation.
+    overlap hypotheses, and runs the full check on each.  Every fragment is
+    validated once, when its host is first built, rather than once per
+    configuration.  Any conclusion failure surfaces as the checker's
+    TheoremViolation.
     """
     if g.n < 4:
         return OverlapScanStats(0, 0, 0, 0)
-    cache = {edge: _host_fragments(g, edge)[1] for edge in g.edges()}
+    cache = {}
+    for edge in g.edges():
+        _, frags = _host_fragments(g, edge)
+        for fr in frags:
+            fr.validate()
+            _require_fragment_of(g, edge, fr, "cached fragment", "its edge")
+        cache[edge] = (frags, frozenset(fr.side for fr in frags))
     pairs = 0
     configs = 0
     alpha = 0
     beta = 0
     for e in g.edges():
+        frags, host_sides = cache[e]
         for e1 in g.edges():
             if e == e1 or set(e) & set(e1):
                 continue
             pairs += 1
-            for f in cache[e]:
+            for f in frags:
                 if not set(e1) <= f.complement:
                     continue
-                for f1 in cache[e1]:
+                for f1 in cache[e1][0]:
                     if not set(e) <= f1.side:
                         continue
                     if not f.side & f1.side:
                         continue
                     configs += 1
-                    res = check_fragment_overlap(g, e, e1, f, f1)
+                    res = _overlap_verdict(g, e, e1, f, f1, host_sides)
                     if res.verdict is OverlapVerdict.INTERSECTION_FRAGMENT:
                         alpha += 1
                     elif res.verdict is OverlapVerdict.SMALL_COMPLEMENT:
@@ -463,8 +476,7 @@ def minimal_fragment_descent(
     if g.min_degree() < k + 2:
         raise ValueError(f"minimum degree must be at least {k + 2}")
     f0.validate()
-    if f0.graph != g or set(f0.deleted) != set(e0):
-        raise ValueError("f0 is not a fragment of g minus the endpoints of e0")
+    _require_fragment_of(g, e0, f0, "f0", "e0")
     if f0.host_kprime >= k:
         raise ValueError(
             "deleting e0's endpoints does not drop the connectivity below"
@@ -599,8 +611,7 @@ def fragment_degree_bounds(
     """
     e1 = normalize_edge(g, e1)
     f1.validate()
-    if f1.graph != g or set(f1.deleted) != set(e1):
-        raise ValueError("f1 is not a fragment of g minus the endpoints of e1")
+    _require_fragment_of(g, e1, f1, "f1", "e1")
     if g.min_degree() < k + 2:
         raise ValueError(f"minimum degree must be at least {k + 2}")
     order = len(f1.side)

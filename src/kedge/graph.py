@@ -25,8 +25,10 @@ class Graph:
 
     Vertices are the integers 0..n-1.  Instances are immutable: derived
     graphs (induced subgraphs, deletions) are new objects.  Adjacency is kept
-    both as sorted tuples and as per-vertex bitmasks; the masks make the
-    exhaustive bipartition scans elsewhere in the package cheap.
+    as per-vertex bitmasks, which make the exhaustive bipartition scans
+    elsewhere in the package cheap, and as sorted neighbour tuples built on
+    the first call to `neighbors`, so a graph only ever read through its
+    masks does not carry them.
     """
 
     __slots__ = ("_n", "_adj", "_masks", "_edges")
@@ -44,8 +46,10 @@ class Graph:
             masks[v] |= 1 << u
         self._n = n
         self._masks = tuple(masks)
-        self._adj = tuple(tuple(_bits(m)) for m in masks)
-        self._edges = tuple((u, v) for u in range(n) for v in self._adj[u] if u < v)
+        self._adj: tuple[tuple[int, ...], ...] | None = None
+        self._edges = tuple(
+            (u, v) for u in range(n) for v in _bits(masks[u] >> u + 1 << u + 1)
+        )
 
     @property
     def n(self) -> int:
@@ -63,6 +67,8 @@ class Graph:
         return len(self._edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        if self._adj is None:
+            self._adj = tuple(tuple(_bits(m)) for m in self._masks)
         return self._adj[v]
 
     def neighbor_mask(self, v: int) -> int:
@@ -72,15 +78,15 @@ class Graph:
         return self._masks
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._masks[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self._adj)
+        return tuple(m.bit_count() for m in self._masks)
 
     def min_degree(self) -> int:
         if self._n == 0:
             raise ValueError("min_degree of the empty graph is undefined")
-        return min(len(a) for a in self._adj)
+        return min(m.bit_count() for m in self._masks)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._masks[u] >> v & 1) if 0 <= v < self._n else False
@@ -120,25 +126,27 @@ class Graph:
             raise ValueError("deleting every vertex needs allow_empty=True")
         return self.induced_subgraph(v for v in range(self._n) if v not in gone)
 
-    def connected_within(self, mask: int) -> bool:
-        """Is the subgraph induced on the mask's vertices connected?
+    def component_within(self, mask: int) -> int:
+        """Component of the mask's lowest vertex in the subgraph induced on it.
 
-        The empty set counts as disconnected, a singleton as connected.
+        Returned as a bitmask; the empty mask gives 0.
         """
-        if mask == 0:
-            return False
-        start = mask & -mask
-        reached = start
-        frontier = start
+        reached = frontier = mask & -mask
         masks = self._masks
         while frontier:
             nxt = 0
             for v in _bits(frontier):
                 nxt |= masks[v]
-            nxt &= mask & ~reached
-            reached |= nxt
-            frontier = nxt
-        return reached == mask
+            frontier = nxt & mask & ~reached
+            reached |= frontier
+        return reached
+
+    def connected_within(self, mask: int) -> bool:
+        """Is the subgraph induced on the mask's vertices connected?
+
+        The empty set counts as disconnected, a singleton as connected.
+        """
+        return mask != 0 and self.component_within(mask) == mask
 
     def is_connected(self) -> bool:
         if self._n == 0:
@@ -164,21 +172,11 @@ def build(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
 
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest member."""
-    seen = 0
     out: list[list[int]] = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for u in _bits(frontier):
-                nxt |= g.neighbor_mask(u)
-            nxt &= ~comp
-            comp |= nxt
-            frontier = nxt
-        seen |= comp
+    rest = g.full_mask()
+    while rest:
+        comp = g.component_within(rest)
+        rest &= ~comp
         out.append(list(_bits(comp)))
     return out
 
@@ -194,6 +192,14 @@ def normalize_edge(g: Graph, e: tuple[int, int]) -> tuple[int, int]:
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge of the graph")
     return (u, v) if u < v else (v, u)
+
+
+def _edges_between(g: Graph, a: int, b: int) -> frozenset[tuple[int, int]]:
+    """Edges with one endpoint in mask a and the other in mask b, as sorted pairs."""
+    masks = g.adjacency_masks()
+    return frozenset(
+        (u, v) if u < v else (v, u) for u in _bits(a) for v in _bits(masks[u] & b)
+    )
 
 
 def boundary_edge_count(g: Graph, first: Iterable[int], second: Iterable[int]) -> int:

@@ -1,5 +1,7 @@
 """Max-flow connectivity against the exhaustive bipartition oracle."""
 
+import itertools
+
 import pytest
 
 from kedge.connectivity import (
@@ -21,7 +23,7 @@ from kedge.generators import (
     petersen_graph,
     two_cliques_bridged,
 )
-from kedge.graph import Graph, build
+from kedge.graph import Graph, boundary_edge_count, build
 
 from conftest import path_graph, seeded_random_graphs
 
@@ -144,3 +146,44 @@ def test_exhaustive_limit_is_enforced():
     big = complete(EXHAUSTIVE_LIMIT + 1)
     with pytest.raises(ValueError):
         enumerate_min_edge_cuts(big)
+    with pytest.raises(ValueError):
+        edge_connectivity_bruteforce(big)
+
+
+def _min_cuts_by_definition(g):
+    """Oracle value and minimum cuts from the definitions, side by side.
+
+    Every bipartition with vertex 0 on the first side, its boundary count,
+    and, for the cuts, both sides inducing connected subgraphs.
+    """
+    counts = {}
+    for size in range(1, g.n):
+        for rest in itertools.combinations(range(1, g.n), size - 1):
+            side = (0, *rest)
+            other = tuple(v for v in range(g.n) if v not in side)
+            counts[side, other] = boundary_edge_count(g, side, other)
+    value = min(counts.values())
+    cuts = [
+        (frozenset(e for e in g.edges() if (e[0] in side) != (e[1] in side)), side, other)
+        for (side, other), count in sorted(counts.items())
+        if count == value
+        and g.induced_subgraph(side)[0].is_connected()
+        and g.induced_subgraph(other)[0].is_connected()
+    ]
+    return value, cuts
+
+
+def test_bipartition_scanner_matches_definition():
+    graphs = []
+    for n in range(2, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            graphs.append(build(n, [p for i, p in enumerate(pairs) if bits >> i & 1]))
+    graphs += seeded_random_graphs(40, 7, 12, seed=53)
+    graphs += seeded_random_graphs(20, 7, 12, seed=59, p=0.3)
+    for g in graphs:
+        value, cuts = _min_cuts_by_definition(g)
+        assert edge_connectivity_bruteforce(g) == value
+        if g.is_connected():
+            got = [(c.edges, c.side_a, c.side_b) for c in enumerate_min_edge_cuts(g)]
+            assert got == cuts

@@ -1,12 +1,16 @@
 """Fragment construction, the overlap dichotomy, and minimal-fragment descent."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
+from kedge.connectivity import EXHAUSTIVE_LIMIT
+from kedge.errors import TheoremViolation
 from kedge.fragments import (
     Fragment,
     OverlapVerdict,
+    _overlap_verdict,
     Semifragment,
     check_fragment_overlap,
     fragment_degree_bounds,
@@ -67,17 +71,34 @@ def test_fragments_of_preconditions():
 
 
 def test_fragment_validate_rejects_tampering():
-    f = fragments_of(complete(6), (0, 1), 4)[0]
-    wrong = Fragment(
-        graph=f.graph,
-        deleted=f.deleted,
-        side=f.side,
-        complement=f.complement,
-        cut_edges=f.cut_edges,
-        host_kprime=f.host_kprime + 1,
+    # host K4 on {2, 3, 4, 5}; f cuts off vertex 2
+    f = next(x for x in fragments_of(complete(6), (0, 1), 4) if x.side == {2})
+    f.validate()
+    pair = frozenset({(2, 4), (2, 5), (3, 4), (3, 5)})
+    big = complete(EXHAUSTIVE_LIMIT + 3)
+    oversized = Fragment(
+        big,
+        (0, 1),
+        {2},
+        set(range(3, big.n)),
+        {(2, v) for v in range(3, big.n)},
+        EXHAUSTIVE_LIMIT,
     )
-    with pytest.raises(ValueError):
-        wrong.validate()
+    cases = [
+        (replace(f, host_kprime=f.host_kprime + 1), "stored host connectivity"),
+        (replace(f, deleted=(0, 0)), "repeat"),
+        (replace(f, deleted=(0, 6)), "not in graph"),
+        (replace(f, side=frozenset()), "nonempty"),
+        (replace(f, side={2, 3}), "overlap"),
+        (replace(f, complement={3, 4}), "partition"),
+        (replace(f, cut_edges=f.cut_edges - {(2, 3)}), "boundary"),
+        (replace(f, cut_edges=f.cut_edges | {(3, 4)}), "boundary"),
+        (replace(f, side={2, 3}, complement={4, 5}, cut_edges=pair), "minimum"),
+        (oversized, "exhaustive limit"),
+    ]
+    for wrong, message in cases:
+        with pytest.raises(ValueError, match=message):
+            wrong.validate()
 
 
 def test_overlap_alpha_on_k6():
@@ -91,6 +112,23 @@ def test_overlap_alpha_on_k6():
     assert r.intersection == {4}
     assert r.d_intersection_remainder == r.d_remainder_complement == 0
     assert r.d_intersection_outward == 3 == r.host_kprime
+
+
+def test_overlap_violation_carries_payload():
+    """A side set missing the intersection must raise, with a replay payload."""
+    g = complete(6)
+    f = next(x for x in fragments_of(g, (0, 1), 4) if x.side == {4})
+    f1 = next(x for x in fragments_of(g, (2, 3), 4) if x.side == {0, 1, 4})
+    with pytest.raises(TheoremViolation, match="not a fragment") as info:
+        _overlap_verdict(g, (0, 1), (2, 3), f, f1, frozenset())
+    assert info.value.payload == {
+        "n": 6,
+        "edges": g.edges(),
+        "e": (0, 1),
+        "e1": (2, 3),
+        "f_side": (4,),
+        "f1_side": (0, 1, 4),
+    }
 
 
 def test_overlap_alpha_zero_cut_host():
