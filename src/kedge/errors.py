@@ -27,7 +27,10 @@ class GenerationError(KedgeError):
 class ExtractionFailed(KedgeError):
     """The dense-subgraph extraction heuristic could not certify a result.
 
-    Recoverable: callers fall back to the exhaustive search route.
+    Raised by `extract_connected_subgraph` and passed on by
+    `removable_tree_via_thomassen`; no wrong answer is returned in its
+    place.  Nothing in the package catches it: a caller that wants a result
+    anyway can run the exhaustive `find_removable_tree` itself.
     """
 
 

@@ -3,9 +3,11 @@
 A vertex, edge, or subtree is removable when deleting it (with all incident
 edges) leaves the graph k-edge-connected.  The finders here scan in a fixed
 deterministic order, re-verify every hit from scratch, and return None when
-nothing qualifies.  The tree finder has two strategies: plain exhaustive
-embedding search, and a dense-graph shortcut that first extracts a highly
-connected subgraph and embeds the tree away from its boundary.
+nothing qualifies.  The tree finder walks the distinct vertex images of the
+tree's embeddings exhaustively.  Separately, `removable_tree_via_thomassen`
+handles graphs of very large minimum degree: it extracts a highly connected
+subgraph and embeds the tree away from its boundary.  The tree finder never
+takes that route.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .connectivity import (
     vertex_cut_below,
 )
 from .errors import ExtractionFailed, InternalCheckError, TheoremViolation
-from .graph import Graph, components
+from .graph import Graph, _bits, components
 from .io import graph_payload
 from .trees import TreeSpec
 
@@ -219,24 +221,85 @@ def embed_tree(
     return None
 
 
+def _tree_images(g: Graph, tree: TreeSpec) -> Iterator[int]:
+    """Distinct vertex images of the tree's embeddings in g, as bitmasks.
+
+    Tree vertices are placed in index order and host candidates are tried
+    lowest bit first, as in `iter_tree_embeddings`; each image is yielded
+    once, in the order of its first embedding.  A search state is the used
+    mask together with the hosts of the placed tree vertices that still
+    parent unplaced ones, and it fixes every image below it.  A state is
+    recorded once its subtree is exhausted, and skipped when it recurs: its
+    images have all been yielded already.  The stack lives in per-level
+    arrays: a recursive generator would refer to itself through its closure
+    and keep every call's sets alive until the cyclic collector runs.
+    """
+    masks = g.adjacency_masks()
+    parents = tree.parents
+    m = tree.order
+    last_child = [0] * m
+    for i in range(1, m):
+        last_child[parents[i]] = i
+    # open_parents[i]: tree vertices below i with a child at index i or above
+    open_parents = [
+        tuple(j for j in range(i) if last_child[j] >= i) for i in range(m)
+    ]
+    shift = g.n.bit_length()
+    last = m - 1
+    # a key packs the used mask and the open hosts into one int; the count
+    # of open hosts differs between levels, so each level has its own set
+    explored: list[set[int]] = [set() for _ in range(m)]
+    seen: set[int] = set()
+    hosts = [0] * m
+    # per level: candidates left, used mask before placing, state key
+    left = [0] * m
+    base = [0] * m
+    keys = [0] * m
+    left[0] = g.full_mask()
+    i = 0
+    while i >= 0:
+        candidates = left[i]
+        if not candidates:
+            explored[i].add(keys[i])
+            i -= 1
+            continue
+        low = candidates & -candidates
+        left[i] = candidates ^ low
+        used = base[i] | low
+        hosts[i] = low.bit_length() - 1
+        if i == last:
+            if used not in seen:
+                seen.add(used)
+                yield used
+            continue
+        key = used
+        for j in open_parents[i + 1]:
+            key = key << shift | hosts[j]
+        if key in explored[i + 1]:
+            continue
+        i += 1
+        left[i] = masks[hosts[parents[i]]] & ~used
+        base[i] = used
+        keys[i] = key
+
+
 def find_removable_tree(
     g: Graph, k: int, tree: TreeSpec
 ) -> RemovalCertificate | None:
-    """First tree copy (canonical embedding order) whose deletion keeps g k-edge-connected.
+    """First tree image (canonical embedding order) whose deletion keeps g k-edge-connected.
 
-    Exhaustive: None is returned only after every embedding has been tried.
-    Distinct embeddings with the same vertex image are checked once.
+    Exhaustive: None is returned only after every distinct image has been
+    certified and failed.  The images come from `_tree_images` in the order
+    of their first embedding, so each is checked once, in the same order as
+    deduplicating `iter_tree_embeddings`.  The walk skips a search state
+    only after an earlier visit explored it completely; every image below
+    it was then already checked, so skipping cannot change the answer.
     """
     _require_k_edge_connected(g, k)
     if g.n <= tree.order:
         raise ValueError("graph must have more vertices than the tree")
-    seen: set[frozenset[int]] = set()
-    for emb in iter_tree_embeddings(g, tree, g.vertices()):
-        image = emb.vertices()
-        if image in seen:
-            continue
-        seen.add(image)
-        cert = _certify(g, "tree", image, k)
+    for image in _tree_images(g, tree):
+        cert = _certify(g, "tree", _bits(image), k)
         if cert is not None:
             return cert
     return None
@@ -312,8 +375,8 @@ def removable_tree_via_thomassen(
     stated minimum-degree precondition the certificate must verify; a
     verified failure is not an ordinary error but a theorem-violation
     event, raised as TheoremViolation with full reproduction data.
-    ExtractionFailed propagates so callers can fall back to the exhaustive
-    finder.
+    ExtractionFailed propagates to the caller; nothing here falls back to
+    `find_removable_tree`.
     """
     m = tree.order
     k_target = k + m

@@ -5,17 +5,21 @@ import pytest
 from kedge.connectivity import EdgeCut
 from kedge.errors import TheoremViolation
 from kedge.generators import (
+    all_graphs,
     complete,
     complete_bipartite,
     cycle_graph,
     gen_with_hypotheses,
     petersen_graph,
+    random_graph,
     two_cliques_bridged,
 )
-from kedge.graph import Graph, build
+from kedge.graph import Graph, build, mask_of
 from kedge.removal import (
     Embedding,
     HCSubgraph,
+    _certify,
+    _tree_images,
     decompose_cut,
     embed_tree,
     extract_connected_subgraph,
@@ -26,7 +30,7 @@ from kedge.removal import (
     removable_tree_via_thomassen,
     residual_min_cut,
 )
-from kedge.trees import path_tree, star_tree
+from kedge.trees import enumerate_trees, path_tree, star_tree
 
 
 def pendant_complete(n):
@@ -105,6 +109,58 @@ def test_iter_tree_embeddings_counts():
     assert [e.assignment for e in restricted] == [(0, 1, 2), (2, 1, 0)]
     for emb in restricted:
         emb.validate(c4, path_tree(3))
+
+
+def first_seen_images(g, tree):
+    """Vertex images of every embedding, deduplicated in first-seen order."""
+    embeddings = iter_tree_embeddings(g, tree, g.vertices())
+    return list(dict.fromkeys(mask_of(emb.assignment) for emb in embeddings))
+
+
+def test_tree_images_follow_first_embedding_order():
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+    graphs += [
+        random_graph(6 + seed % 5, (0.3, 0.5, 0.7)[seed % 3], seed)
+        for seed in range(30)
+    ]
+    pairs = 0
+    for g in graphs:
+        for m in range(1, min(g.n, 6) + 1):
+            for tree in enumerate_trees(m):
+                assert list(_tree_images(g, tree)) == first_seen_images(g, tree)
+                pairs += 1
+    assert pairs == 8541 + 30 * 14
+
+
+def reference_tree_finder(g, k, tree):
+    """First hit among the deduplicated embedding images, certified one by one."""
+    for image in first_seen_images(g, tree):
+        cert = _certify(g, "tree", [v for v in g.vertices() if image >> v & 1], k)
+        if cert is not None:
+            return cert
+    return None
+
+
+def test_tree_finder_matches_reference_on_hits_and_misses():
+    instances = [
+        (complete(k + m + extra), k, m)
+        for k in (2, 3, 4, 5)
+        for m in (2, 3, 4)
+        for extra in (0, 1)
+    ]
+    for k in (4, 5):
+        for m in (3, 4):
+            for seed in range(3):
+                n = k + m + 1 + seed
+                for delta in (k, k + m):
+                    instances.append((gen_with_hypotheses(n, k, delta, seed), k, m))
+    outcomes = set()
+    for g, k, m in instances:
+        for tree in enumerate_trees(m):
+            cert = find_removable_tree(g, k, tree)
+            assert cert == reference_tree_finder(g, k, tree)
+            outcomes.add(cert is None)
+    assert outcomes == {True, False}
 
 
 def test_embedding_validate_errors():
