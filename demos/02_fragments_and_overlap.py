@@ -12,8 +12,8 @@ fragment.
 """
 
 from kedge import (
+    Graph,
     OverlapVerdict,
-    build,
     check_fragment_overlap,
     fragment_degree_bounds,
     fragments_of,
@@ -29,7 +29,7 @@ for f in fragments_of(g, (0, 1), 2):
     print("fragment side", sorted(f.side), "cut size", len(f.cut_edges))
 
 # an intersection case on the complete graph K6
-g6 = build(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+g6 = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
 f = next(fr for fr in fragments_of(g6, (0, 1), 4) if fr.side == frozenset({4}))
 f1 = next(fr for fr in fragments_of(g6, (2, 3), 4) if fr.side == frozenset({0, 1, 4}))
 res = check_fragment_overlap(g6, (0, 1), (2, 3), f, f1)
@@ -38,7 +38,7 @@ print("  boundary splits evenly:", res.d_intersection_remainder, "=", res.d_rema
 
 # a small-complement case found by scanning a sparse 6-vertex graph;
 # threshold 2 sits above both damaged graphs' connectivities
-g = build(6, [(0, 1), (0, 2), (0, 5), (1, 4), (2, 3)])
+g = Graph(6, [(0, 1), (0, 2), (0, 5), (1, 4), (2, 3)])
 f = next(fr for fr in fragments_of(g, (0, 5), 2) if fr.side == frozenset({2, 3}))
 f1 = next(fr for fr in fragments_of(g, (1, 4), 2) if fr.side == frozenset({0, 2, 5}))
 res = check_fragment_overlap(g, (0, 5), (1, 4), f, f1)

@@ -32,7 +32,6 @@ print("removable edge", cert.removed, "- residual connectivity", cert.residual_k
 tree = parse_tree_spec("path:3")
 cert = find_removable_tree(g, 2, tree)
 print("removable path image", cert.removed, "- residual connectivity", cert.residual_kprime)
-print("certificate re-verified:", cert.verified)
 
 # a star of four leaves needs more degree headroom
 g = gen_with_hypotheses(n=14, k=1, delta_min=6, seed=11)

@@ -21,7 +21,6 @@ from enum import Enum
 
 from .connectivity import (
     EXHAUSTIVE_LIMIT,
-    EdgeCut,
     _scan_bipartitions,
     is_k_edge_connected,
 )
@@ -31,8 +30,6 @@ from .graph import (
     _bits,
     _edges_between,
     boundary_edge_count,
-    build,
-    components,
     mask_of,
     normalize_edge,
 )
@@ -71,30 +68,6 @@ class Fragment:
     @property
     def order(self) -> int:
         return len(self.side)
-
-    def opposite(self) -> Fragment:
-        """The complementary fragment to the same cut."""
-        return Fragment(
-            self.graph,
-            self.deleted,
-            self.complement,
-            self.side,
-            self.cut_edges,
-            self.host_kprime,
-        )
-
-    def host_cut(self) -> EdgeCut:
-        """The defining cut, reindexed into host labels."""
-        _, index = self.graph.delete_vertices(self.deleted)
-        edges = frozenset(
-            (index[u], index[v]) if index[u] < index[v] else (index[v], index[u])
-            for u, v in self.cut_edges
-        )
-        return EdgeCut(
-            edges=edges,
-            side_a=tuple(sorted(index[v] for v in self.side)),
-            side_b=tuple(sorted(index[v] for v in self.complement)),
-        )
 
     def validate(self) -> None:
         """Recheck every structural invariant from scratch.
@@ -136,51 +109,6 @@ class Fragment:
                 raise ValueError("side does not induce a connected subgraph")
             if not g.connected_within(complement):
                 raise ValueError("complement does not induce a connected subgraph")
-
-
-@dataclass(frozen=True)
-class Semifragment:
-    """A union of components left after removing an arbitrary edge set.
-
-    Unlike Fragment, the cut need not be minimum and the host is stored
-    directly.  Kept for completeness; nothing downstream depends on it.
-    """
-
-    host: Graph
-    side: frozenset[int]
-    cut_edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "side", frozenset(self.side))
-        object.__setattr__(
-            self,
-            "cut_edges",
-            frozenset(
-                (u, v) if u < v else (v, u) for u, v in self.cut_edges
-            ),
-        )
-
-    def validate(self) -> None:
-        for u, v in self.cut_edges:
-            if not self.host.has_edge(u, v):
-                raise ValueError(f"cut edge ({u}, {v}) is not a host edge")
-        if not self.side:
-            raise ValueError("side must be nonempty")
-        stripped = build(
-            self.host.n,
-            [e for e in self.host.edges() if e not in self.cut_edges],
-        )
-        union: set[int] = set()
-        chosen = 0
-        comps = components(stripped)
-        for comp in comps:
-            if set(comp) & self.side:
-                union.update(comp)
-                chosen += 1
-        if union != self.side:
-            raise ValueError("side must be a union of components of host minus cut")
-        if chosen == len(comps):
-            raise ValueError("side must leave out at least one component")
 
 
 def _host_fragments(g: Graph, e: tuple[int, int]) -> tuple[int, list[Fragment]]:

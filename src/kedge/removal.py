@@ -46,7 +46,6 @@ class RemovalCertificate:
     removed: tuple[int, ...]
     residual_kprime: int | None
     residual_trivial: bool
-    verified: bool
 
 
 @dataclass(frozen=True)
@@ -60,20 +59,6 @@ class Embedding:
 
     def vertices(self) -> frozenset[int]:
         return frozenset(self.assignment)
-
-    def validate(self, g: Graph, tree: TreeSpec) -> None:
-        if len(self.assignment) != tree.order:
-            raise ValueError("assignment length differs from tree order")
-        if len(set(self.assignment)) != len(self.assignment):
-            raise ValueError("assignment is not injective")
-        for v in self.assignment:
-            if not g.has_vertex(v):
-                raise ValueError(f"vertex {v} not in graph")
-        for a, b in tree.edges():
-            if not g.has_edge(self.assignment[a], self.assignment[b]):
-                raise ValueError(
-                    f"tree edge ({a}, {b}) lands on a non-edge of the host"
-                )
 
 
 @dataclass(frozen=True)
@@ -134,7 +119,7 @@ def _certify(
     if not is_k_edge_connected(residual, k):
         return None
     if residual.n == 1:
-        return RemovalCertificate(kind, removed, None, True, True)
+        return RemovalCertificate(kind, removed, None, True)
     kprime, _cut = edge_connectivity(residual)
     if residual.n <= EXHAUSTIVE_LIMIT:
         oracle = edge_connectivity_bruteforce(residual)
@@ -143,7 +128,7 @@ def _certify(
                 f"flow and oracle disagree on residual connectivity"
                 f" ({kprime} vs {oracle})"
             )
-    return RemovalCertificate(kind, removed, kprime, False, True)
+    return RemovalCertificate(kind, removed, kprime, False)
 
 
 def _require_k_edge_connected(g: Graph, k: int) -> None:
@@ -476,6 +461,9 @@ def decompose_cut(
     if cut.value > k - 1:
         raise ValueError(f"cut value {cut.value} is not below {k}")
     residual, index = g.delete_vertices(tset)
+    ends = {v for e in cut.edges for v in e}
+    if not {*cut.side_a, *cut.side_b, *ends} <= index.keys():
+        raise ValueError("cut names a vertex outside g minus tprime")
     mapped = EdgeCut(
         edges=frozenset(
             (index[a], index[b]) if index[a] < index[b] else (index[b], index[a])
@@ -493,7 +481,6 @@ def decompose_cut(
 
     side = frozenset(cut.side_a)
     complement = frozenset(cut.side_b)
-    ends = {v for e in cut.edges for v in e}
     h = core.vertices
     d1 = frozenset(ends & side)
     d2 = frozenset(ends & complement)

@@ -56,11 +56,6 @@ class SplitMix64:
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def choice(self, items):
-        if not items:
-            raise ValueError("choice from an empty sequence")
-        return items[self.randrange(len(items))]
-
 
 def derive_seed(master: int, *indices: int) -> int:
     """Child seed for a (cell, trial, ...) coordinate.

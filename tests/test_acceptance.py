@@ -30,7 +30,7 @@ from kedge.generators import (
     random_graph,
     two_cliques_bridged,
 )
-from kedge.graph import Graph, build
+from kedge.graph import Graph
 from kedge.harness import CampaignConfig, run_campaign, verify_tightness
 from kedge.io import parse_edge_list, parse_graph6, write_edge_list, write_graph6
 from kedge.removal import (
@@ -62,7 +62,7 @@ def test_01_flow_oracle_matches_exhaustive_splits():
     for n in range(2, 7):
         pairs = list(itertools.combinations(range(n), 2))
         for bits in range(1 << len(pairs)):
-            g = build(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+            g = Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
             assert edge_connectivity(g)[0] == edge_connectivity_bruteforce(g)
             checked += 1
     assert checked == 2 + 8 + 64 + 1024 + 32768
@@ -171,7 +171,7 @@ def test_06_dense_core_extraction_removes_a_path():
         assert len(core.boundary) <= 2 * k_target * k_target
         cert = removable_tree_via_thomassen(g, k, tree)
         elapsed = time.monotonic() - start
-        assert cert.verified
+        assert is_k_edge_connected(g.delete_vertices(cert.removed)[0], k)
         assert len(cert.removed) == tree.order
         if want_kprime is not None:
             assert cert.residual_kprime == want_kprime
@@ -252,10 +252,10 @@ def test_09_replay_determinism_and_io_round_trips():
         round_tripped += 1
 
     n, edges = _reference_graph6_decode("C~")
-    assert parse_graph6("C~") == build(n, edges) == complete(4)
+    assert parse_graph6("C~") == Graph(n, edges) == complete(4)
     for g in graphs[:5]:
         ref_n, ref_edges = _reference_graph6_decode(write_graph6(g))
-        assert build(ref_n, ref_edges) == g
+        assert Graph(ref_n, ref_edges) == g
     _ok(
         f"criterion 9: campaign replay byte-identical, {round_tripped} graphs "
         "round-trip both formats, graph6 decode cross-checked"

@@ -23,7 +23,7 @@ from kedge.generators import (
     petersen_graph,
     two_cliques_bridged,
 )
-from kedge.graph import Graph, boundary_edge_count, build
+from kedge.graph import Graph, boundary_edge_count
 
 from conftest import path_graph, seeded_random_graphs
 
@@ -36,8 +36,8 @@ def test_known_edge_connectivity_values():
         (petersen_graph(), 3),
         (path_graph(5), 1),
         (two_cliques_bridged(5, 2), 2),
-        (build(4, []), 0),
-        (build(4, [(0, 1), (2, 3)]), 0),
+        (Graph(4, []), 0),
+        (Graph(4, [(0, 1), (2, 3)]), 0),
     ]
     for g, want in cases:
         kprime, cut = edge_connectivity(g)
@@ -103,7 +103,7 @@ def test_vertex_connectivity_values():
     assert vertex_connectivity(petersen_graph()) == 3
     assert vertex_connectivity(cycle_graph(7)) == 2
     assert vertex_connectivity(path_graph(4)) == 1
-    assert vertex_connectivity(build(3, [(0, 1)])) == 0
+    assert vertex_connectivity(Graph(3, [(0, 1)])) == 0
 
 
 def test_vertex_cut_below():
@@ -113,7 +113,7 @@ def test_vertex_cut_below():
     h, _ = g.delete_vertices(cut)
     assert not h.is_connected()
     assert vertex_cut_below(complete(4), 4) is None
-    assert vertex_cut_below(build(4, [(0, 1), (2, 3)]), 1) == ()
+    assert vertex_cut_below(Graph(4, [(0, 1), (2, 3)]), 1) == ()
 
 
 def test_is_k_connected():
@@ -178,7 +178,7 @@ def test_bipartition_scanner_matches_definition():
     for n in range(2, 6):
         pairs = list(itertools.combinations(range(n), 2))
         for bits in range(1 << len(pairs)):
-            graphs.append(build(n, [p for i, p in enumerate(pairs) if bits >> i & 1]))
+            graphs.append(Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1]))
     graphs += seeded_random_graphs(40, 7, 12, seed=53)
     graphs += seeded_random_graphs(20, 7, 12, seed=59, p=0.3)
     for g in graphs:

@@ -11,7 +11,6 @@ from kedge.fragments import (
     Fragment,
     OverlapVerdict,
     _overlap_verdict,
-    Semifragment,
     check_fragment_overlap,
     fragment_degree_bounds,
     fragments_of,
@@ -20,13 +19,13 @@ from kedge.fragments import (
     verify_descent_conclusion,
 )
 from kedge.generators import complete, cycle_graph, two_cliques_bridged
-from kedge.graph import build
+from kedge.graph import Graph
 
 
 def all_connected_graphs_on(n):
     pairs = list(itertools.combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
-        g = build(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+        g = Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
         if g.is_connected():
             yield g
 
@@ -40,7 +39,6 @@ def test_fragments_of_disconnected_host():
     for f in frags:
         assert f.host_kprime == 0 and not f.cut_edges
         f.validate()
-        assert f.opposite().side == f.complement
 
 
 def test_fragments_of_k6():
@@ -52,8 +50,7 @@ def test_fragments_of_k6():
     assert all(f.host_kprime == 3 for f in frags)
     for f in frags:
         f.validate()
-        cut = f.host_cut()
-        assert cut.value == 3
+        assert len(f.cut_edges) == 3
 
 
 def test_fragments_of_empty_when_connectivity_survives():
@@ -67,7 +64,7 @@ def test_fragments_of_preconditions():
     with pytest.raises(ValueError):
         fragments_of(complete(5), (0, 1), 0)
     with pytest.raises(ValueError):
-        fragments_of(build(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), (0, 2), 1)
+        fragments_of(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), (0, 2), 1)
 
 
 def test_fragment_validate_rejects_tampering():
@@ -132,7 +129,7 @@ def test_overlap_violation_carries_payload():
 
 
 def test_overlap_alpha_zero_cut_host():
-    g = build(6, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2)])
+    g = Graph(6, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2)])
     f = next(x for x in fragments_of(g, (0, 3), 9) if x.side == {4})
     f1 = next(x for x in fragments_of(g, (1, 2), 9) if x.side == {0, 3, 4})
     r = check_fragment_overlap(g, (0, 3), (1, 2), f, f1)
@@ -141,7 +138,7 @@ def test_overlap_alpha_zero_cut_host():
 
 
 def test_overlap_beta_case():
-    g = build(6, [(0, 1), (0, 2), (0, 5), (1, 4), (2, 3)])
+    g = Graph(6, [(0, 1), (0, 2), (0, 5), (1, 4), (2, 3)])
     f = next(x for x in fragments_of(g, (0, 5), 9) if x.side == {2, 3})
     f1 = next(x for x in fragments_of(g, (1, 4), 9) if x.side == {0, 2, 5})
     r = check_fragment_overlap(g, (0, 5), (1, 4), f, f1)
@@ -236,10 +233,3 @@ def test_fragment_degree_bounds():
     for row in rep.rows:
         assert row.cross_ok
         assert row.cross_neighbors >= 2 - rep.side_order + 1
-
-
-def test_semifragment_validate():
-    p4 = build(4, [(0, 1), (1, 2), (2, 3)])
-    Semifragment(p4, frozenset({0, 1}), frozenset({(1, 2)})).validate()
-    with pytest.raises(ValueError):
-        Semifragment(p4, frozenset({0}), frozenset({(1, 2)})).validate()

@@ -3,8 +3,6 @@ import pytest
 from kedge.graph import (
     Graph,
     boundary_edge_count,
-    build,
-    component_masks,
     components,
     mask_of,
     normalize_edge,
@@ -22,11 +20,14 @@ def test_empty_and_single():
 
 
 def test_basic_adjacency():
-    g = build(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert g.edges() == ((0, 1), (0, 3), (1, 2), (2, 3))
     assert g.neighbors(0) == (1, 3)
     assert g.degree(2) == 2 and g.min_degree() == 2
     assert g.has_edge(3, 2) and not g.has_edge(0, 2)
+    # out-of-range endpoints are non-edges, not wrapped or raising indices
+    for u, v in [(-1, 2), (2, -1), (4, 3), (3, 4), (7, 2), (2, 7)]:
+        assert not g.has_edge(u, v)
 
 
 def test_duplicate_edges_collapse():
@@ -44,16 +45,16 @@ def test_rejects_bad_edges():
 
 
 def test_equality_and_hash():
-    a = build(3, [(0, 1), (1, 2)])
-    b = build(3, [(1, 2), (0, 1)])
-    c = build(3, [(0, 1)])
+    a = Graph(3, [(0, 1), (1, 2)])
+    b = Graph(3, [(1, 2), (0, 1)])
+    c = Graph(3, [(0, 1)])
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert len({a, b, c}) == 2
 
 
 def test_induced_subgraph_relabels():
-    g = build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     sub, fwd = g.induced_subgraph([1, 3, 4])
     assert sub.n == 3
     assert fwd == {1: 0, 3: 1, 4: 2}
@@ -62,7 +63,7 @@ def test_induced_subgraph_relabels():
 
 
 def test_delete_vertices():
-    g = build(4, [(0, 1), (1, 2), (2, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     h, fwd = g.delete_vertices([1])
     assert h.n == 3 and h.edges() == ((1, 2),)
     assert fwd == {0: 0, 2: 1, 3: 2}
@@ -73,30 +74,29 @@ def test_delete_vertices():
 
 
 def test_connected_within():
-    g = build(6, [(0, 1), (1, 2), (3, 4)])
+    g = Graph(6, [(0, 1), (1, 2), (3, 4)])
     assert g.connected_within(mask_of([0, 1, 2]))
     assert not g.connected_within(mask_of([0, 2, 3]))
     assert g.connected_within(mask_of([4]))
 
 
 def test_components_ordering():
-    g = build(7, [(2, 5), (0, 6), (1, 3)])
+    g = Graph(7, [(2, 5), (0, 6), (1, 3)])
     comps = components(g)
     # ordered by smallest member, members sorted
     assert comps == [[0, 6], [1, 3], [2, 5], [4]]
-    masks = component_masks(g)
-    assert masks[0] == mask_of([0, 6])
 
 
 def test_normalize_edge():
-    g = build(3, [(0, 2)])
+    g = Graph(3, [(0, 2)])
     assert normalize_edge(g, (2, 0)) == (0, 2)
-    with pytest.raises(ValueError):
-        normalize_edge(g, (0, 1))
+    for e in [(0, 1), (-1, 0), (0, -1), (3, 0)]:
+        with pytest.raises(ValueError):
+            normalize_edge(g, e)
 
 
 def test_boundary_edge_count():
-    g = build(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+    g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
     assert boundary_edge_count(g, [0, 1], [2, 3]) == 2
     assert boundary_edge_count(g, [0, 1], [4]) == 0
     with pytest.raises(ValueError):

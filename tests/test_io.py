@@ -4,7 +4,7 @@ import pytest
 
 from kedge.errors import GraphFormatError
 from kedge.generators import complete, petersen_graph
-from kedge.graph import build
+from kedge.graph import Graph
 from kedge.io import (
     graph_payload,
     load_graph,
@@ -44,8 +44,8 @@ def test_edge_list_round_trip():
 
 
 def test_edge_list_output_is_canonical():
-    a = build(3, [(2, 1), (0, 1)])
-    b = build(3, [(0, 1), (1, 2)])
+    a = Graph(3, [(2, 1), (0, 1)])
+    b = Graph(3, [(0, 1), (1, 2)])
     assert write_edge_list(a) == write_edge_list(b) == "3 2\n0 1\n1 2\n"
 
 

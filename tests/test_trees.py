@@ -7,7 +7,7 @@ computed locally.
 
 import pytest
 
-from kedge.graph import build
+from kedge.graph import Graph
 from kedge.trees import (
     ENUMERATION_LIMIT,
     FREE_TREE_COUNTS,
@@ -92,14 +92,14 @@ def test_prufer_encode_known():
 
 
 def test_tree_from_graph():
-    g = build(4, [(1, 3), (0, 3), (2, 0)])
+    g = Graph(4, [(1, 3), (0, 3), (2, 0)])
     t = tree_from_graph(g)
     assert t.order == 4
     assert _local_center_code(t) == _local_center_code(path_tree(4))
     with pytest.raises(ValueError):
-        tree_from_graph(build(3, [(0, 1), (1, 2), (0, 2)]))
+        tree_from_graph(Graph(3, [(0, 1), (1, 2), (0, 2)]))
     with pytest.raises(ValueError):
-        tree_from_graph(build(3, [(0, 1)]))
+        tree_from_graph(Graph(3, [(0, 1)]))
 
 
 def test_parse_tree_spec_grammar():
