@@ -14,7 +14,7 @@ alive-vertex mask, so a host with deleted vertices is scanned in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .graph import Graph, _bits, _edges_between, components
@@ -393,13 +393,7 @@ class ConnectivityReport:
     vertex_connectivity: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "edge_count": self.edge_count,
-            "min_degree": self.min_degree,
-            "edge_connectivity": self.edge_connectivity,
-            "vertex_connectivity": self.vertex_connectivity,
-        }
+        return asdict(self)
 
 
 def connectivity_report(g: Graph) -> ConnectivityReport:

@@ -17,10 +17,13 @@ except wall times.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from .connectivity import (
     EXHAUSTIVE_LIMIT,
@@ -50,6 +53,18 @@ OUTCOME_NOT_FOUND = "not_found"
 OUTCOME_VIOLATION = "theorem_violation_candidate"
 OUTCOME_OPEN = "conjecture_open_datapoint"
 OUTCOME_GENFAIL = "generation_failed"
+
+
+def _plain(value):
+    """JSON-ready form of a report: dataclasses become dicts, tuples lists."""
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _plain(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -98,18 +113,7 @@ class CampaignConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "statement": self.statement,
-            "k_values": list(self.k_values),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "n_range": list(self.n_range),
-            "m_values": list(self.m_values),
-            "trees": list(self.trees),
-            "model": self.model,
-            "delta_min": self.delta_min,
-            "params": dict(self.params),
-        }
+        return _plain(self) | {"params": dict(self.params)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignConfig":
@@ -150,27 +154,7 @@ class TrialReport:
     wall_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "statement": self.statement,
-            "k": self.k,
-            "m": self.m,
-            "tree": self.tree,
-            "cell_index": self.cell_index,
-            "trial_index": self.trial_index,
-            "seed": self.seed,
-            "n": self.n,
-            "edge_count": self.edge_count,
-            "min_degree": self.min_degree,
-            "kprime": self.kprime,
-            "outcome": self.outcome,
-            "witness_removed": list(self.witness_removed)
-            if self.witness_removed is not None
-            else None,
-            "witness_residual_kprime": self.witness_residual_kprime,
-            "witness_residual_trivial": self.witness_residual_trivial,
-            "graph": self.graph,
-            "wall_time": self.wall_time,
-        }
+        return _plain(self)
 
 
 @dataclass(frozen=True)
@@ -237,11 +221,52 @@ def _is_open_cell(statement: str, cell: Cell) -> bool:
     return statement == "tree" and cell.k >= 4 and (cell.m or 0) >= 3
 
 
-def _recheck_kprime_at_least(g: Graph, k: int) -> bool:
-    """Hypothesis recheck routed through the oracle when that is feasible."""
-    if 2 <= g.n <= EXHAUSTIVE_LIMIT:
-        return edge_connectivity_bruteforce(g) >= k
-    return is_k_edge_connected(g, k)
+def _draw_graph(
+    seed: int,
+    n_range: tuple[int, int],
+    model: str,
+    k: int,
+    delta: int,
+    params: tuple[tuple[str, float], ...] = (),
+    m: int = 0,
+) -> Graph | None:
+    """The seeded trial graph, or None when the generator gives up.
+
+    The order is drawn from `n_range`, then raised to leave room for
+    minimum degree `delta` and, when `m` is given, for a tree of order m.
+    """
+    lo, hi = n_range
+    n = max(lo + SplitMix64(seed).randrange(hi - lo + 1), delta + 1)
+    spec = GenSpec(
+        model=model,
+        n=max(n, m + 1) if m else n,
+        k=k,
+        delta_min=delta,
+        seed=derive_seed(seed, 1),
+        params=params,
+    )
+    try:
+        return generate(spec)
+    except GenerationError:
+        return None
+
+
+def _confirm_miss(
+    g: Graph, k: int, delta: int, rerun: Callable[[], RemovalCertificate | None]
+) -> None:
+    """Re-verify a finder miss from scratch before it becomes a candidate.
+
+    The hypotheses are rechecked through the bipartition oracle when that
+    is feasible, and `rerun()` repeats the search, which must miss again.
+    """
+    if g.min_degree() < delta or not (
+        edge_connectivity_bruteforce(g) >= k
+        if 2 <= g.n <= EXHAUSTIVE_LIMIT
+        else is_k_edge_connected(g, k)
+    ):
+        raise InternalCheckError("hypotheses failed on recheck after a miss")
+    if rerun() is not None:
+        raise InternalCheckError("finder disagreed with itself on a rerun")
 
 
 def _run_finder(
@@ -303,29 +328,22 @@ def _run_trial(
     if statement == "tightness":
         g = complete(cell.k + cell.m)
     else:
-        rng = SplitMix64(seed)
-        lo, hi = config.n_range
-        n = lo + rng.randrange(hi - lo + 1)
-        n = max(n, delta + 1)
-        if statement == "tree":
-            n = max(n, cell.m + 1)
-        spec = GenSpec(
-            model=config.model,
-            n=n,
-            k=cell.k,
-            delta_min=delta,
-            seed=derive_seed(seed, 1),
-            params=config.params,
+        g = _draw_graph(
+            seed,
+            config.n_range,
+            config.model,
+            cell.k,
+            delta,
+            config.params,
+            cell.m or 0,
         )
-        try:
-            g = generate(spec)
-        except GenerationError:
-            return report(None, OUTCOME_GENFAIL)
         # any model is allowed, so the hypotheses are confirmed up front
-        if g.min_degree() < delta or not is_k_edge_connected(g, cell.k):
+        if g is None or g.min_degree() < delta:
             return report(g, OUTCOME_GENFAIL)
-
     kprime, _ = edge_connectivity(g)
+    # never true for tightness: K_{k+m} has edge connectivity k+m-1
+    if kprime < cell.k:
+        return report(g, OUTCOME_GENFAIL)
     cert = _run_finder(g, cell.k, statement, cell.tree)
     if cert is not None:
         return report(g, OUTCOME_WITNESS, cert=cert, kprime=kprime)
@@ -335,13 +353,9 @@ def _run_trial(
     if _is_open_cell(statement, cell):
         return report(g, OUTCOME_OPEN, kprime=kprime)
 
-    # a theorem cell missed: confirm hypotheses and the miss independently
-    if g.min_degree() < delta or not _recheck_kprime_at_least(g, cell.k):
-        raise InternalCheckError(
-            "hypotheses failed on recheck after passing at generation time"
-        )
-    if _run_finder(g, cell.k, statement, cell.tree) is not None:
-        raise InternalCheckError("finder disagreed with itself on a rerun")
+    _confirm_miss(
+        g, cell.k, delta, lambda: _run_finder(g, cell.k, statement, cell.tree)
+    )
     return report(g, OUTCOME_VIOLATION, kprime=kprime)
 
 
@@ -360,15 +374,7 @@ def _summarize(
     per_cell: dict[str, dict] = {}
     for cell in cells:
         rows = [t for t in trials if t.cell_index == cell.index]
-        counts = {
-            OUTCOME_WITNESS: 0,
-            OUTCOME_NOT_FOUND: 0,
-            OUTCOME_VIOLATION: 0,
-            OUTCOME_OPEN: 0,
-            OUTCOME_GENFAIL: 0,
-        }
-        for t in rows:
-            counts[t.outcome] += 1
+        counts = Counter(t.outcome for t in rows)
         expected = _expected_outcome(config, cell)
         entry = {
             "trials": len(rows),
@@ -413,15 +419,7 @@ class TightnessReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "residual_order": self.residual_order,
-            "expected_residual_kprime": self.expected_residual_kprime,
-            "convention_sensitive": self.convention_sensitive,
-            "rows": [list(r) for r in self.rows],
-            "passed": self.passed,
-        }
+        return _plain(self)
 
 
 def verify_tightness(k: int, m: int) -> TightnessReport:
@@ -490,17 +488,7 @@ class CounterexampleReport:
     min_delta_success: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "budget": self.budget,
-            "seed": self.seed,
-            "graphs_tested": self.graphs_tested,
-            "trees_per_graph": self.trees_per_graph,
-            "generation_failures": self.generation_failures,
-            "candidates": list(self.candidates),
-            "min_delta_success": self.min_delta_success,
-        }
+        return _plain(self)
 
 
 def counterexample_search(
@@ -522,6 +510,8 @@ def counterexample_search(
     delta = k + m
     if n_range is None:
         n_range = (delta + 1, delta + 8)
+    if n_range[0] > n_range[1]:
+        raise ValueError("n_range must be (low, high) with low <= high")
     if n_range[0] <= delta:
         raise ValueError(f"n_range must start above delta={delta}")
     trees = enumerate_trees(m)
@@ -531,34 +521,17 @@ def counterexample_search(
     min_delta_success: int | None = None
     for i in range(budget):
         trial_seed = derive_seed(seed, i)
-        rng = SplitMix64(trial_seed)
-        n = n_range[0] + rng.randrange(n_range[1] - n_range[0] + 1)
-        try:
-            g = generate(
-                GenSpec(
-                    model="with_hypotheses",
-                    n=n,
-                    k=k,
-                    delta_min=delta,
-                    seed=derive_seed(trial_seed, 1),
-                )
-            )
-        except GenerationError:
+        g = _draw_graph(trial_seed, n_range, "with_hypotheses", k, delta)
+        if g is None:
             genfail += 1
             continue
         tested += 1
         all_removable = True
         for tree in trees:
-            cert = find_removable_tree(g, k, tree)
-            if cert is not None:
+            if find_removable_tree(g, k, tree) is not None:
                 continue
             all_removable = False
-            if g.min_degree() < delta or not _recheck_kprime_at_least(g, k):
-                raise InternalCheckError(
-                    "hypotheses failed on recheck during counterexample search"
-                )
-            if find_removable_tree(g, k, tree) is not None:
-                raise InternalCheckError("finder disagreed with itself on a rerun")
+            _confirm_miss(g, k, delta, lambda: find_removable_tree(g, k, tree))
             candidates.append(
                 {
                     "graph": graph_payload(g),

@@ -131,6 +131,17 @@ def _certify(
     return RemovalCertificate(kind, removed, kprime, False)
 
 
+def _first_certified(
+    g: Graph, kind: str, candidates: Iterable[Iterable[int]], k: int
+) -> RemovalCertificate | None:
+    """Certificate for the first candidate vertex set that `_certify` accepts."""
+    for removed in candidates:
+        cert = _certify(g, kind, removed, k)
+        if cert is not None:
+            return cert
+    return None
+
+
 def _require_k_edge_connected(g: Graph, k: int) -> None:
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -141,21 +152,13 @@ def _require_k_edge_connected(g: Graph, k: int) -> None:
 def find_removable_vertex(g: Graph, k: int) -> RemovalCertificate | None:
     """First vertex (ascending id) whose deletion keeps g k-edge-connected."""
     _require_k_edge_connected(g, k)
-    for v in g.vertices():
-        cert = _certify(g, "vertex", (v,), k)
-        if cert is not None:
-            return cert
-    return None
+    return _first_certified(g, "vertex", ((v,) for v in g.vertices()), k)
 
 
 def find_removable_edge(g: Graph, k: int) -> RemovalCertificate | None:
     """First edge (sorted order) whose endpoint deletion keeps g k-edge-connected."""
     _require_k_edge_connected(g, k)
-    for e in g.edges():
-        cert = _certify(g, "edge", e, k)
-        if cert is not None:
-            return cert
-    return None
+    return _first_certified(g, "edge", g.edges(), k)
 
 
 def iter_tree_embeddings(
@@ -283,11 +286,7 @@ def find_removable_tree(
     _require_k_edge_connected(g, k)
     if g.n <= tree.order:
         raise ValueError("graph must have more vertices than the tree")
-    for image in _tree_images(g, tree):
-        cert = _certify(g, "tree", _bits(image), k)
-        if cert is not None:
-            return cert
-    return None
+    return _first_certified(g, "tree", map(_bits, _tree_images(g, tree)), k)
 
 
 def extract_connected_subgraph(g: Graph, k_target: int) -> HCSubgraph:

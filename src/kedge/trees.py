@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GraphFormatError
 from .graph import Graph
 from . import io as graph_io
 

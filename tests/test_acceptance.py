@@ -40,7 +40,7 @@ from kedge.removal import (
     find_removable_vertex,
     removable_tree_via_thomassen,
 )
-from kedge.trees import FREE_TREE_COUNTS, enumerate_trees, parse_tree_spec
+from kedge.trees import FREE_TREE_COUNTS, parse_tree_spec
 
 MASTER_SEED = 20260822
 

@@ -137,9 +137,22 @@ def test_connectivity_report():
     rep = connectivity_report(petersen_graph())
     assert (rep.n, rep.edge_count, rep.min_degree) == (10, 15, 3)
     assert rep.edge_connectivity == 3 and rep.vertex_connectivity == 3
-    assert rep.to_dict()["edge_connectivity"] == 3
+    assert rep.to_dict() == {
+        "n": 10,
+        "edge_count": 15,
+        "min_degree": 3,
+        "edge_connectivity": 3,
+        "vertex_connectivity": 3,
+    }
     single = connectivity_report(Graph(1))
     assert single.edge_connectivity is None and single.vertex_connectivity is None
+    assert single.to_dict() == {
+        "n": 1,
+        "edge_count": 0,
+        "min_degree": 0,
+        "edge_connectivity": None,
+        "vertex_connectivity": None,
+    }
 
 
 def test_exhaustive_limit_is_enforced():

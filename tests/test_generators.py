@@ -1,7 +1,6 @@
 import pytest
 
 from kedge.connectivity import edge_connectivity, is_k_edge_connected
-from kedge.errors import GenerationError
 from kedge.generators import (
     ENUM_GRAPH_LIMIT,
     GenSpec,

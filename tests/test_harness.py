@@ -8,6 +8,9 @@ import kedge.harness as harness
 from kedge.errors import InternalCheckError
 from kedge.harness import (
     CampaignConfig,
+    CounterexampleReport,
+    TightnessReport,
+    TrialReport,
     analyze,
     counterexample_search,
     run_campaign,
@@ -15,7 +18,9 @@ from kedge.harness import (
     write_report,
 )
 from kedge.generators import petersen_graph
-from kedge.io import save_graph
+from kedge.io import parse_graph6, save_graph
+from kedge.rng import derive_seed
+from kedge.trees import enumerate_trees
 
 
 def small_config(**overrides):
@@ -218,3 +223,146 @@ def test_counterexample_search_small():
         counterexample_search(2, 2, budget=0, seed=1)
     with pytest.raises(ValueError):
         counterexample_search(2, 2, budget=1, seed=1, n_range=(4, 6))
+    with pytest.raises(ValueError, match="n_range"):
+        counterexample_search(2, 2, budget=1, seed=1, n_range=(9, 6))
+
+
+def test_counterexample_miss_becomes_candidate(monkeypatch):
+    """Every confirmed miss is recorded with its reproduction data; the
+    plumbing is exercised with a stubbed finder."""
+    monkeypatch.setattr(harness, "find_removable_tree", lambda g, k, tree: None)
+    rep = counterexample_search(k=2, m=4, budget=3, seed=5)
+    trees = [t.spec_string() for t in enumerate_trees(4)]
+    assert rep.graphs_tested == 3 and rep.trees_per_graph == len(trees) == 2
+    assert rep.min_delta_success is None
+    assert len(rep.candidates) == 3 * len(trees)
+    for i in range(3):
+        per_graph = rep.candidates[i * len(trees) : (i + 1) * len(trees)]
+        assert [c["tree"] for c in per_graph] == trees
+        for c in per_graph:
+            assert set(c) == {"graph", "seed", "n", "k", "m", "tree", "min_degree"}
+            assert (c["seed"], c["k"], c["m"]) == (derive_seed(5, i), 2, 4)
+            g = parse_graph6(c["graph"]["data"])
+            assert (g.n, g.min_degree()) == (c["n"], c["min_degree"])
+            assert c["min_degree"] >= 6
+
+
+def test_counterexample_flaky_finder_is_an_internal_error(monkeypatch):
+    calls = {"n": 0}
+    real = harness.find_removable_tree
+
+    def succeeds_on_rerun(g, k, tree):
+        calls["n"] += 1
+        return None if calls["n"] % 2 else real(g, k, tree)
+
+    monkeypatch.setattr(harness, "find_removable_tree", succeeds_on_rerun)
+    with pytest.raises(InternalCheckError, match="rerun"):
+        counterexample_search(k=2, m=2, budget=1, seed=99)
+    assert calls["n"] == 2
+
+
+def test_reports_serialize_to_plain_data():
+    graph = {"format": "graph6", "data": "DQc"}
+    trial = TrialReport(
+        statement="edge_pair",
+        k=2,
+        m=None,
+        tree=None,
+        cell_index=1,
+        trial_index=3,
+        seed=17,
+        n=5,
+        edge_count=6,
+        min_degree=2,
+        kprime=2,
+        outcome="witness_found",
+        witness_removed=(0, 4),
+        witness_residual_kprime=None,
+        witness_residual_trivial=False,
+        graph=graph,
+        wall_time=0.25,
+    )
+    assert trial.to_dict() == {
+        "statement": "edge_pair",
+        "k": 2,
+        "m": None,
+        "tree": None,
+        "cell_index": 1,
+        "trial_index": 3,
+        "seed": 17,
+        "n": 5,
+        "edge_count": 6,
+        "min_degree": 2,
+        "kprime": 2,
+        "outcome": "witness_found",
+        "witness_removed": [0, 4],
+        "witness_residual_kprime": None,
+        "witness_residual_trivial": False,
+        "graph": graph,
+        "wall_time": 0.25,
+    }
+    tight = TightnessReport(
+        k=2,
+        m=3,
+        residual_order=2,
+        expected_residual_kprime=1,
+        convention_sensitive=False,
+        rows=(("prufer:0", "not_found"),),
+        passed=True,
+    )
+    assert tight.to_dict() == {
+        "k": 2,
+        "m": 3,
+        "residual_order": 2,
+        "expected_residual_kprime": 1,
+        "convention_sensitive": False,
+        "rows": [["prufer:0", "not_found"]],
+        "passed": True,
+    }
+    candidate = {"graph": graph, "seed": 8, "n": 5, "k": 2, "m": 3}
+    search = CounterexampleReport(
+        k=2,
+        m=3,
+        budget=4,
+        seed=1,
+        graphs_tested=3,
+        trees_per_graph=1,
+        generation_failures=1,
+        candidates=(candidate,),
+        min_delta_success=None,
+    )
+    assert search.to_dict() == {
+        "k": 2,
+        "m": 3,
+        "budget": 4,
+        "seed": 1,
+        "graphs_tested": 3,
+        "trees_per_graph": 1,
+        "generation_failures": 1,
+        "candidates": [candidate],
+        "min_delta_success": None,
+    }
+    config = CampaignConfig(
+        statement="tree",
+        k_values=(2, 3),
+        trials=1,
+        master_seed=4,
+        n_range=(9, 12),
+        m_values=(3,),
+        trees=("star:3",),
+        delta_min=6,
+        params=(("p", 0.5),),
+    )
+    assert config.to_dict() == {
+        "statement": "tree",
+        "k_values": [2, 3],
+        "trials": 1,
+        "master_seed": 4,
+        "n_range": [9, 12],
+        "m_values": [3],
+        "trees": ["star:3"],
+        "model": "with_hypotheses",
+        "delta_min": 6,
+        "params": {"p": 0.5},
+    }
+    assert CampaignConfig.from_dict(config.to_dict()) == config

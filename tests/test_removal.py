@@ -3,7 +3,6 @@
 import pytest
 
 from kedge.connectivity import EdgeCut
-from kedge.errors import TheoremViolation
 from kedge.generators import (
     all_graphs,
     complete,
