@@ -228,18 +228,18 @@ def _draw_graph(
     k: int,
     delta: int,
     params: tuple[tuple[str, float], ...] = (),
-    m: int = 0,
+    min_order: int = 0,
 ) -> Graph | None:
     """The seeded trial graph, or None when the generator gives up.
 
-    The order is drawn from `n_range`, then raised to leave room for
-    minimum degree `delta` and, when `m` is given, for a tree of order m.
+    The order is drawn from `n_range`, then raised to at least `min_order`
+    and past `delta`, to leave room for minimum degree `delta`.
     """
     lo, hi = n_range
-    n = max(lo + SplitMix64(seed).randrange(hi - lo + 1), delta + 1)
+    n = lo + SplitMix64(seed).randrange(hi - lo + 1)
     spec = GenSpec(
         model=model,
-        n=max(n, m + 1) if m else n,
+        n=max(n, delta + 1, min_order),
         k=k,
         delta_min=delta,
         seed=derive_seed(seed, 1),
@@ -335,10 +335,13 @@ def _run_trial(
             cell.k,
             delta,
             config.params,
-            cell.m or 0,
+            min_order=cell.m + 1 if cell.m else 0,  # room for the tree
         )
         # any model is allowed, so the hypotheses are confirmed up front
+        # (edge_connectivity needs two vertices; K1 is 1-edge-connected)
         if g is None or g.min_degree() < delta:
+            return report(g, OUTCOME_GENFAIL)
+        if g.n < 2 and not is_k_edge_connected(g, cell.k):
             return report(g, OUTCOME_GENFAIL)
     kprime, _ = edge_connectivity(g)
     # never true for tightness: K_{k+m} has edge connectivity k+m-1

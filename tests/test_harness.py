@@ -133,6 +133,26 @@ def test_report_json_round_trip(tmp_path):
     assert len(loaded["trials"]) == 2
 
 
+@pytest.mark.parametrize(
+    "model, n_range", [("complete:1", (8, 16)), ("gnp", (1, 1))]
+)
+def test_one_vertex_graph_fails_generation(model, n_range):
+    """K1 meets a zero degree target but is 1-edge-connected and no more."""
+    cfg = CampaignConfig(
+        statement="mader_vertex",
+        k_values=(2,),
+        trials=1,
+        master_seed=1,
+        model=model,
+        n_range=n_range,
+        delta_min=0,
+    )
+    res = run_campaign(cfg)
+    (trial,) = res.trials
+    assert (trial.outcome, trial.n, trial.kprime) == ("generation_failed", 1, None)
+    assert res.summary["per_cell"]["mader_vertex k=2"]["generation_failed"] == 1
+
+
 def test_forced_miss_becomes_violation_candidate(monkeypatch):
     """A reproducible finder miss on a theorem cell is escalated only after
     the recheck; the plumbing is exercised with a stubbed finder."""
