@@ -10,6 +10,13 @@ Every bipartition scan in the package (the oracle, min-cut enumeration and
 the fragment hosts) runs through one flow-free scanner, _scan_bipartitions.
 It walks the sides in Gray-code order on adjacency masks restricted to an
 alive-vertex mask, so a host with deleted vertices is scanned in place.
+
+Vertex connectivity likewise has one kernel, _vertex_cut, on the same
+masks.  It runs unit-capacity flows on the split-vertex network and uses
+Even's bound (SIAM J. Comput. 1975): a minimum cut of size c misses one of
+any c+1 vertices, so only the first c+1 alive vertices need serve as
+sources.  vertex_connectivity, vertex_cut_below, is_k_connected and the
+dense-core extraction all ask it.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .graph import Graph, _bits, _edges_between, components
+from .graph import Graph, _bits, _edges_between, components, mask_of
 
 EXHAUSTIVE_LIMIT = 16
 _INF = float("inf")
@@ -116,19 +123,6 @@ def _edge_net(g: Graph) -> _FlowNet:
     net = _FlowNet(g.n)
     for u, v in g.edges():
         net.add(u, v, 1, 1)
-    net.freeze()
-    return net
-
-
-def _vertex_net(g: Graph) -> _FlowNet:
-    # node 2v is "entry", 2v+1 is "exit"; internal arc carries capacity 1
-    net = _FlowNet(2 * g.n)
-    big = g.n
-    for v in range(g.n):
-        net.add(2 * v, 2 * v + 1, 1)
-    for u, v in g.edges():
-        net.add(2 * u + 1, 2 * v, big)
-        net.add(2 * v + 1, 2 * u, big)
     net.freeze()
     return net
 
@@ -302,6 +296,47 @@ def enumerate_min_edge_cuts(g: Graph, max_vertices: int = EXHAUSTIVE_LIMIT) -> l
     return [_cut_from_side(g, side) for side in sides]
 
 
+def _vertex_cut(masks: Sequence[int], alive: int, k: int) -> int | None:
+    """Minimum vertex cut of the graph induced on `alive` if its connectivity is below k.
+
+    The cut is a mask, the empty cut 0 when that graph is disconnected;
+    None means connectivity at least k, as always for a clique.  Sources s
+    run over the alive vertices in ascending order, each against every
+    alive non-neighbour t, by unit-capacity flow on the split-vertex
+    network (entry 2v, exit 2v+1).  A cut below c misses one of the first
+    c sources (Even's bound), so with c the smallest cut found so far, or
+    the starting bound below, the scan stops after c sources.  The cut
+    comes from the first (s, t) pair reaching the minimum: the entries
+    reachable from s in the residual network whose exits are not.
+    """
+    verts = list(_bits(alive))
+    n = len(verts)
+    min_degree = min((masks[v] & alive).bit_count() for v in verts)
+    if min_degree == n - 1:
+        return None
+    net = _FlowNet(2 * len(masks))
+    for v in verts:
+        net.add(2 * v, 2 * v + 1, 1)
+    for u in verts:
+        for v in _bits((masks[u] & alive) >> u + 1 << u + 1):
+            net.add(2 * u + 1, 2 * v, n)
+            net.add(2 * v + 1, 2 * u, n)
+    net.freeze()
+    # a non-clique has a cut of at most min(min_degree, n - 2) vertices
+    best, cut = min(k, min_degree + 1, n - 1), None
+    i = 0
+    while i < best:
+        s = verts[i]
+        for t in _bits(alive & ~masks[s] & ~(1 << s)):
+            net.reset()
+            if net.max_flow(2 * s + 1, 2 * t, best) < best:
+                reach = net.residual_reachable(2 * s + 1)
+                cut = mask_of(v for v in verts if reach >> 2 * v & 3 == 1)
+                best = cut.bit_count()
+        i += 1
+    return cut
+
+
 def vertex_connectivity(g: Graph) -> int:
     """Minimum vertices whose removal disconnects or trivializes the graph."""
     n = g.n
@@ -309,61 +344,22 @@ def vertex_connectivity(g: Graph) -> int:
         raise ValueError("vertex connectivity of the empty graph is undefined")
     if n == 1:
         return 0
-    if not g.is_connected():
-        return 0
-    if g.edge_count == n * (n - 1) // 2:
-        return n - 1
-    net = _vertex_net(g)
-    best = min(g.min_degree(), n - 2)
-    i = 0
-    while i <= best:
-        s = i
-        non_neighbors = [
-            t for t in range(n) if t != s and not g.has_edge(s, t)
-        ]
-        for t in non_neighbors:
-            net.reset()
-            f = net.max_flow(2 * s + 1, 2 * t, best + 1)
-            if f < best:
-                best = f
-        i += 1
-    return best
+    cut = _vertex_cut(g.adjacency_masks(), g.full_mask(), n)
+    return n - 1 if cut is None else cut.bit_count()
 
 
 def vertex_cut_below(g: Graph, k: int) -> tuple[int, ...] | None:
-    """A vertex cut of size < k if one exists, else None.
+    """A minimum vertex cut if the vertex connectivity is below k, else None.
 
     For a disconnected graph the empty cut qualifies.  Complete graphs have
     no cut at all, so the answer there is None whenever n >= 2.
     """
-    n = g.n
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if n <= 1:
+    if g.n <= 1:
         return None
-    if not g.is_connected():
-        return ()
-    if g.edge_count == n * (n - 1) // 2:
-        return None
-    if k > n - 1:
-        # kappa <= n-2 for any non-complete graph: the non-neighbors of any
-        # vertex pair witness it; fall through and let the flow find one
-        k = n - 1
-    net = _vertex_net(g)
-    for s in range(min(k, n)):
-        for t in range(n):
-            if t == s or g.has_edge(s, t):
-                continue
-            net.reset()
-            f = net.max_flow(2 * s + 1, 2 * t, k)
-            if f < k:
-                reach = net.residual_reachable(2 * s + 1)
-                cut = tuple(
-                    v for v in range(n)
-                    if reach >> (2 * v) & 1 and not reach >> (2 * v + 1) & 1
-                )
-                return cut
-    return None
+    cut = _vertex_cut(g.adjacency_masks(), g.full_mask(), k)
+    return None if cut is None else tuple(_bits(cut))
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
@@ -376,10 +372,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return k == 1
     if k > g.n - 1:
         return False
-    if g.edge_count == g.n * (g.n - 1) // 2:
-        return True
-    cut = vertex_cut_below(g, k)
-    return cut is None
+    return _vertex_cut(g.adjacency_masks(), g.full_mask(), k) is None
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,10 @@ class CampaignConfig:
             raise ValueError("trials must be at least 1")
         if len(self.n_range) != 2 or self.n_range[0] > self.n_range[1]:
             raise ValueError("n_range must be (low, high) with low <= high")
+        if self.n_range[0] < 1:
+            raise ValueError("n_range low end must be at least 1")
+        if self.delta_min is not None and self.delta_min < 0:
+            raise ValueError("delta_min must be at least 0")
         if self.statement in ("tree", "tightness") and not (
             self.m_values or self.trees
         ):

@@ -18,15 +18,14 @@ from typing import Iterable, Iterator
 from .connectivity import (
     EXHAUSTIVE_LIMIT,
     EdgeCut,
+    _vertex_cut,
     edge_connectivity,
     edge_connectivity_bruteforce,
     is_k_connected,
     is_k_edge_connected,
-    vertex_connectivity,
-    vertex_cut_below,
 )
 from .errors import ExtractionFailed, InternalCheckError, TheoremViolation
-from .graph import Graph, _bits, components
+from .graph import Graph, _bits, mask_of
 from .io import graph_payload
 from .trees import TreeSpec
 
@@ -292,13 +291,17 @@ def find_removable_tree(
 def extract_connected_subgraph(g: Graph, k_target: int) -> HCSubgraph:
     """Carve out a k_target-connected induced subgraph with a small boundary.
 
-    Strategy: start from the whole vertex set; repeatedly discard vertices
-    of internal degree below k_target, and while the candidate is not
-    k_target-connected, split it along a minimum vertex cut and keep the
-    cut plus the larger side (ties: the side holding the smallest vertex
-    id).  All three postconditions (connectivity, order above 4*k_target^2,
-    boundary at most 2*k_target^2) are re-verified from scratch; any miss
-    raises ExtractionFailed, never a silent wrong answer.
+    Strategy: start from the whole vertex set; peel vertices with fewer
+    than k_target neighbours in the candidate until none is left, then ask
+    `_vertex_cut` once on the candidate.  No cut means the candidate is
+    k_target-connected.  Otherwise keep the minimum cut plus the largest
+    component of the candidate minus it (ties: the component holding the
+    smallest vertex id) and go round again.  After peeling every vertex
+    has at least k_target neighbours, so a candidate that is not
+    k_target-connected always yields a cut.  All three postconditions
+    (connectivity, order above 4*k_target^2, boundary at most
+    2*k_target^2) are re-verified from scratch; any miss raises
+    ExtractionFailed, never a silent wrong answer.
     """
     if k_target < 1:
         raise ValueError("k_target must be at least 1")
@@ -306,41 +309,33 @@ def extract_connected_subgraph(g: Graph, k_target: int) -> HCSubgraph:
         raise ValueError(
             f"minimum degree must exceed {4 * k_target**2}"
         )
-    candidate = set(g.vertices())
+    masks = g.adjacency_masks()
+    candidate = g.full_mask()
     while True:
         # peel low-degree vertices to a fixed point
         while True:
-            drop = [
-                v
-                for v in candidate
-                if sum(1 for w in g.neighbors(v) if w in candidate) < k_target
-            ]
+            drop = mask_of(
+                v for v in _bits(candidate)
+                if (masks[v] & candidate).bit_count() < k_target
+            )
             if not drop:
                 break
-            candidate.difference_update(drop)
+            candidate &= ~drop
         if not candidate:
             raise ExtractionFailed("candidate set peeled away entirely")
-        sub, index = g.induced_subgraph(candidate)
-        if is_k_connected(sub, k_target):
-            break
-        kappa = vertex_connectivity(sub)
-        cut = vertex_cut_below(sub, kappa + 1)
+        cut = _vertex_cut(masks, candidate, k_target)
         if cut is None:
-            raise ExtractionFailed("no vertex cut in a non-connected candidate")
-        back = {new: old for old, new in index.items()}
-        cut_orig = {back[v] for v in cut}
-        rest, rest_index = sub.delete_vertices(cut, allow_empty=True)
-        if rest.n == 0:
-            raise ExtractionFailed("vertex cut swallowed the candidate")
-        rest_back = {new: old for old, new in rest_index.items()}
-        comps = components(rest)
-        best = max(comps, key=len)
-        keep = {back[rest_back[v]] for v in best}
-        candidate = set(cut_orig) | keep
-    vertices = frozenset(candidate)
-    boundary = frozenset(
-        v for v in vertices if any(w not in vertices for w in g.neighbors(v))
-    )
+            break
+        rest = candidate & ~cut
+        keep = 0
+        while rest:
+            comp = g.component_within(rest)
+            rest &= ~comp
+            if comp.bit_count() > keep.bit_count():
+                keep = comp
+        candidate = cut | keep
+    vertices = frozenset(_bits(candidate))
+    boundary = frozenset(v for v in vertices if masks[v] & ~candidate)
     result = HCSubgraph(vertices=vertices, boundary=boundary, k_target=k_target)
     try:
         result.validate(g)
@@ -393,19 +388,21 @@ def removable_tree_via_thomassen(
     return cert
 
 
+def _relabel_cut(cut: EdgeCut, label: dict[int, int]) -> EdgeCut:
+    """The cut with each vertex v renamed label[v]: sorted edge pairs, sorted sides."""
+    edges = ((label[a], label[b]) for a, b in cut.edges)
+    return EdgeCut(
+        edges=frozenset((a, b) if a < b else (b, a) for a, b in edges),
+        side_a=tuple(sorted(label[v] for v in cut.side_a)),
+        side_b=tuple(sorted(label[v] for v in cut.side_b)),
+    )
+
+
 def residual_min_cut(g: Graph, removed: Iterable[int]) -> EdgeCut:
     """A minimum edge-cut of g minus a vertex set, in ambient labels."""
     residual, index = g.delete_vertices(removed)
     _value, cut = edge_connectivity(residual)
-    back = {new: old for old, new in index.items()}
-    return EdgeCut(
-        edges=frozenset(
-            (back[a], back[b]) if back[a] < back[b] else (back[b], back[a])
-            for a, b in cut.edges
-        ),
-        side_a=tuple(sorted(back[v] for v in cut.side_a)),
-        side_b=tuple(sorted(back[v] for v in cut.side_b)),
-    )
+    return _relabel_cut(cut, {new: old for old, new in index.items()})
 
 
 @dataclass(frozen=True)
@@ -463,15 +460,7 @@ def decompose_cut(
     ends = {v for e in cut.edges for v in e}
     if not {*cut.side_a, *cut.side_b, *ends} <= index.keys():
         raise ValueError("cut names a vertex outside g minus tprime")
-    mapped = EdgeCut(
-        edges=frozenset(
-            (index[a], index[b]) if index[a] < index[b] else (index[b], index[a])
-            for a, b in cut.edges
-        ),
-        side_a=tuple(sorted(index[v] for v in cut.side_a)),
-        side_b=tuple(sorted(index[v] for v in cut.side_b)),
-    )
-    mapped.validate(residual)
+    _relabel_cut(cut, index).validate(residual)
     kprime, _ = edge_connectivity(residual)
     if kprime != cut.value:
         raise ValueError(

@@ -114,6 +114,9 @@ def test_vertex_cut_below():
     assert not h.is_connected()
     assert vertex_cut_below(complete(4), 4) is None
     assert vertex_cut_below(Graph(4, [(0, 1), (2, 3)]), 1) == ()
+    # a minimum cut, not merely the first cut below k: {2, 3} also
+    # separates 0 from 1, but the cut vertex 0 alone is smaller
+    assert vertex_cut_below(Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)]), 3) == (0,)
 
 
 def test_is_k_connected():
@@ -200,3 +203,38 @@ def test_bipartition_scanner_matches_definition():
         if g.is_connected():
             got = [(c.edges, c.side_a, c.side_b) for c in enumerate_min_edge_cuts(g)]
             assert got == cuts
+
+
+def _vertex_connectivity_by_definition(g):
+    """Size of the smallest vertex set whose deletion disconnects g or
+    leaves at most one vertex, from subsets in order of size."""
+    full = g.full_mask()
+    for size in range(g.n):
+        for gone in itertools.combinations(range(g.n), size):
+            rest = full & ~sum(1 << v for v in gone)
+            if rest.bit_count() <= 1 or not g.connected_within(rest):
+                return size
+    raise AssertionError("deleting n - 1 vertices always leaves one")
+
+
+def test_vertex_connectivity_matches_definition():
+    graphs = []
+    for n in range(2, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            graphs.append(Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1]))
+    graphs += seeded_random_graphs(60, 6, 12, seed=61)
+    graphs += seeded_random_graphs(30, 6, 12, seed=67, p=0.8)
+    for g in graphs:
+        kappa = _vertex_connectivity_by_definition(g)
+        assert vertex_connectivity(g) == kappa
+        is_complete = g.edge_count == g.n * (g.n - 1) // 2
+        for k in range(1, g.n + 1):
+            assert is_k_connected(g, k) == (kappa >= k)
+            cut = vertex_cut_below(g, k)
+            # a complete graph has no vertex cut at all
+            if kappa >= k or is_complete:
+                assert cut is None
+            else:
+                assert len(cut) == kappa
+                assert not g.delete_vertices(cut)[0].is_connected()

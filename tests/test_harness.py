@@ -197,6 +197,19 @@ def test_config_validation():
             master_seed=0,
             n_range=(9, 8),
         )
+    for n_range in ((0, 4), (-2, 0)):
+        with pytest.raises(ValueError, match="n_range low end must be at least 1"):
+            CampaignConfig(
+                statement="edge_pair",
+                k_values=(1,),
+                trials=1,
+                master_seed=0,
+                n_range=n_range,
+            )
+    with pytest.raises(ValueError, match="delta_min must be at least 0"):
+        CampaignConfig(
+            statement="edge_pair", k_values=(1,), trials=1, master_seed=0, delta_min=-3
+        )
 
 
 def test_verify_tightness():

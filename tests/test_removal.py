@@ -172,6 +172,11 @@ def test_extract_connected_subgraph():
     assert core.vertices == frozenset(range(18))
     assert core.boundary == frozenset({0})
     core.validate(g)
+    # a disconnected candidate splits along the empty cut; of two equal
+    # components the one holding the smallest vertex stays
+    k6_pair = Graph(12, [e for e in complete(12).edges() if (e[0] < 6) == (e[1] < 6)])
+    core = extract_connected_subgraph(k6_pair, 1)
+    assert (core.vertices, core.boundary) == (frozenset(range(6)), frozenset())
     with pytest.raises(ValueError):
         extract_connected_subgraph(two_cliques_bridged(5, 1), 2)
 
