@@ -1,10 +1,11 @@
 """Exact edge and vertex connectivity, minimum cuts, and an independent oracle.
 
-Edge connectivity is computed as the minimum over sinks t != 0 of the local
-edge connectivity from the fixed root 0, each local value by unit-capacity
-max-flow (Dinic).  Correctness is pinned by edge_connectivity_bruteforce,
-which scans every bipartition; the two routes are compared exhaustively in
-the test suite and must never be merged.
+Edge connectivity has one kernel, _edge_flows, on adjacency masks and an
+alive-vertex mask: unit-capacity max-flows (Dinic) from the lowest alive
+vertex to each other one, capped one above the best value so far and
+stopped once that value drops below the caller's threshold.  Correctness
+is pinned by edge_connectivity_bruteforce, which scans every bipartition;
+the two routes are compared exhaustively and must never be merged.
 
 Every bipartition scan in the package (the oracle, min-cut enumeration and
 the fragment hosts) runs through one flow-free scanner, _scan_bipartitions.
@@ -15,8 +16,8 @@ Vertex connectivity likewise has one kernel, _vertex_cut, on the same
 masks.  It runs unit-capacity flows on the split-vertex network and uses
 Even's bound (SIAM J. Comput. 1975): a minimum cut of size c misses one of
 any c+1 vertices, so only the first c+1 alive vertices need serve as
-sources.  vertex_connectivity, vertex_cut_below, is_k_connected and the
-dense-core extraction all ask it.
+sources.  vertex_connectivity, vertex_cut_below, is_k_connected, the
+dense-core extraction and its validation all ask it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .graph import Graph, _bits, _edges_between, components, mask_of
+from .graph import Graph, _bits, _edges_between, mask_of
 
 EXHAUSTIVE_LIMIT = 16
 _INF = float("inf")
@@ -119,12 +120,35 @@ class _FlowNet:
         return seen
 
 
-def _edge_net(g: Graph) -> _FlowNet:
-    net = _FlowNet(g.n)
-    for u, v in g.edges():
-        net.add(u, v, 1, 1)
+def _edge_net(masks: Sequence[int], alive: int) -> _FlowNet:
+    """Unit network over the edges inside `alive`, in ascending (u, v) order."""
+    net = _FlowNet(len(masks))
+    for u in _bits(alive):
+        for v in _bits((masks[u] & alive) >> u + 1 << u + 1):
+            net.add(u, v, 1, 1)
     net.freeze()
     return net
+
+
+def _edge_flows(
+    masks: Sequence[int], alive: int, best: int, stop: int
+) -> tuple[int, int | None]:
+    """Smallest flow from the lowest alive vertex to another, and its first sink.
+
+    Flows are capped at best + 1 and the scan stops once best < stop; the
+    sink is None when every flow exceeded the starting best.
+    """
+    net = _edge_net(masks, alive)
+    s, *sinks = _bits(alive)
+    sink = None
+    for t in sinks:
+        net.reset()
+        f = net.max_flow(s, t, best + 1)
+        if f < best or (f == best and sink is None):
+            best, sink = f, t
+            if best < stop:
+                break
+    return best, sink
 
 
 @dataclass(frozen=True)
@@ -143,19 +167,31 @@ class EdgeCut:
         a, b = set(self.side_a), set(self.side_b)
         if a & b or a | b != set(range(g.n)) or not a or not b:
             raise ValueError("cut sides must partition the vertex set, both nonempty")
-        crossing = {
-            (u, v) if u < v else (v, u)
-            for u, v in g.edges()
-            if (u in a) != (v in a)
-        }
-        if crossing != set(self.edges):
+        if _edges_between(g, mask_of(a), mask_of(b)) != set(self.edges):
             raise ValueError("cut edge set does not match the bipartition boundary")
 
 
-def _cut_from_side(g: Graph, side_mask: int) -> EdgeCut:
-    other = g.full_mask() & ~side_mask
+def _cut_from_side(g: Graph, alive: int, side_mask: int) -> EdgeCut:
+    other = alive & ~side_mask
     crossing = _edges_between(g, side_mask, other)
     return EdgeCut(crossing, tuple(_bits(side_mask)), tuple(_bits(other)))
+
+
+def _edge_cut(g: Graph, alive: int) -> tuple[int, EdgeCut]:
+    """Edge connectivity of g on `alive` (two vertices or more) and a minimum cut.
+
+    The cut side is what the root reaches in the residual network of the
+    flow to the first sink reaching the minimum.
+    """
+    masks = g.adjacency_masks()
+    min_degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
+    best, sink = _edge_flows(masks, alive, min_degree, 0)
+    if sink is None:
+        raise AssertionError("no sink achieved the minimum; flow routine is broken")
+    root = (alive & -alive).bit_length() - 1
+    net = _edge_net(masks, alive)
+    net.max_flow(root, sink, best)
+    return best, _cut_from_side(g, alive, net.residual_reachable(root) & alive)
 
 
 def _scan_bipartitions(masks: Sequence[int], alive: int) -> tuple[int, list[int]]:
@@ -196,8 +232,7 @@ def local_edge_connectivity(g: Graph, s: int, t: int, cap: float = _INF) -> int:
         raise ValueError("endpoints must differ")
     if not (g.has_vertex(s) and g.has_vertex(t)):
         raise ValueError("endpoint out of range")
-    net = _edge_net(g)
-    return net.max_flow(s, t, cap)
+    return _edge_net(g.adjacency_masks(), g.full_mask()).max_flow(s, t, cap)
 
 
 def edge_connectivity(g: Graph) -> tuple[int, EdgeCut]:
@@ -209,27 +244,7 @@ def edge_connectivity(g: Graph) -> tuple[int, EdgeCut]:
     """
     if g.n < 2:
         raise ValueError("edge connectivity needs at least two vertices")
-    if not g.is_connected():
-        comp = next(c for c in components(g) if 0 in c)
-        rest = tuple(sorted(set(range(g.n)) - set(comp)))
-        return 0, EdgeCut(frozenset(), tuple(comp), rest)
-    net = _edge_net(g)
-    # min degree is an upper bound, so flows are capped at best+1: values at
-    # or below the cap come back exact, which is all the scan needs
-    best = g.min_degree()
-    best_t = None
-    for t in range(1, g.n):
-        net.reset()
-        f = net.max_flow(0, t, best + 1)
-        if f < best or (f == best and best_t is None):
-            best = f
-            best_t = t
-    if best_t is None:
-        raise AssertionError("no sink achieved the minimum; flow routine is broken")
-    net.reset()
-    net.max_flow(0, best_t, best)
-    side = net.residual_reachable(0) & g.full_mask()
-    return best, _cut_from_side(g, side)
+    return _edge_cut(g, g.full_mask())
 
 
 def is_k_edge_connected(g: Graph, k: int) -> bool:
@@ -239,22 +254,9 @@ def is_k_edge_connected(g: Graph, k: int) -> bool:
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if g.n == 0:
-        return False
-    if g.n == 1:
-        return k == 1
-    if g.min_degree() < k:
-        return False
-    if not g.is_connected():
-        return False
-    if k == 1:
-        return True
-    net = _edge_net(g)
-    for t in range(1, g.n):
-        net.reset()
-        if net.max_flow(0, t, k) < k:
-            return False
-    return True
+    if g.n <= 1 or g.min_degree() < k or not g.is_connected():
+        return g.n == 1 and k == 1
+    return k == 1 or _edge_flows(g.adjacency_masks(), g.full_mask(), k - 1, k)[1] is None
 
 
 def edge_connectivity_bruteforce(g: Graph, max_vertices: int = EXHAUSTIVE_LIMIT) -> int:
@@ -293,7 +295,7 @@ def enumerate_min_edge_cuts(g: Graph, max_vertices: int = EXHAUSTIVE_LIMIT) -> l
         if g.connected_within(side) and g.connected_within(full & ~side)
     ]
     sides.sort(key=lambda m: tuple(_bits(m)))
-    return [_cut_from_side(g, side) for side in sides]
+    return [_cut_from_side(g, full, side) for side in sides]
 
 
 def _vertex_cut(masks: Sequence[int], alive: int, k: int) -> int | None:
@@ -362,17 +364,17 @@ def vertex_cut_below(g: Graph, k: int) -> tuple[int, ...] | None:
     return None if cut is None else tuple(_bits(cut))
 
 
-def is_k_connected(g: Graph, k: int) -> bool:
-    """Vertex-connectivity decision, mirroring the edge convention for K1."""
+def _is_k_connected(masks: Sequence[int], alive: int, k: int) -> bool:
+    """is_k_connected for the graph induced on `alive`."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if g.n == 0:
-        return False
-    if g.n == 1:
-        return k == 1
-    if k > g.n - 1:
-        return False
-    return _vertex_cut(g.adjacency_masks(), g.full_mask(), k) is None
+    n = alive.bit_count()
+    return k == 1 if n == 1 else k < n and _vertex_cut(masks, alive, k) is None
+
+
+def is_k_connected(g: Graph, k: int) -> bool:
+    """Vertex-connectivity decision, mirroring the edge convention for K1."""
+    return _is_k_connected(g.adjacency_masks(), g.full_mask(), k)
 
 
 @dataclass(frozen=True)

@@ -115,16 +115,14 @@ class Graph:
         ]
         return Graph(len(kept), edges), index
 
-    def delete_vertices(
-        self, remove: Iterable[int], allow_empty: bool = False
-    ) -> tuple[Graph, dict[int, int]]:
-        """Graph minus a vertex set, plus the old->new index map."""
+    def delete_vertices(self, remove: Iterable[int]) -> tuple[Graph, dict[int, int]]:
+        """Graph minus a vertex set (not all of it), plus the old->new index map."""
         gone = set(remove)
         for v in gone:
             if not 0 <= v < self._n:
                 raise ValueError(f"vertex {v} out of range for n={self._n}")
-        if len(gone) == self._n and not allow_empty:
-            raise ValueError("deleting every vertex needs allow_empty=True")
+        if len(gone) == self._n:
+            raise ValueError("cannot delete every vertex")
         return self.induced_subgraph(v for v in range(self._n) if v not in gone)
 
     def component_within(self, mask: int) -> int:

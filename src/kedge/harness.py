@@ -342,10 +342,8 @@ def _run_trial(
             min_order=cell.m + 1 if cell.m else 0,  # room for the tree
         )
         # any model is allowed, so the hypotheses are confirmed up front
-        # (edge_connectivity needs two vertices; K1 is 1-edge-connected)
-        if g is None or g.min_degree() < delta:
-            return report(g, OUTCOME_GENFAIL)
-        if g.n < 2 and not is_k_edge_connected(g, cell.k):
+        # (edge_connectivity needs two vertices)
+        if g is None or g.n < 2 or g.min_degree() < delta:
             return report(g, OUTCOME_GENFAIL)
     kprime, _ = edge_connectivity(g)
     # never true for tightness: K_{k+m} has edge connectivity k+m-1

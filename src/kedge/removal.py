@@ -18,10 +18,12 @@ from typing import Iterable, Iterator
 from .connectivity import (
     EXHAUSTIVE_LIMIT,
     EdgeCut,
+    _edge_cut,
+    _edge_flows,
+    _is_k_connected,
+    _scan_bipartitions,
     _vertex_cut,
     edge_connectivity,
-    edge_connectivity_bruteforce,
-    is_k_connected,
     is_k_edge_connected,
 )
 from .errors import ExtractionFailed, InternalCheckError, TheoremViolation
@@ -81,18 +83,13 @@ class HCSubgraph:
             raise ValueError("subgraph vertices out of range")
         if not self.boundary <= self.vertices:
             raise ValueError("boundary must lie inside the subgraph")
-        expected = frozenset(
-            v
-            for v in self.vertices
-            if any(w not in self.vertices for w in g.neighbors(v))
-        )
+        masks = g.adjacency_masks()
+        core = mask_of(self.vertices)
+        expected = frozenset(v for v in self.vertices if masks[v] & ~core)
         if self.boundary != expected:
             raise ValueError("boundary is not the outward-neighbor set")
-        sub, _ = g.induced_subgraph(self.vertices)
-        if not is_k_connected(sub, self.k_target):
-            raise ValueError(
-                f"induced subgraph is not {self.k_target}-connected"
-            )
+        if not _is_k_connected(masks, core, self.k_target):
+            raise ValueError(f"induced subgraph is not {self.k_target}-connected")
         if len(self.vertices) <= 4 * self.k_target**2:
             raise ValueError(
                 f"subgraph order {len(self.vertices)} not above"
@@ -110,22 +107,28 @@ def _certify(
 ) -> RemovalCertificate | None:
     """Build a certificate if deleting `removed` keeps g k-edge-connected.
 
-    The residual connectivity is recomputed from scratch, and cross-checked
-    against the bipartition oracle whenever the residual is small enough.
+    The residual is g's masks on the surviving vertices, with no graph
+    built.  One flow pass gives its exact edge connectivity or stops at the
+    first sink below k; the value is checked against the bipartition oracle
+    whenever the residual is small enough.
     """
     removed = tuple(sorted(set(removed)))
-    residual, _ = g.delete_vertices(removed, allow_empty=True)
-    if not is_k_edge_connected(residual, k):
+    masks = g.adjacency_masks()
+    alive = g.full_mask() & ~mask_of(removed)
+    if not alive & alive - 1:
+        # at most one vertex left: K1 is 1-edge-connected and nothing more
+        return RemovalCertificate(kind, removed, None, True) if alive and k == 1 else None
+    min_degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
+    if min_degree < k:
         return None
-    if residual.n == 1:
-        return RemovalCertificate(kind, removed, None, True)
-    kprime, _cut = edge_connectivity(residual)
-    if residual.n <= EXHAUSTIVE_LIMIT:
-        oracle = edge_connectivity_bruteforce(residual)
+    kprime, _ = _edge_flows(masks, alive, min_degree, k)
+    if kprime < k:
+        return None
+    if alive.bit_count() <= EXHAUSTIVE_LIMIT:
+        oracle = _scan_bipartitions(masks, alive)[0]
         if oracle != kprime:
             raise InternalCheckError(
-                f"flow and oracle disagree on residual connectivity"
-                f" ({kprime} vs {oracle})"
+                f"flow and oracle disagree on residual connectivity ({kprime} vs {oracle})"
             )
     return RemovalCertificate(kind, removed, kprime, False)
 
@@ -388,21 +391,16 @@ def removable_tree_via_thomassen(
     return cert
 
 
-def _relabel_cut(cut: EdgeCut, label: dict[int, int]) -> EdgeCut:
-    """The cut with each vertex v renamed label[v]: sorted edge pairs, sorted sides."""
-    edges = ((label[a], label[b]) for a, b in cut.edges)
-    return EdgeCut(
-        edges=frozenset((a, b) if a < b else (b, a) for a, b in edges),
-        side_a=tuple(sorted(label[v] for v in cut.side_a)),
-        side_b=tuple(sorted(label[v] for v in cut.side_b)),
-    )
-
-
 def residual_min_cut(g: Graph, removed: Iterable[int]) -> EdgeCut:
     """A minimum edge-cut of g minus a vertex set, in ambient labels."""
-    residual, index = g.delete_vertices(removed)
-    _value, cut = edge_connectivity(residual)
-    return _relabel_cut(cut, {new: old for old, new in index.items()})
+    gone = set(removed)
+    for v in gone:
+        if not g.has_vertex(v):
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    alive = g.full_mask() & ~mask_of(gone)
+    if alive.bit_count() < 2:
+        raise ValueError("edge connectivity needs at least two vertices")
+    return _edge_cut(g, alive)[1]
 
 
 @dataclass(frozen=True)
@@ -460,7 +458,12 @@ def decompose_cut(
     ends = {v for e in cut.edges for v in e}
     if not {*cut.side_a, *cut.side_b, *ends} <= index.keys():
         raise ValueError("cut names a vertex outside g minus tprime")
-    _relabel_cut(cut, index).validate(residual)
+    edges = ((index[a], index[b]) for a, b in cut.edges)
+    EdgeCut(
+        frozenset((a, b) if a < b else (b, a) for a, b in edges),
+        tuple(index[v] for v in cut.side_a),
+        tuple(index[v] for v in cut.side_b),
+    ).validate(residual)
     kprime, _ = edge_connectivity(residual)
     if kprime != cut.value:
         raise ValueError(
@@ -475,8 +478,7 @@ def decompose_cut(
     h1 = side & h
     h2 = complement & h
     k_target = k + len(tset)
-    sub, _ = g.induced_subgraph(h)
-    connected_enough = is_k_connected(sub, k_target)
+    connected_enough = _is_k_connected(g.adjacency_masks(), mask_of(h), k_target)
     large = len(h) > 4 * k_target**2
     cut_ends_small = len(d1) <= k - 1 and len(d2) <= k - 1
 

@@ -6,6 +6,7 @@ import pytest
 
 from kedge.connectivity import (
     EXHAUSTIVE_LIMIT,
+    EdgeCut,
     connectivity_report,
     edge_connectivity,
     edge_connectivity_bruteforce,
@@ -52,6 +53,9 @@ def test_cut_sides_partition():
     assert kprime == 1
     assert sorted(cut.side_a + cut.side_b) == list(range(g.n))
     assert cut.edges == {(0, 4)}
+    # both sinks of a star reach the minimum; the cut comes from the first
+    star = Graph(3, [(0, 1), (0, 2)])
+    assert edge_connectivity(star)[1] == EdgeCut(frozenset({(0, 1)}), (0, 2), (1,))
 
 
 def test_local_edge_connectivity():

@@ -69,8 +69,6 @@ def test_delete_vertices():
     assert fwd == {0: 0, 2: 1, 3: 2}
     with pytest.raises(ValueError):
         g.delete_vertices([0, 1, 2, 3])
-    empty, _ = g.delete_vertices([0, 1, 2, 3], allow_empty=True)
-    assert empty.n == 0
 
 
 def test_connected_within():

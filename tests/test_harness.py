@@ -137,10 +137,10 @@ def test_report_json_round_trip(tmp_path):
     "model, n_range", [("complete:1", (8, 16)), ("gnp", (1, 1))]
 )
 def test_one_vertex_graph_fails_generation(model, n_range):
-    """K1 meets a zero degree target but is 1-edge-connected and no more."""
+    """K1 meets a zero degree target but has no edge connectivity, even at k=1."""
     cfg = CampaignConfig(
         statement="mader_vertex",
-        k_values=(2,),
+        k_values=(1, 2),
         trials=1,
         master_seed=1,
         model=model,
@@ -148,9 +148,10 @@ def test_one_vertex_graph_fails_generation(model, n_range):
         delta_min=0,
     )
     res = run_campaign(cfg)
-    (trial,) = res.trials
-    assert (trial.outcome, trial.n, trial.kprime) == ("generation_failed", 1, None)
-    assert res.summary["per_cell"]["mader_vertex k=2"]["generation_failed"] == 1
+    for trial in res.trials:
+        assert (trial.outcome, trial.n, trial.kprime) == ("generation_failed", 1, None)
+    for k in (1, 2):
+        assert res.summary["per_cell"][f"mader_vertex k={k}"]["generation_failed"] == 1
 
 
 def test_forced_miss_becomes_violation_candidate(monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from kedge.connectivity import EdgeCut
+from kedge.connectivity import EdgeCut, edge_connectivity, is_k_edge_connected
 from kedge.generators import (
     all_graphs,
     complete,
@@ -16,6 +16,7 @@ from kedge.generators import (
 from kedge.graph import Graph, mask_of
 from kedge.removal import (
     HCSubgraph,
+    RemovalCertificate,
     _certify,
     _tree_images,
     decompose_cut,
@@ -28,6 +29,7 @@ from kedge.removal import (
     removable_tree_via_thomassen,
     residual_min_cut,
 )
+from kedge.rng import SplitMix64
 from kedge.trees import enumerate_trees, path_tree, star_tree
 
 
@@ -199,6 +201,63 @@ def test_residual_min_cut_in_ambient_labels():
     assert cut.edges == {(0, 4)}
     assert 7 not in cut.side_a + cut.side_b
     assert sorted(cut.side_a + cut.side_b) == [0, 1, 2, 3, 4, 5, 6]
+    # the star 1-2, 1-3 left after deleting 0: both sinks reach the
+    # minimum and the cut comes from the first, 2
+    star = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    assert residual_min_cut(star, (0,)) == EdgeCut(frozenset({(1, 2)}), (1, 3), (2,))
+
+
+def relabelled_route(g, removed, ks):
+    """Certificates for each k in `ks` and a min cut of g minus `removed`,
+    through a relabelled residual.
+
+    The residual is rebuilt with `delete_vertices`, decided with
+    `is_k_edge_connected`, measured with `edge_connectivity`, and the cut is
+    mapped back to ambient labels; it is None for a residual of fewer than
+    two vertices, which has no cut.
+    """
+    removed = tuple(sorted(set(removed)))
+    if len(removed) == g.n:
+        return [None for _ in ks], None
+    residual, index = g.delete_vertices(removed)
+    if residual.n == 1:
+        trivial = RemovalCertificate("x", removed, None, True)
+        return [trivial if is_k_edge_connected(residual, k) else None for k in ks], None
+    kprime, cut = edge_connectivity(residual)
+    certs = [
+        RemovalCertificate("x", removed, kprime, False)
+        if is_k_edge_connected(residual, k) else None
+        for k in ks
+    ]
+    back = {new: old for old, new in index.items()}
+    ambient = EdgeCut(
+        edges=frozenset(tuple(sorted((back[a], back[b]))) for a, b in cut.edges),
+        side_a=tuple(back[v] for v in cut.side_a),
+        side_b=tuple(back[v] for v in cut.side_b),
+    )
+    return certs, ambient
+
+
+def test_mask_route_matches_relabelled_route():
+    rng = SplitMix64(2024)
+    ks = (1, 2, 3, 4)
+    graphs = [random_graph(n, min(0.6, 7 / n), n) for n in range(2, 61, 3)]
+    graphs += [gen_with_hypotheses(17 + 2 * i, 1 + i % 4, 4, i) for i in range(12)]
+    certified = 0
+    for g in graphs:
+        for _ in range(3):
+            removed = {rng.randrange(g.n) for _ in range(rng.randrange(6))}
+            certs, cut = relabelled_route(g, removed, ks)
+            assert [_certify(g, "x", removed, k) for k in ks] == certs
+            certified += sum(cert is not None for cert in certs)
+            if cut is None:
+                with pytest.raises(ValueError):
+                    residual_min_cut(g, removed)
+            else:
+                assert residual_min_cut(g, removed) == cut
+        if g.n >= 2:
+            assert edge_connectivity(g)[1] == relabelled_route(g, (), ks)[1]
+    assert sum(g.n > 16 for g in graphs) > 20 and certified > 100
 
 
 def test_decompose_cut_pendant_instance():
