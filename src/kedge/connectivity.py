@@ -1,11 +1,13 @@
 """Exact edge and vertex connectivity, minimum cuts, and an independent oracle.
 
-Edge connectivity has one kernel, _edge_flows, on adjacency masks and an
-alive-vertex mask: unit-capacity max-flows (Dinic) from the lowest alive
-vertex to each other one, capped one above the best value so far and
-stopped once that value drops below the caller's threshold.  Correctness
-is pinned by edge_connectivity_bruteforce, which scans every bipartition;
-the two routes are compared exhaustively and must never be merged.
+Edge connectivity has two routes on adjacency masks and an alive-vertex
+mask.  Values (is_k_edge_connected, removal certificates) come from
+_edge_value: maximum-adjacency orderings with contraction (Stoer & Wagner,
+JACM 1997; Nagamochi & Ibaraki, SIAM J. Discrete Math. 1992).  Witness cuts
+(edge_connectivity, residual_min_cut) come from _edge_flows: unit-capacity
+max-flows (Dinic).  The oracle, edge_connectivity_bruteforce, scans every
+bipartition and runs no flow; it is compared with both routes and must
+never be merged with them.
 
 Every bipartition scan in the package (the oracle, min-cut enumeration and
 the fragment hosts) runs through one flow-free scanner, _scan_bipartitions.
@@ -23,6 +25,7 @@ dense-core extraction and its validation all ask it.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .graph import Graph, _bits, _edges_between, mask_of
@@ -130,25 +133,71 @@ def _edge_net(masks: Sequence[int], alive: int) -> _FlowNet:
     return net
 
 
-def _edge_flows(
-    masks: Sequence[int], alive: int, best: int, stop: int
-) -> tuple[int, int | None]:
-    """Smallest flow from the lowest alive vertex to another, and its first sink.
+def _edge_flows(masks: Sequence[int], alive: int) -> tuple[int, int | None]:
+    """Smallest flow from the lowest alive vertex to another, and a cut side.
 
-    Flows are capped at best + 1 and the scan stops once best < stop; the
-    sink is None when every flow exceeded the starting best.
+    Flows are capped one above the best so far, starting at the minimum degree.
+    The side is what the root reaches in the residual network of the flow to
+    the first sink reaching the minimum; None means no flow did.
     """
     net = _edge_net(masks, alive)
+    best = min((masks[v] & alive).bit_count() for v in _bits(alive))
     s, *sinks = _bits(alive)
-    sink = None
+    side = None
     for t in sinks:
         net.reset()
         f = net.max_flow(s, t, best + 1)
-        if f < best or (f == best and sink is None):
-            best, sink = f, t
-            if best < stop:
-                break
-    return best, sink
+        if f < best or (f == best and side is None):
+            best, side = f, net.residual_reachable(s) & alive
+    return best, side
+
+
+def _edge_value(masks: Sequence[int], alive: int, best: int, stop: int) -> int:
+    """min(lambda, best) on `alive` (two vertices or more) if that is >= stop, else
+    a value below stop; 0 when `alive` is disconnected.
+
+    Each maximum-adjacency ordering (lowest id first, and again per component)
+    lowers best to every proper prefix's cut, then merges pairs with lambda >= best:
+    a scanned x and an unscanned neighbour y once r(y) >= best, as lambda(x, y) >=
+    r(y), and the last two scanned, whose cut of the phase is in best.
+    """
+    def find(v: int) -> int:
+        while leader[v] != v:
+            leader[v] = v = leader[leader[v]]
+        return v
+
+    adj = {v: dict.fromkeys(_bits(masks[v] & alive), 1) for v in _bits(alive)}
+    while len(adj) > 1 and best >= stop:
+        leader = {v: v for v in adj}
+        attach = dict.fromkeys(adj, 0)
+        heap = sorted((0, v) for v in adj)
+        cut = x = 0
+        while attach:
+            negr, y = heappop(heap)
+            if attach.get(y) != -negr:
+                continue
+            prev, x = x, y
+            del attach[x]
+            cut += sum(adj[x].values()) + 2 * negr
+            if attach and cut < best:
+                best = cut
+            for y, w in adj[x].items():
+                if y in attach:
+                    attach[y] += w
+                    heappush(heap, (-attach[y], y))
+                    if attach[y] >= best:
+                        leader[find(y)] = find(x)
+        leader[find(prev)] = find(x)
+        merged: dict[int, dict[int, int]] = {}
+        for v, nbrs in adj.items():
+            rv = find(v)
+            into = merged.setdefault(rv, {})
+            for u, w in nbrs.items():
+                ru = find(u)
+                if ru != rv:
+                    into[ru] = into.get(ru, 0) + w
+        adj = merged
+    return best
 
 
 @dataclass(frozen=True)
@@ -178,20 +227,11 @@ def _cut_from_side(g: Graph, alive: int, side_mask: int) -> EdgeCut:
 
 
 def _edge_cut(g: Graph, alive: int) -> tuple[int, EdgeCut]:
-    """Edge connectivity of g on `alive` (two vertices or more) and a minimum cut.
-
-    The cut side is what the root reaches in the residual network of the
-    flow to the first sink reaching the minimum.
-    """
-    masks = g.adjacency_masks()
-    min_degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
-    best, sink = _edge_flows(masks, alive, min_degree, 0)
-    if sink is None:
+    """Edge connectivity of g on `alive` (two vertices or more) and a minimum cut."""
+    best, side = _edge_flows(g.adjacency_masks(), alive)
+    if side is None:
         raise AssertionError("no sink achieved the minimum; flow routine is broken")
-    root = (alive & -alive).bit_length() - 1
-    net = _edge_net(masks, alive)
-    net.max_flow(root, sink, best)
-    return best, _cut_from_side(g, alive, net.residual_reachable(root) & alive)
+    return best, _cut_from_side(g, alive, side)
 
 
 def _scan_bipartitions(masks: Sequence[int], alive: int) -> tuple[int, list[int]]:
@@ -248,7 +288,7 @@ def edge_connectivity(g: Graph) -> tuple[int, EdgeCut]:
 
 
 def is_k_edge_connected(g: Graph, k: int) -> bool:
-    """Decision version with capped flows.
+    """Decision version, by the value kernel with best and stop both k.
 
     Convention: the single-vertex graph is 1-edge-connected and nothing more.
     """
@@ -256,7 +296,7 @@ def is_k_edge_connected(g: Graph, k: int) -> bool:
         raise ValueError(f"k must be at least 1, got {k}")
     if g.n <= 1 or g.min_degree() < k or not g.is_connected():
         return g.n == 1 and k == 1
-    return k == 1 or _edge_flows(g.adjacency_masks(), g.full_mask(), k - 1, k)[1] is None
+    return k == 1 or _edge_value(g.adjacency_masks(), g.full_mask(), k, k) >= k
 
 
 def edge_connectivity_bruteforce(g: Graph, max_vertices: int = EXHAUSTIVE_LIMIT) -> int:

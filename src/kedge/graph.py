@@ -26,10 +26,10 @@ class Graph:
     Vertices are the integers 0..n-1.  Instances are immutable: derived
     graphs (induced subgraphs, deletions) are new objects.  Adjacency is kept
     as per-vertex bitmasks, which make the exhaustive bipartition scans
-    elsewhere in the package cheap, and as sorted neighbour tuples built on
-    the first call to `neighbors`, so a graph only ever read through its
-    masks does not carry them.  The constructor validates every edge;
-    duplicate edges collapse silently.
+    elsewhere in the package cheap.  Neighbour and edge tuples are built on
+    demand, by the first `neighbors` or `edges` call, so a graph only ever
+    read through its masks does not carry them.  The constructor validates
+    every edge; duplicate edges collapse silently.
     """
 
     __slots__ = ("_n", "_adj", "_masks", "_edges")
@@ -48,9 +48,7 @@ class Graph:
         self._n = n
         self._masks = tuple(masks)
         self._adj: tuple[tuple[int, ...], ...] | None = None
-        self._edges = tuple(
-            (u, v) for u in range(n) for v in _bits(masks[u] >> u + 1 << u + 1)
-        )
+        self._edges: tuple[tuple[int, int], ...] | None = None
 
     @property
     def n(self) -> int:
@@ -61,11 +59,16 @@ class Graph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
+        if self._edges is None:
+            masks = self._masks
+            self._edges = tuple(
+                (u, v) for u in range(self._n) for v in _bits(masks[u] >> u + 1 << u + 1)
+            )
         return self._edges
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(m.bit_count() for m in self._masks) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if self._adj is None:
@@ -110,7 +113,7 @@ class Graph:
         index = {old: new for new, old in enumerate(kept)}
         edges = [
             (index[u], index[v])
-            for u, v in self._edges
+            for u, v in self.edges()
             if u in index and v in index
         ]
         return Graph(len(kept), edges), index
@@ -161,7 +164,7 @@ class Graph:
         return hash((self._n, self._masks))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self._n}, m={len(self._edges)})"
+        return f"Graph(n={self._n}, m={self.edge_count})"
 
 
 def components(g: Graph) -> list[list[int]]:

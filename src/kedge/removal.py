@@ -19,15 +19,14 @@ from .connectivity import (
     EXHAUSTIVE_LIMIT,
     EdgeCut,
     _edge_cut,
-    _edge_flows,
+    _edge_value,
     _is_k_connected,
     _scan_bipartitions,
     _vertex_cut,
-    edge_connectivity,
     is_k_edge_connected,
 )
 from .errors import ExtractionFailed, InternalCheckError, TheoremViolation
-from .graph import Graph, _bits, mask_of
+from .graph import Graph, _bits, _edges_between, mask_of
 from .io import graph_payload
 from .trees import TreeSpec
 
@@ -108,9 +107,9 @@ def _certify(
     """Build a certificate if deleting `removed` keeps g k-edge-connected.
 
     The residual is g's masks on the surviving vertices, with no graph
-    built.  One flow pass gives its exact edge connectivity or stops at the
-    first sink below k; the value is checked against the bipartition oracle
-    whenever the residual is small enough.
+    built.  One call of the value kernel gives its exact edge connectivity
+    or a value below k; the value is checked against the bipartition oracle,
+    which runs no flow either, whenever the residual is small enough.
     """
     removed = tuple(sorted(set(removed)))
     masks = g.adjacency_masks()
@@ -119,16 +118,14 @@ def _certify(
         # at most one vertex left: K1 is 1-edge-connected and nothing more
         return RemovalCertificate(kind, removed, None, True) if alive and k == 1 else None
     min_degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
-    if min_degree < k:
-        return None
-    kprime, _ = _edge_flows(masks, alive, min_degree, k)
+    kprime = min_degree if min_degree < k else _edge_value(masks, alive, min_degree, k)
     if kprime < k:
         return None
     if alive.bit_count() <= EXHAUSTIVE_LIMIT:
         oracle = _scan_bipartitions(masks, alive)[0]
         if oracle != kprime:
             raise InternalCheckError(
-                f"flow and oracle disagree on residual connectivity ({kprime} vs {oracle})"
+                f"kernel and oracle disagree on residual connectivity ({kprime} vs {oracle})"
             )
     return RemovalCertificate(kind, removed, kprime, False)
 
@@ -454,17 +451,20 @@ def decompose_cut(
         raise ValueError("tprime must lie in the core interior")
     if cut.value > k - 1:
         raise ValueError(f"cut value {cut.value} is not below {k}")
-    residual, index = g.delete_vertices(tset)
+    for v in tset:
+        if not g.has_vertex(v):
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    masks = g.adjacency_masks()
+    alive = g.full_mask() & ~mask_of(tset)
     ends = {v for e in cut.edges for v in e}
-    if not {*cut.side_a, *cut.side_b, *ends} <= index.keys():
+    if not {*cut.side_a, *cut.side_b, *ends} <= set(_bits(alive)):
         raise ValueError("cut names a vertex outside g minus tprime")
-    edges = ((index[a], index[b]) for a, b in cut.edges)
-    EdgeCut(
-        frozenset((a, b) if a < b else (b, a) for a, b in edges),
-        tuple(index[v] for v in cut.side_a),
-        tuple(index[v] for v in cut.side_b),
-    ).validate(residual)
-    kprime, _ = edge_connectivity(residual)
+    a, b = mask_of(cut.side_a), mask_of(cut.side_b)
+    if a & b or a | b != alive or not a or not b:
+        raise ValueError("cut sides must partition the vertex set, both nonempty")
+    if _edges_between(g, a, b) != {(u, v) if u < v else (v, u) for u, v in cut.edges}:
+        raise ValueError("cut edge set does not match the bipartition boundary")
+    kprime = _edge_value(masks, alive, cut.value, 0)  # exact: the cut bounds lambda
     if kprime != cut.value:
         raise ValueError(
             f"cut value {cut.value} is not minimum (residual has {kprime})"
@@ -478,7 +478,7 @@ def decompose_cut(
     h1 = side & h
     h2 = complement & h
     k_target = k + len(tset)
-    connected_enough = _is_k_connected(g.adjacency_masks(), mask_of(h), k_target)
+    connected_enough = _is_k_connected(masks, mask_of(h), k_target)
     large = len(h) > 4 * k_target**2
     cut_ends_small = len(d1) <= k - 1 and len(d2) <= k - 1
 

@@ -1,4 +1,4 @@
-"""Max-flow connectivity against the exhaustive bipartition oracle."""
+"""Connectivity kernels against each other and the exhaustive bipartition oracle."""
 
 import itertools
 
@@ -7,6 +7,9 @@ import pytest
 from kedge.connectivity import (
     EXHAUSTIVE_LIMIT,
     EdgeCut,
+    _edge_flows,
+    _edge_value,
+    _scan_bipartitions,
     connectivity_report,
     edge_connectivity,
     edge_connectivity_bruteforce,
@@ -21,10 +24,13 @@ from kedge.generators import (
     complete,
     complete_bipartite,
     cycle_graph,
+    gen_with_hypotheses,
     petersen_graph,
+    random_graph,
     two_cliques_bridged,
 )
-from kedge.graph import Graph, boundary_edge_count
+from kedge.graph import Graph, _bits, boundary_edge_count, mask_of
+from kedge.rng import SplitMix64
 
 from conftest import path_graph, seeded_random_graphs
 
@@ -242,3 +248,64 @@ def test_vertex_connectivity_matches_definition():
             else:
                 assert len(cut) == kappa
                 assert not g.delete_vertices(cut)[0].is_connected()
+
+
+def check_edge_value(masks, alive, want):
+    """_edge_value on `alive` in every form, given its edge connectivity `want`.
+
+    Exact: best at or above the minimum degree gives `want`, best below
+    `want` gives best.  Decision: best = stop = k gives k exactly when
+    want >= k.  Early exit: best at the minimum degree and stop = k gives
+    `want` when want >= k and otherwise some value below k.
+    """
+    min_degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
+    assert _edge_value(masks, alive, min_degree, 0) == want
+    assert _edge_value(masks, alive, min_degree + 2, 0) == want
+    if want:
+        assert _edge_value(masks, alive, want - 1, 0) == want - 1
+    for k in range(1, 6):
+        decided = _edge_value(masks, alive, k, k)
+        assert decided == k if want >= k else decided < k
+        early = _edge_value(masks, alive, min_degree, k)
+        assert early == want if want >= k else early < k
+
+
+def all_labeled_graphs(n_max):
+    for n in range(2, n_max + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            yield Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+
+
+def test_edge_value_matches_scanner_on_every_small_graph():
+    checked = disconnected = 0
+    for g in all_labeled_graphs(5):
+        masks = g.adjacency_masks()
+        for alive in range(1, 1 << g.n):
+            if alive.bit_count() >= 2:
+                want = _scan_bipartitions(masks, alive)[0]
+                check_edge_value(masks, alive, want)
+                checked += 1
+                disconnected += want == 0
+    assert checked == 27362 and disconnected > 10000
+
+
+def test_edge_value_matches_flow_beyond_the_oracle():
+    """Seeded graphs with n = 17-120, where the oracle cannot reach, minus
+    random vertex sets of size 0-5, against the Dinic kernel."""
+    rng = SplitMix64(808)
+    graphs = [
+        random_graph(n, min(0.9, (2 + i % 9) / n), i)
+        for i, n in enumerate(range(17, 121, 4))
+    ]
+    graphs += [gen_with_hypotheses(17 + 3 * i, 1 + i % 5, 5, i) for i in range(14)]
+    values = set()
+    for g in graphs:
+        masks = g.adjacency_masks()
+        for _ in range(2):
+            removed = {rng.randrange(g.n) for _ in range(rng.randrange(6))}
+            alive = g.full_mask() & ~mask_of(removed)
+            want = _edge_flows(masks, alive)[0]
+            check_edge_value(masks, alive, want)
+            values.add(want)
+    assert {0, 1, 2, 3, 4, 5} <= values

@@ -1,0 +1,76 @@
+"""Property tests: the value kernel against the oracle, and Graph's edge
+accessors and vertex deletions against their definitions."""
+
+import itertools
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from kedge.connectivity import _edge_value, _scan_bipartitions  # noqa: E402
+from kedge.graph import Graph, _bits, mask_of  # noqa: E402
+
+settings = hypothesis.settings(max_examples=300, deadline=None)
+
+
+@st.composite
+def graphs(draw, n_max=12):
+    """A graph on 0..n-1 with n <= n_max, and the edge list it was built from,
+    duplicates and both orientations included."""
+    n = draw(st.integers(0, n_max))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = []
+    if pairs:
+        chosen = draw(st.lists(st.sampled_from(pairs), max_size=3 * len(pairs)))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+    return Graph(n, edges), edges
+
+
+@settings
+@hypothesis.given(graphs(), st.data())
+def test_edge_value_matches_oracle(drawn, data):
+    g, _ = drawn
+    hypothesis.assume(g.n >= 2)
+    masks = g.adjacency_masks()
+    alive = mask_of(data.draw(st.sets(st.integers(0, g.n - 1), min_size=2)))
+    want = _scan_bipartitions(masks, alive)[0]
+    min_degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
+    assert _edge_value(masks, alive, min_degree, 0) == want
+    k = data.draw(st.integers(1, 6))
+    decided = _edge_value(masks, alive, k, k)
+    assert decided == k if want >= k else decided < k
+    early = _edge_value(masks, alive, min_degree, k)
+    assert early == want if want >= k else early < k
+
+
+@settings
+@hypothesis.given(graphs())
+def test_edge_accessors_match_definition(drawn):
+    g, edges = drawn
+    expected = sorted({(min(e), max(e)) for e in edges})
+    assert g.edges() == tuple(expected)
+    assert g.edge_count == len(expected)
+    assert repr(g) == f"Graph(n={g.n}, m={len(expected)})"
+    for v in g.vertices():
+        around = {u for e in expected if v in e for u in e} - {v}
+        assert g.neighbors(v) == tuple(sorted(around))
+
+
+@settings
+@hypothesis.given(graphs(), st.data())
+def test_induced_subgraph_and_deletion_match_definition(drawn, data):
+    g, _ = drawn
+    keep = data.draw(st.sets(st.integers(0, g.n - 1)) if g.n else st.just(set()))
+    sub, index = g.induced_subgraph(keep)
+    assert index == {old: new for new, old in enumerate(sorted(keep))}
+    assert sub.n == len(keep)
+    assert set(sub.edges()) == {
+        (index[u], index[v]) for u, v in g.edges() if u in keep and v in keep
+    }
+    gone = set(g.vertices()) - keep
+    if not keep:
+        with pytest.raises(ValueError):
+            g.delete_vertices(gone)
+    else:
+        assert g.delete_vertices(gone) == (sub, index)
