@@ -176,6 +176,14 @@ def test_exhaustive_limit_is_enforced():
         edge_connectivity_bruteforce(big)
 
 
+def all_labeled_graphs(n_max):
+    """Every graph on 0..n-1 for 2 <= n <= n_max, in edge-subset order."""
+    for n in range(2, n_max + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            yield Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+
+
 def _min_cuts_by_definition(g):
     """Oracle value and minimum cuts from the definitions, side by side.
 
@@ -200,11 +208,7 @@ def _min_cuts_by_definition(g):
 
 
 def test_bipartition_scanner_matches_definition():
-    graphs = []
-    for n in range(2, 6):
-        pairs = list(itertools.combinations(range(n), 2))
-        for bits in range(1 << len(pairs)):
-            graphs.append(Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1]))
+    graphs = list(all_labeled_graphs(5))
     graphs += seeded_random_graphs(40, 7, 12, seed=53)
     graphs += seeded_random_graphs(20, 7, 12, seed=59, p=0.3)
     for g in graphs:
@@ -228,11 +232,7 @@ def _vertex_connectivity_by_definition(g):
 
 
 def test_vertex_connectivity_matches_definition():
-    graphs = []
-    for n in range(2, 6):
-        pairs = list(itertools.combinations(range(n), 2))
-        for bits in range(1 << len(pairs)):
-            graphs.append(Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1]))
+    graphs = list(all_labeled_graphs(5))
     graphs += seeded_random_graphs(60, 6, 12, seed=61)
     graphs += seeded_random_graphs(30, 6, 12, seed=67, p=0.8)
     for g in graphs:
@@ -268,13 +268,6 @@ def check_edge_value(masks, alive, want):
         assert decided == k if want >= k else decided < k
         early = _edge_value(masks, alive, min_degree, k)
         assert early == want if want >= k else early < k
-
-
-def all_labeled_graphs(n_max):
-    for n in range(2, n_max + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        for bits in range(1 << len(pairs)):
-            yield Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
 
 
 def test_edge_value_matches_scanner_on_every_small_graph():
