@@ -1,13 +1,13 @@
 """Exact edge and vertex connectivity, minimum cuts, and an independent oracle.
 
-Edge connectivity has two routes on adjacency masks and an alive-vertex
-mask.  Values (is_k_edge_connected, removal certificates) come from
-_edge_value: maximum-adjacency orderings with contraction (Stoer & Wagner,
-JACM 1997; Nagamochi & Ibaraki, SIAM J. Discrete Math. 1992).  Witness cuts
-(edge_connectivity, residual_min_cut) come from _edge_flows: unit-capacity
-max-flows (Dinic).  The oracle, edge_connectivity_bruteforce, scans every
-bipartition and runs no flow; it is compared with both routes and must
-never be merged with them.
+Edge connectivity has one route on adjacency masks and an alive-vertex
+mask, _edge_value: maximum-adjacency orderings with contraction (Stoer &
+Wagner, JACM 1997; Nagamochi & Ibaraki, SIAM J. Discrete Math. 1992).  It
+gives the value and, as the ordering prefix that reached it, a witness
+side; is_k_edge_connected and the removal certificates take the value,
+edge_connectivity and residual_min_cut the cut too.  The oracle,
+edge_connectivity_bruteforce, scans every bipartition and runs no
+ordering; it is compared with the kernel and must never be merged with it.
 
 Every bipartition scan in the package (the oracle, min-cut enumeration and
 the fragment hosts) runs through one flow-free scanner, _scan_bipartitions.
@@ -123,43 +123,18 @@ class _FlowNet:
         return seen
 
 
-def _edge_net(masks: Sequence[int], alive: int) -> _FlowNet:
-    """Unit network over the edges inside `alive`, in ascending (u, v) order."""
-    net = _FlowNet(len(masks))
-    for u in _bits(alive):
-        for v in _bits((masks[u] & alive) >> u + 1 << u + 1):
-            net.add(u, v, 1, 1)
-    net.freeze()
-    return net
-
-
-def _edge_flows(masks: Sequence[int], alive: int) -> tuple[int, int | None]:
-    """Smallest flow from the lowest alive vertex to another, and a cut side.
-
-    Flows are capped one above the best so far, starting at the minimum degree.
-    The side is what the root reaches in the residual network of the flow to
-    the first sink reaching the minimum; None means no flow did.
-    """
-    net = _edge_net(masks, alive)
-    best = min((masks[v] & alive).bit_count() for v in _bits(alive))
-    s, *sinks = _bits(alive)
-    side = None
-    for t in sinks:
-        net.reset()
-        f = net.max_flow(s, t, best + 1)
-        if f < best or (f == best and side is None):
-            best, side = f, net.residual_reachable(s) & alive
-    return best, side
-
-
-def _edge_value(masks: Sequence[int], alive: int, best: int, stop: int) -> int:
+def _edge_value(
+    masks: Sequence[int], alive: int, best: int, stop: int
+) -> tuple[int, int | None]:
     """min(lambda, best) on `alive` (two vertices or more) if that is >= stop, else
-    a value below stop; 0 when `alive` is disconnected.
+    a value below stop; 0 when `alive` is disconnected.  Also a side reaching it.
 
     Each maximum-adjacency ordering (lowest id first, and again per component)
     lowers best to every proper prefix's cut, then merges pairs with lambda >= best:
     a scanned x and an unscanned neighbour y once r(y) >= best, as lambda(x, y) >=
-    r(y), and the last two scanned, whose cut of the phase is in best.
+    r(y), and the last two scanned, whose cut of the phase is in best.  The side
+    is the OR of the scanned vertices' member masks at the last step that lowered
+    best, None if no step did.
     """
     def find(v: int) -> int:
         while leader[v] != v:
@@ -167,20 +142,23 @@ def _edge_value(masks: Sequence[int], alive: int, best: int, stop: int) -> int:
         return v
 
     adj = {v: dict.fromkeys(_bits(masks[v] & alive), 1) for v in _bits(alive)}
+    members = {v: 1 << v for v in adj}
+    side = None
     while len(adj) > 1 and best >= stop:
         leader = {v: v for v in adj}
         attach = dict.fromkeys(adj, 0)
         heap = sorted((0, v) for v in adj)
-        cut = x = 0
+        cut = x = prefix = 0
         while attach:
             negr, y = heappop(heap)
             if attach.get(y) != -negr:
                 continue
             prev, x = x, y
             del attach[x]
+            prefix |= members[x]
             cut += sum(adj[x].values()) + 2 * negr
             if attach and cut < best:
-                best = cut
+                best, side = cut, prefix
             for y, w in adj[x].items():
                 if y in attach:
                     attach[y] += w
@@ -189,15 +167,17 @@ def _edge_value(masks: Sequence[int], alive: int, best: int, stop: int) -> int:
                         leader[find(y)] = find(x)
         leader[find(prev)] = find(x)
         merged: dict[int, dict[int, int]] = {}
+        grouped: dict[int, int] = {}
         for v, nbrs in adj.items():
             rv = find(v)
+            grouped[rv] = grouped.get(rv, 0) | members[v]
             into = merged.setdefault(rv, {})
             for u, w in nbrs.items():
                 ru = find(u)
                 if ru != rv:
                     into[ru] = into.get(ru, 0) + w
-        adj = merged
-    return best
+        adj, members = merged, grouped
+    return best, side
 
 
 @dataclass(frozen=True)
@@ -227,11 +207,18 @@ def _cut_from_side(g: Graph, alive: int, side_mask: int) -> EdgeCut:
 
 
 def _edge_cut(g: Graph, alive: int) -> tuple[int, EdgeCut]:
-    """Edge connectivity of g on `alive` (two vertices or more) and a minimum cut."""
-    best, side = _edge_flows(g.adjacency_masks(), alive)
-    if side is None:
-        raise AssertionError("no sink achieved the minimum; flow routine is broken")
-    return best, _cut_from_side(g, alive, side)
+    """Edge connectivity of g on `alive` (two vertices or more) and a minimum
+    cut by edge_connectivity's rule, the lowest alive vertex standing for 0."""
+    masks = g.adjacency_masks()
+    degree, v = min(((masks[u] & alive).bit_count(), u) for u in _bits(alive))
+    kprime, side = _edge_value(masks, alive, degree, 0)
+    if kprime == 0:
+        side = g.component_within(alive)
+    elif side is None:
+        side = 1 << v
+    if not side & alive & -alive:
+        side = alive & ~side
+    return kprime, _cut_from_side(g, alive, side)
 
 
 def _scan_bipartitions(masks: Sequence[int], alive: int) -> tuple[int, list[int]]:
@@ -266,21 +253,36 @@ def _scan_bipartitions(masks: Sequence[int], alive: int) -> tuple[int, list[int]
     return best, sides
 
 
+def _min_cut_sides(g: Graph, alive: int) -> tuple[int, list[int]]:
+    """_scan_bipartitions on g's masks, keeping the sides whose two halves both
+    induce connected subgraphs: the minimum edge cuts of g on `alive`."""
+    kprime, sides = _scan_bipartitions(g.adjacency_masks(), alive)
+    return kprime, [
+        side for side in sides
+        if g.connected_within(side) and g.connected_within(alive & ~side)
+    ]
+
+
 def local_edge_connectivity(g: Graph, s: int, t: int, cap: float = _INF) -> int:
     """Maximum number of pairwise edge-disjoint s-t paths."""
     if s == t:
         raise ValueError("endpoints must differ")
     if not (g.has_vertex(s) and g.has_vertex(t)):
         raise ValueError("endpoint out of range")
-    return _edge_net(g.adjacency_masks(), g.full_mask()).max_flow(s, t, cap)
+    net = _FlowNet(g.n)
+    for u, v in g.edges():
+        net.add(u, v, 1, 1)
+    return net.max_flow(s, t, cap)
 
 
 def edge_connectivity(g: Graph) -> tuple[int, EdgeCut]:
     """Edge connectivity and one minimum cut achieving it.
 
-    Disconnected graphs report value 0 with an empty edge set; side_a is the
-    component containing vertex 0.  The returned cut is deterministic: root 0,
-    first sink achieving the minimum, then the residual-reachable side.
+    The cut is deterministic.  Its side is the maximum-adjacency ordering
+    prefix whose cut first reached the value; else, when the value is the
+    minimum degree, the lowest vertex of that degree; else (value 0, a
+    disconnected graph, empty edge set) the component of vertex 0.  side_a
+    is the side holding vertex 0.
     """
     if g.n < 2:
         raise ValueError("edge connectivity needs at least two vertices")
@@ -296,13 +298,13 @@ def is_k_edge_connected(g: Graph, k: int) -> bool:
         raise ValueError(f"k must be at least 1, got {k}")
     if g.n <= 1 or g.min_degree() < k or not g.is_connected():
         return g.n == 1 and k == 1
-    return k == 1 or _edge_value(g.adjacency_masks(), g.full_mask(), k, k) >= k
+    return k == 1 or _edge_value(g.adjacency_masks(), g.full_mask(), k, k)[0] >= k
 
 
 def edge_connectivity_bruteforce(g: Graph, max_vertices: int = EXHAUSTIVE_LIMIT) -> int:
     """Independent oracle: minimum boundary over all 2^(n-1)-1 bipartitions.
 
-    Deliberately ignorant of flows; used to pin down the max-flow route.
+    Deliberately ignorant of orderings and flows; used to pin down the kernel.
     """
     n = g.n
     if n < 2:
@@ -329,11 +331,7 @@ def enumerate_min_edge_cuts(g: Graph, max_vertices: int = EXHAUSTIVE_LIMIT) -> l
     if not g.is_connected():
         raise ValueError("cut enumeration expects a connected graph")
     full = g.full_mask()
-    _, sides = _scan_bipartitions(g.adjacency_masks(), full)
-    sides = [
-        side for side in sides
-        if g.connected_within(side) and g.connected_within(full & ~side)
-    ]
+    _, sides = _min_cut_sides(g, full)
     sides.sort(key=lambda m: tuple(_bits(m)))
     return [_cut_from_side(g, full, side) for side in sides]
 

@@ -21,6 +21,7 @@ from enum import Enum
 
 from .connectivity import (
     EXHAUSTIVE_LIMIT,
+    _min_cut_sides,
     _scan_bipartitions,
     is_k_edge_connected,
 )
@@ -139,13 +140,11 @@ def _host_fragments(g: Graph, e: tuple[int, int]) -> tuple[int, list[Fragment]]:
             out.append(Fragment(g, tuple(e), side, remaining - side, frozenset(), 0))
         kprime = 0
     else:
-        kprime, sides = _scan_bipartitions(g.adjacency_masks(), alive)
+        kprime, sides = _min_cut_sides(g, alive)
         # each cut comes once, with the lowest alive vertex in `first`, so
         # no side repeats
         for first in sides:
             second = alive & ~first
-            if not (g.connected_within(first) and g.connected_within(second)):
-                continue
             cut_edges = _edges_between(g, first, second)
             for half in (first, second):
                 side = frozenset(_bits(half))

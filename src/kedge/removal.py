@@ -118,7 +118,7 @@ def _certify(
         # at most one vertex left: K1 is 1-edge-connected and nothing more
         return RemovalCertificate(kind, removed, None, True) if alive and k == 1 else None
     min_degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
-    kprime = min_degree if min_degree < k else _edge_value(masks, alive, min_degree, k)
+    kprime = min_degree if min_degree < k else _edge_value(masks, alive, min_degree, k)[0]
     if kprime < k:
         return None
     if alive.bit_count() <= EXHAUSTIVE_LIMIT:
@@ -464,7 +464,7 @@ def decompose_cut(
         raise ValueError("cut sides must partition the vertex set, both nonempty")
     if _edges_between(g, a, b) != {(u, v) if u < v else (v, u) for u, v in cut.edges}:
         raise ValueError("cut edge set does not match the bipartition boundary")
-    kprime = _edge_value(masks, alive, cut.value, 0)  # exact: the cut bounds lambda
+    kprime = _edge_value(masks, alive, cut.value, 0)[0]  # exact: the cut bounds lambda
     if kprime != cut.value:
         raise ValueError(
             f"cut value {cut.value} is not minimum (residual has {kprime})"

@@ -7,7 +7,7 @@ import pytest
 from kedge.connectivity import (
     EXHAUSTIVE_LIMIT,
     EdgeCut,
-    _edge_flows,
+    _edge_cut,
     _edge_value,
     _scan_bipartitions,
     connectivity_report,
@@ -29,7 +29,7 @@ from kedge.generators import (
     random_graph,
     two_cliques_bridged,
 )
-from kedge.graph import Graph, _bits, boundary_edge_count, mask_of
+from kedge.graph import Graph, _bits, _edges_between, boundary_edge_count, mask_of
 from kedge.rng import SplitMix64
 
 from conftest import path_graph, seeded_random_graphs
@@ -51,6 +51,9 @@ def test_known_edge_connectivity_values():
         assert kprime == want
         cut.validate(g)
         assert cut.value == want
+    # lambda = 0: side_a is the component of vertex 0, not the lowest
+    # vertex of minimum degree (2) flipped
+    assert edge_connectivity(Graph(4, [(0, 1)]))[1].side_a == (0, 1)
 
 
 def test_cut_sides_partition():
@@ -59,7 +62,12 @@ def test_cut_sides_partition():
     assert kprime == 1
     assert sorted(cut.side_a + cut.side_b) == list(range(g.n))
     assert cut.edges == {(0, 4)}
-    # both sinks of a star reach the minimum; the cut comes from the first
+    # two triangles joined by a path: lambda = 1 < 2 = delta and three tied
+    # bridges; the witness is the first prefix to reach 1, not a later tie
+    g = Graph(8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7)])
+    assert edge_connectivity(g) == (1, EdgeCut(frozenset({(2, 3)}), (0, 1, 2), (3, 4, 5, 6, 7)))
+    # a star: lambda is the minimum degree, so the cut isolates the lowest
+    # vertex of that degree, 1, and side_a is flipped to hold 0
     star = Graph(3, [(0, 1), (0, 2)])
     assert edge_connectivity(star)[1] == EdgeCut(frozenset({(0, 1)}), (0, 2), (1,))
 
@@ -259,14 +267,14 @@ def check_edge_value(masks, alive, want):
     `want` when want >= k and otherwise some value below k.
     """
     min_degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
-    assert _edge_value(masks, alive, min_degree, 0) == want
-    assert _edge_value(masks, alive, min_degree + 2, 0) == want
+    assert _edge_value(masks, alive, min_degree, 0)[0] == want
+    assert _edge_value(masks, alive, min_degree + 2, 0)[0] == want
     if want:
-        assert _edge_value(masks, alive, want - 1, 0) == want - 1
+        assert _edge_value(masks, alive, want - 1, 0)[0] == want - 1
     for k in range(1, 6):
-        decided = _edge_value(masks, alive, k, k)
+        decided, _ = _edge_value(masks, alive, k, k)
         assert decided == k if want >= k else decided < k
-        early = _edge_value(masks, alive, min_degree, k)
+        early, _ = _edge_value(masks, alive, min_degree, k)
         assert early == want if want >= k else early < k
 
 
@@ -276,16 +284,27 @@ def test_edge_value_matches_scanner_on_every_small_graph():
         masks = g.adjacency_masks()
         for alive in range(1, 1 << g.n):
             if alive.bit_count() >= 2:
-                want = _scan_bipartitions(masks, alive)[0]
+                want, sides = _scan_bipartitions(masks, alive)
                 check_edge_value(masks, alive, want)
+                kprime, cut = _edge_cut(g, alive)
+                assert kprime == want and mask_of(cut.side_a) in sides
                 checked += 1
                 disconnected += want == 0
     assert checked == 27362 and disconnected > 10000
 
 
+def _edge_connectivity_by_flows(g, alive):
+    """Reference value: the smallest local edge connectivity from the lowest
+    vertex of g's subgraph induced on `alive`, each flow capped at its minimum
+    degree (the value never exceeds it)."""
+    sub, _ = g.induced_subgraph(_bits(alive))
+    cap = sub.min_degree()
+    return min(local_edge_connectivity(sub, 0, t, cap) for t in range(1, sub.n))
+
+
 def test_edge_value_matches_flow_beyond_the_oracle():
     """Seeded graphs with n = 17-120, where the oracle cannot reach, minus
-    random vertex sets of size 0-5, against the Dinic kernel."""
+    random vertex sets of size 0-5, against max-flow; the witness cut too."""
     rng = SplitMix64(808)
     graphs = [
         random_graph(n, min(0.9, (2 + i % 9) / n), i)
@@ -298,7 +317,12 @@ def test_edge_value_matches_flow_beyond_the_oracle():
         for _ in range(2):
             removed = {rng.randrange(g.n) for _ in range(rng.randrange(6))}
             alive = g.full_mask() & ~mask_of(removed)
-            want = _edge_flows(masks, alive)[0]
+            want = _edge_connectivity_by_flows(g, alive)
             check_edge_value(masks, alive, want)
+            kprime, cut = _edge_cut(g, alive)
+            a, b = mask_of(cut.side_a), mask_of(cut.side_b)
+            assert kprime == cut.value == want
+            assert a and b and not a & b and a | b == alive
+            assert cut.edges == _edges_between(g, a, b)
             values.add(want)
     assert {0, 1, 2, 3, 4, 5} <= values

@@ -36,11 +36,11 @@ def test_edge_value_matches_oracle(drawn, data):
     alive = mask_of(data.draw(st.sets(st.integers(0, g.n - 1), min_size=2)))
     want = _scan_bipartitions(masks, alive)[0]
     min_degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
-    assert _edge_value(masks, alive, min_degree, 0) == want
+    assert _edge_value(masks, alive, min_degree, 0)[0] == want
     k = data.draw(st.integers(1, 6))
-    decided = _edge_value(masks, alive, k, k)
+    decided, _ = _edge_value(masks, alive, k, k)
     assert decided == k if want >= k else decided < k
-    early = _edge_value(masks, alive, min_degree, k)
+    early, _ = _edge_value(masks, alive, min_degree, k)
     assert early == want if want >= k else early < k
 
 

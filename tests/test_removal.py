@@ -201,8 +201,8 @@ def test_residual_min_cut_in_ambient_labels():
     assert cut.edges == {(0, 4)}
     assert 7 not in cut.side_a + cut.side_b
     assert sorted(cut.side_a + cut.side_b) == [0, 1, 2, 3, 4, 5, 6]
-    # the star 1-2, 1-3 left after deleting 0: both sinks reach the
-    # minimum and the cut comes from the first, 2
+    # the star 1-2, 1-3 left after deleting 0: lambda is the minimum degree,
+    # so the cut isolates the lowest vertex of that degree, 2
     star = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     assert residual_min_cut(star, (0,)) == EdgeCut(frozenset({(1, 2)}), (1, 3), (2,))
 
