@@ -5,8 +5,10 @@ mask, _edge_value: maximum-adjacency orderings with contraction (Stoer &
 Wagner, JACM 1997; Nagamochi & Ibaraki, SIAM J. Discrete Math. 1992).  It
 gives the value and, as the ordering prefix that reached it, a witness
 side; is_k_edge_connected and the removal certificates take the value,
-edge_connectivity and residual_min_cut the cut too.  The oracle,
-edge_connectivity_bruteforce, scans every bipartition and runs no
+edge_connectivity and residual_min_cut the cut too.  Dense inputs need no
+ordering: once the minimum degree is at least half the order, lambda equals
+it (Chartrand, SIAM J. Appl. Math. 1966), so no cut lies below it.  The
+oracle, edge_connectivity_bruteforce, scans every bipartition and runs no
 ordering; it is compared with the kernel and must never be merged with it.
 
 Every bipartition scan in the package (the oracle, min-cut enumeration and
@@ -18,8 +20,11 @@ Vertex connectivity likewise has one kernel, _vertex_cut, on the same
 masks.  It runs unit-capacity flows on the split-vertex network and uses
 Even's bound (SIAM J. Comput. 1975): a minimum cut of size c misses one of
 any c+1 vertices, so only the first c+1 alive vertices need serve as
-sources.  vertex_connectivity, vertex_cut_below, is_k_connected, the
-dense-core extraction and its validation all ask it.
+sources.  Two non-adjacent vertices with c common neighbours have c
+internally disjoint paths of length two, so a pair sharing as many
+neighbours as the bound needs no flow; on dense inputs no pair does, and no
+network is built.  vertex_connectivity, vertex_cut_below, is_k_connected,
+the dense-core extraction and its validation all ask it.
 """
 
 from __future__ import annotations
@@ -135,12 +140,20 @@ def _edge_value(
     r(y), and the last two scanned, whose cut of the phase is in best.  The side
     is the OR of the scanned vertices' member masks at the last step that lowered
     best, None if no step did.
+
+    Chartrand's bound settles dense inputs first: when the minimum degree is at
+    least half the order (rounded down), lambda equals it (SIAM J. Appl. Math.
+    1966), so with best at or below it no cut lowers best and the orderings
+    would return (best, None); that is returned without them.
     """
     def find(v: int) -> int:
         while leader[v] != v:
             leader[v] = v = leader[leader[v]]
         return v
 
+    min_degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
+    if best <= min_degree and min_degree >= alive.bit_count() // 2:
+        return best, None
     adj = {v: dict.fromkeys(_bits(masks[v] & alive), 1) for v in _bits(alive)}
     members = {v: 1 << v for v in adj}
     side = None
@@ -336,6 +349,19 @@ def enumerate_min_edge_cuts(g: Graph, max_vertices: int = EXHAUSTIVE_LIMIT) -> l
     return [_cut_from_side(g, full, side) for side in sides]
 
 
+def _split_net(masks: Sequence[int], alive: int, verts: list[int]) -> _FlowNet:
+    """_vertex_cut's split-vertex network on `alive`, frozen for reset()."""
+    net = _FlowNet(2 * len(masks))
+    for v in verts:
+        net.add(2 * v, 2 * v + 1, 1)
+    for u in verts:
+        for v in _bits((masks[u] & alive) >> u + 1 << u + 1):
+            net.add(2 * u + 1, 2 * v, len(verts))
+            net.add(2 * v + 1, 2 * u, len(verts))
+    net.freeze()
+    return net
+
+
 def _vertex_cut(masks: Sequence[int], alive: int, k: int) -> int | None:
     """Minimum vertex cut of the graph induced on `alive` if its connectivity is below k.
 
@@ -345,29 +371,26 @@ def _vertex_cut(masks: Sequence[int], alive: int, k: int) -> int | None:
     alive non-neighbour t, by unit-capacity flow on the split-vertex
     network (entry 2v, exit 2v+1).  A cut below c misses one of the first
     c sources (Even's bound), so with c the smallest cut found so far, or
-    the starting bound below, the scan stops after c sources.  The cut
-    comes from the first (s, t) pair reaching the minimum: the entries
-    reachable from s in the residual network whose exits are not.
+    the starting bound below, the scan stops after c sources.  A pair with
+    at least c common neighbours has that many internally disjoint s-t paths
+    of length two, so its flow would reach c and change nothing: it is
+    skipped, and the network is built on the first pair that needs a flow.
+    The cut comes from the first (s, t) pair reaching the minimum: the
+    entries reachable from s in the residual network whose exits are not.
     """
     verts = list(_bits(alive))
     n = len(verts)
     min_degree = min((masks[v] & alive).bit_count() for v in verts)
-    if min_degree == n - 1:
-        return None
-    net = _FlowNet(2 * len(masks))
-    for v in verts:
-        net.add(2 * v, 2 * v + 1, 1)
-    for u in verts:
-        for v in _bits((masks[u] & alive) >> u + 1 << u + 1):
-            net.add(2 * u + 1, 2 * v, n)
-            net.add(2 * v + 1, 2 * u, n)
-    net.freeze()
     # a non-clique has a cut of at most min(min_degree, n - 2) vertices
-    best, cut = min(k, min_degree + 1, n - 1), None
+    best, cut, net = min(k, min_degree + 1, n - 1), None, None
     i = 0
     while i < best:
         s = verts[i]
         for t in _bits(alive & ~masks[s] & ~(1 << s)):
+            if (masks[s] & masks[t] & alive).bit_count() >= best:
+                continue
+            if net is None:
+                net = _split_net(masks, alive, verts)
             net.reset()
             if net.max_flow(2 * s + 1, 2 * t, best) < best:
                 reach = net.residual_reachable(2 * s + 1)
