@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from kedge import connectivity
 from kedge.connectivity import (
     EXHAUSTIVE_LIMIT,
     EdgeCut,
@@ -45,12 +46,16 @@ def test_known_edge_connectivity_values():
         (two_cliques_bridged(5, 2), 2),
         (Graph(4, []), 0),
         (Graph(4, [(0, 1), (2, 3)]), 0),
+        # two K_6 joined by one edge: delta = 5 = n/2 - 1, just below
+        # Chartrand's bound, and lambda = 1
+        (two_cliques_bridged(6, 1), 1),
     ]
     for g, want in cases:
         kprime, cut = edge_connectivity(g)
         assert kprime == want
         cut.validate(g)
         assert cut.value == want
+    assert edge_connectivity(two_cliques_bridged(6, 1))[1].edges == {(0, 6)}
     # lambda = 0: side_a is the component of vertex 0, not the lowest
     # vertex of minimum degree (2) flipped
     assert edge_connectivity(Graph(4, [(0, 1)]))[1].side_a == (0, 1)
@@ -239,10 +244,13 @@ def _vertex_connectivity_by_definition(g):
     raise AssertionError("deleting n - 1 vertices always leaves one")
 
 
-def test_vertex_connectivity_matches_definition():
+def test_vertex_connectivity_matches_definition(monkeypatch):
     graphs = list(all_labeled_graphs(5))
     graphs += seeded_random_graphs(60, 6, 12, seed=61)
     graphs += seeded_random_graphs(30, 6, 12, seed=67, p=0.8)
+    # dense: some non-adjacent pairs share k neighbours or more and need no flow
+    dense = seeded_random_graphs(30, 8, 12, seed=71, p=0.9)
+    graphs += dense
     for g in graphs:
         kappa = _vertex_connectivity_by_definition(g)
         assert vertex_connectivity(g) == kappa
@@ -256,6 +264,27 @@ def test_vertex_connectivity_matches_definition():
             else:
                 assert len(cut) == kappa
                 assert not g.delete_vertices(cut)[0].is_connected()
+    # a dense call can both skip a source's non-neighbours and run flows to
+    # others: record the sinks each source's flows reach
+    sinks = {}
+    max_flow = connectivity._FlowNet.max_flow
+
+    def recording(net, s, t, limit):
+        sinks.setdefault(s // 2, set()).add(t // 2)
+        return max_flow(net, s, t, limit)
+
+    monkeypatch.setattr(connectivity._FlowNet, "max_flow", recording)
+    mixed = 0
+    for g in dense:
+        masks = g.adjacency_masks()
+        for k in range(1, g.n + 1):
+            sinks.clear()
+            vertex_cut_below(g, k)
+            mixed += any(
+                reached != set(_bits(g.full_mask() & ~masks[s] & ~(1 << s)))
+                for s, reached in sinks.items()
+            )
+    assert mixed > 0
 
 
 def check_edge_value(masks, alive, want):
@@ -302,6 +331,12 @@ def _edge_connectivity_by_flows(g, alive):
     return min(local_edge_connectivity(sub, 0, t, cap) for t in range(1, sub.n))
 
 
+def _complete_minus_matching(n):
+    """K_n minus the perfect matching {2i, 2i+1}: lambda = delta = n - 2."""
+    pairs = itertools.combinations(range(n), 2)
+    return Graph(n, [(u, v) for u, v in pairs if u // 2 != v // 2])
+
+
 def test_edge_value_matches_flow_beyond_the_oracle():
     """Seeded graphs with n = 17-120, where the oracle cannot reach, minus
     random vertex sets of size 0-5, against max-flow; the witness cut too."""
@@ -311,13 +346,19 @@ def test_edge_value_matches_flow_beyond_the_oracle():
         for i, n in enumerate(range(17, 121, 4))
     ]
     graphs += [gen_with_hypotheses(17 + 3 * i, 1 + i % 5, 5, i) for i in range(14)]
+    # dense inputs, where Chartrand's bound settles the value
+    graphs += [random_graph(n, 0.9, i) for i, n in enumerate(range(17, 61, 7))]
+    graphs += [_complete_minus_matching(n) for n in (18, 24, 40)]
     values = set()
+    settled = 0
     for g in graphs:
         masks = g.adjacency_masks()
         for _ in range(2):
             removed = {rng.randrange(g.n) for _ in range(rng.randrange(6))}
             alive = g.full_mask() & ~mask_of(removed)
             want = _edge_connectivity_by_flows(g, alive)
+            degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
+            settled += degree >= alive.bit_count() // 2
             check_edge_value(masks, alive, want)
             kprime, cut = _edge_cut(g, alive)
             a, b = mask_of(cut.side_a), mask_of(cut.side_b)
@@ -326,3 +367,5 @@ def test_edge_value_matches_flow_beyond_the_oracle():
             assert cut.edges == _edges_between(g, a, b)
             values.add(want)
     assert {0, 1, 2, 3, 4, 5} <= values
+    # every dense alive mask is at or above Chartrand's bound
+    assert settled >= 20

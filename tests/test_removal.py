@@ -2,7 +2,8 @@
 
 import pytest
 
-from kedge.connectivity import EdgeCut, edge_connectivity, is_k_edge_connected
+from kedge import connectivity
+from kedge.connectivity import EdgeCut, edge_connectivity, is_k_connected, is_k_edge_connected
 from kedge.generators import (
     all_graphs,
     complete,
@@ -193,6 +194,26 @@ def test_removable_tree_via_thomassen():
     cert = removable_tree_via_thomassen(complete(38), 1, path_tree(2))
     assert cert.removed == (0, 1)
     assert cert.residual_kprime == 35
+
+
+def test_dense_route_runs_no_flow(monkeypatch):
+    """Degree bounds answer every connectivity question the dense route asks
+    on test_06's seeded instance; a small separator still needs a flow."""
+    def no_flow(*args):
+        raise RuntimeError("max-flow ran")
+
+    monkeypatch.setattr(connectivity._FlowNet, "max_flow", no_flow)
+    g = random_graph(42, 0.95, 1)
+    core = extract_connected_subgraph(g, 3)
+    core.validate(g)
+    assert (core.vertices, core.boundary) == (frozenset(range(42)), frozenset())
+    cert = removable_tree_via_thomassen(g, 1, path_tree(2))
+    assert cert == RemovalCertificate("tree", (0, 1), 35, False)
+    # two K_6 sharing vertices 4 and 5: vertices 0 and 6 have 2 < 3 common
+    # neighbours, so deciding 3-connectivity needs a flow
+    shared = Graph(10, [e for e in complete(10).edges() if e[1] < 6 or e[0] >= 4])
+    with pytest.raises(RuntimeError, match="max-flow ran"):
+        is_k_connected(shared, 3)
 
 
 def test_residual_min_cut_in_ambient_labels():
