@@ -5,7 +5,9 @@ mask, _edge_value: maximum-adjacency orderings with contraction (Stoer &
 Wagner, JACM 1997; Nagamochi & Ibaraki, SIAM J. Discrete Math. 1992).  It
 gives the value and, as the ordering prefix that reached it, a witness
 side; is_k_edge_connected and the removal certificates take the value,
-edge_connectivity and residual_min_cut the cut too.  Dense inputs need no
+edge_connectivity and residual_min_cut the cut too.  The overlap scan in
+fragments takes the value as well, to cross-check each fragment host's
+bipartition scan by a route that scans no bipartition.  Dense inputs need no
 ordering: once the minimum degree is at least half the order, lambda equals
 it (Chartrand, SIAM J. Appl. Math. 1966), so no cut lies below it.  The
 oracle, edge_connectivity_bruteforce, scans every bipartition and runs no

@@ -21,6 +21,7 @@ from enum import Enum
 
 from .connectivity import (
     EXHAUSTIVE_LIMIT,
+    _edge_value,
     _min_cut_sides,
     _scan_bipartitions,
     is_k_edge_connected,
@@ -29,8 +30,8 @@ from .errors import InternalCheckError, TheoremViolation
 from .graph import (
     Graph,
     _bits,
+    _boundary_count,
     _edges_between,
-    boundary_edge_count,
     mask_of,
     normalize_edge,
 )
@@ -112,15 +113,14 @@ class Fragment:
                 raise ValueError("complement does not induce a connected subgraph")
 
 
-def _host_fragments(g: Graph, e: tuple[int, int]) -> tuple[int, list[Fragment]]:
-    """All fragments of g minus the endpoints of e, plus the host connectivity.
+def _host_sides(g: Graph, alive: int) -> tuple[int, list[int]]:
+    """Host connectivity of g on `alive` and the side masks of its fragments.
 
-    A disconnected host contributes one fragment per component with an empty
-    cut.  A connected host contributes both sides of every minimum edge-cut,
-    sorted by sorted side.  The host is scanned on g's own masks, with the
-    endpoints of e masked out.
+    A disconnected host gives its components, with connectivity 0.  A
+    connected host gives both halves of every minimum edge-cut.  Sides are
+    sorted by sorted vertex tuple, and none repeats: each cut comes once,
+    with the lowest alive vertex in its first half.
     """
-    alive = g.full_mask() & ~mask_of(e)
     size = alive.bit_count()
     if size > EXHAUSTIVE_LIMIT:
         raise ValueError(
@@ -129,29 +129,30 @@ def _host_fragments(g: Graph, e: tuple[int, int]) -> tuple[int, list[Fragment]]:
         )
     if size < 2:
         raise ValueError("residual graph must keep at least two vertices")
-    remaining = frozenset(_bits(alive))
-    out: list[Fragment] = []
-    if not g.connected_within(alive):
-        rest = alive
-        while rest:
-            comp = g.component_within(rest)
-            rest &= ~comp
-            side = frozenset(_bits(comp))
-            out.append(Fragment(g, tuple(e), side, remaining - side, frozenset(), 0))
-        kprime = 0
+    if g.connected_within(alive):
+        kprime, firsts = _min_cut_sides(g, alive)
+        sides = firsts + [alive & ~first for first in firsts]
     else:
-        kprime, sides = _min_cut_sides(g, alive)
-        # each cut comes once, with the lowest alive vertex in `first`, so
-        # no side repeats
-        for first in sides:
-            second = alive & ~first
-            cut_edges = _edges_between(g, first, second)
-            for half in (first, second):
-                side = frozenset(_bits(half))
-                out.append(
-                    Fragment(g, tuple(e), side, remaining - side, cut_edges, kprime)
-                )
-    out.sort(key=lambda fr: tuple(sorted(fr.side)))
+        kprime, sides, rest = 0, [], alive
+        while rest:
+            sides.append(g.component_within(rest))
+            rest &= ~sides[-1]
+    sides.sort(key=lambda side: tuple(_bits(side)))
+    return kprime, sides
+
+
+def _host_fragments(g: Graph, e: tuple[int, int]) -> tuple[int, list[Fragment]]:
+    """All fragments of g minus the endpoints of e, plus the host connectivity,
+    in _host_sides's order.  The host is scanned on g's own masks, with the
+    endpoints of e masked out."""
+    alive = g.full_mask() & ~mask_of(e)
+    kprime, sides = _host_sides(g, alive)
+    remaining = frozenset(_bits(alive))
+    out = []
+    for half in sides:
+        side = frozenset(_bits(half))
+        cut_edges = _edges_between(g, half, alive & ~half)
+        out.append(Fragment(g, tuple(e), side, remaining - side, cut_edges, kprime))
     return kprime, out
 
 
@@ -246,58 +247,69 @@ def check_fragment_overlap(
     f1.validate()
     _require_fragment_of(g, e, f, "f", "e")
     _require_fragment_of(g, e1, f1, "f1", "e1")
-    host_sides = frozenset(fr.side for fr in _host_fragments(g, e)[1])
-    return _overlap_verdict(g, e, e1, f, f1, host_sides)
+    _, host_sides = _host_sides(g, g.full_mask() & ~mask_of(e))
+    halves = [mask_of(part) for part in (f.side, f.complement, f1.side, f1.complement)]
+    return _overlap_verdict(g, e, e1, *halves, frozenset(host_sides), f.host_kprime)
 
 
 def _overlap_verdict(
     g: Graph,
     e: tuple[int, int],
     e1: tuple[int, int],
-    f: Fragment,
-    f1: Fragment,
-    host_sides: frozenset[frozenset[int]],
+    fs: int,
+    fc: int,
+    f1s: int,
+    f1c: int,
+    host_sides: frozenset[int],
+    kprime: int,
 ) -> OverlapResult:
     """The verdict of check_fragment_overlap on inputs already checked.
 
-    `e` and `e1` are normalized edges of g, f and f1 are valid fragments of
-    their hosts, and `host_sides` holds the side of every fragment of g
-    minus the endpoints of e.
+    `e` and `e1` are normalized edges of g.  `fs`/`fc` are the side and
+    complement masks of a fragment of g minus the endpoints of e, and
+    `f1s`/`f1c` those of a fragment of g minus the endpoints of e1.
+    `host_sides` holds the side mask of every fragment of the first host,
+    and `kprime` is that host's edge connectivity.
     """
-    if set(e) & set(e1):
+    em = 1 << e[0] | 1 << e[1]
+    e1m = 1 << e1[0] | 1 << e1[1]
+    if em & e1m:
         return _unmet("edges share an endpoint")
-    if not set(e) <= f1.side:
+    if em & ~f1s:
         return _unmet("first edge does not lie inside the second fragment's side")
-    if not set(e1) <= f.complement:
+    if e1m & ~fc:
         return _unmet("second edge does not lie inside the first fragment's complement")
-    intersection = f.side & f1.side
+    intersection = fs & f1s
     if not intersection:
         return _unmet("fragment sides are disjoint")
 
-    if f.complement & f1.complement:
-        remainder = f.side - f1.side
-        d_a = boundary_edge_count(g, intersection, remainder)
-        d_b = boundary_edge_count(g, remainder, f.complement)
-        # outward avoids V(e) (e is inside f1.side), so counting in g equals
+    if fc & f1c:
+        masks = g.adjacency_masks()
+        remainder = fs & ~f1s
+        d_a = _boundary_count(masks, intersection, remainder)
+        d_b = _boundary_count(masks, remainder, fc)
+        # outward avoids V(e) (e is inside f1's side), so counting in g equals
         # counting in the first host
-        d_out = boundary_edge_count(g, intersection, f.complement | f1.complement)
+        d_out = _boundary_count(masks, intersection, fc | f1c)
         if intersection not in host_sides:
             failure = "side intersection is not a fragment of the first host"
         elif d_a != d_b:
             failure = "boundary counts around the side intersection differ"
-        elif d_out != f.host_kprime:
+        elif d_out != kprime:
             failure = "side intersection's host boundary is not a minimum cut"
         else:
             return OverlapResult(
                 OverlapVerdict.INTERSECTION_FRAGMENT,
-                intersection=intersection,
+                intersection=frozenset(_bits(intersection)),
                 d_intersection_remainder=d_a,
                 d_remainder_complement=d_b,
                 d_intersection_outward=d_out,
-                host_kprime=f.host_kprime,
+                host_kprime=kprime,
             )
-    elif len(f.complement) < len(f1.side):
-        return OverlapResult(OverlapVerdict.SMALL_COMPLEMENT, intersection=intersection)
+    elif fc.bit_count() < f1s.bit_count():
+        return OverlapResult(
+            OverlapVerdict.SMALL_COMPLEMENT, intersection=frozenset(_bits(intersection))
+        )
     else:
         failure = "disjoint complements but f's complement is not smaller than f1's side"
     payload = {
@@ -305,8 +317,8 @@ def _overlap_verdict(
         "edges": g.edges(),
         "e": e,
         "e1": e1,
-        "f_side": tuple(sorted(f.side)),
-        "f1_side": tuple(sorted(f1.side)),
+        "f_side": tuple(_bits(fs)),
+        "f1_side": tuple(_bits(f1s)),
     }
     raise TheoremViolation(failure, payload)
 
@@ -324,40 +336,60 @@ def scan_overlap_cases(g: Graph) -> OverlapScanStats:
 
     Enumerates all ordered pairs of nonadjacent edges and all fragment
     pairs of the two residual graphs, filters to configurations meeting the
-    overlap hypotheses, and runs the full check on each.  Every fragment is
-    validated once, when its host is first built, rather than once per
-    configuration.  Any conclusion failure surfaces as the checker's
+    overlap hypotheses, and runs the full check on each.  Fragments stay
+    side and complement masks throughout.  Each host is checked once,
+    against a route that scans no bipartition: its connectivity must equal
+    the maximum-adjacency kernel's value, and every side's boundary,
+    recounted from the adjacency masks, must equal it; a mismatch raises
+    InternalCheckError.  Any conclusion failure surfaces as the checker's
     TheoremViolation.
     """
     if g.n < 4:
         return OverlapScanStats(0, 0, 0, 0)
-    cache = {}
-    for edge in g.edges():
-        _, frags = _host_fragments(g, edge)
-        for fr in frags:
-            fr.validate()
-            _require_fragment_of(g, edge, fr, "cached fragment", "its edge")
-        cache[edge] = (frags, frozenset(fr.side for fr in frags))
+    masks = g.adjacency_masks()
+    # g.edges() would cache its tuple on every scanned graph; this list dies
+    # with the scan
+    edges = [(u, v) for u in range(g.n) for v in _bits(masks[u] >> u + 1 << u + 1)]
+    hosts = {}
+    for edge in edges:
+        alive = g.full_mask() & ~mask_of(edge)
+        kprime, sides = _host_sides(g, alive)
+        min_degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
+        # stop 1 still gives lambda exactly (a value below 1 is 0) and ends a
+        # disconnected host after one ordering
+        if _edge_value(masks, alive, min_degree, 1)[0] != kprime:
+            raise InternalCheckError(
+                f"host of edge {edge}: bipartition scan gives {kprime}, the"
+                " maximum-adjacency kernel disagrees"
+            )
+        frags = [(side, alive & ~side) for side in sides]
+        if any(_boundary_count(masks, side, rest) != kprime for side, rest in frags):
+            raise InternalCheckError(
+                f"host of edge {edge}: a fragment's boundary is not {kprime}"
+            )
+        hosts[edge] = (kprime, frags, frozenset(sides))
     pairs = 0
     configs = 0
     alpha = 0
     beta = 0
-    for e in g.edges():
-        frags, host_sides = cache[e]
-        for e1 in g.edges():
-            if e == e1 or set(e) & set(e1):
+    for e in edges:
+        em = 1 << e[0] | 1 << e[1]
+        kprime, frags, host_sides = hosts[e]
+        for e1 in edges:
+            e1m = 1 << e1[0] | 1 << e1[1]
+            if em & e1m:
                 continue
             pairs += 1
-            for f in frags:
-                if not set(e1) <= f.complement:
+            for fs, fc in frags:
+                if e1m & ~fc:
                     continue
-                for f1 in cache[e1][0]:
-                    if not set(e) <= f1.side:
-                        continue
-                    if not f.side & f1.side:
+                for f1s, f1c in hosts[e1][1]:
+                    if em & ~f1s or not fs & f1s:
                         continue
                     configs += 1
-                    res = _overlap_verdict(g, e, e1, f, f1, host_sides)
+                    res = _overlap_verdict(
+                        g, e, e1, fs, fc, f1s, f1c, host_sides, kprime
+                    )
                     if res.verdict is OverlapVerdict.INTERSECTION_FRAGMENT:
                         alpha += 1
                     elif res.verdict is OverlapVerdict.SMALL_COMPLEMENT:
@@ -458,9 +490,10 @@ def verify_descent_conclusion(
     lies in the fragment's side, the case is out of scope; if the fragment
     splits the chosen edge's endpoints, the case is recorded separately.
     """
-    e1 = result.edge
+    e1 = normalize_edge(g, result.edge)
     f1 = result.fragment
     f1.validate()
+    _require_fragment_of(g, e1, f1, "result.fragment", "result.edge")
     edges_checked = 0
     fragments_checked = 0
     disjoint = 0
@@ -541,11 +574,14 @@ def fragment_degree_bounds(
     _require_fragment_of(g, e1, f1, "f1", "e1")
     if g.min_degree() < k + 2:
         raise ValueError(f"minimum degree must be at least {k + 2}")
+    masks = g.adjacency_masks()
+    side = mask_of(f1.side)
+    complement = mask_of(f1.complement)
     order = len(f1.side)
     rows = []
-    for z in sorted(f1.side):
-        cross = sum(1 for w in g.neighbors(z) if w in f1.complement)
-        inside = sum(1 for w in g.neighbors(z) if w in f1.side)
+    for z in _bits(side):
+        cross = (masks[z] & complement).bit_count()
+        inside = (masks[z] & side).bit_count()
         applies = cross == 0
         rows.append(
             DegreeBoundRow(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -194,6 +194,20 @@ def _edges_between(g: Graph, a: int, b: int) -> frozenset[tuple[int, int]]:
     )
 
 
+def _boundary_count(masks: Sequence[int], a: int, b: int) -> int:
+    """Edges from mask a to mask b, by popcount; for disjoint a and b, the boundary.
+
+    The bits of a are walked inline rather than through _bits: the overlap
+    scan calls this for every host side and every configuration.
+    """
+    total = 0
+    while a:
+        low = a & -a
+        total += (masks[low.bit_length() - 1] & b).bit_count()
+        a ^= low
+    return total
+
+
 def boundary_edge_count(g: Graph, first: Iterable[int], second: Iterable[int]) -> int:
     """Number of edges with one endpoint in each set.
 
@@ -204,10 +218,6 @@ def boundary_edge_count(g: Graph, first: Iterable[int], second: Iterable[int]) -
     b = mask_of(second)
     if a & b:
         raise ValueError("boundary_edge_count needs disjoint vertex sets")
-    full = g.full_mask()
-    if (a | b) & ~full:
+    if (a | b) & ~g.full_mask():
         raise ValueError("vertex out of range")
-    total = 0
-    for v in _bits(a):
-        total += (g.neighbor_mask(v) & b).bit_count()
-    return total
+    return _boundary_count(g.adjacency_masks(), a, b)

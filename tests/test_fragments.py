@@ -6,7 +6,8 @@ from dataclasses import replace
 import pytest
 
 from kedge.connectivity import EXHAUSTIVE_LIMIT
-from kedge.errors import TheoremViolation
+from kedge import connectivity, fragments
+from kedge.errors import InternalCheckError, TheoremViolation
 from kedge.fragments import (
     Fragment,
     OverlapVerdict,
@@ -19,7 +20,7 @@ from kedge.fragments import (
     verify_descent_conclusion,
 )
 from kedge.generators import complete, cycle_graph, two_cliques_bridged
-from kedge.graph import Graph
+from kedge.graph import Graph, _bits, mask_of
 
 
 def all_connected_graphs_on(n):
@@ -117,7 +118,17 @@ def test_overlap_violation_carries_payload():
     f = next(x for x in fragments_of(g, (0, 1), 4) if x.side == {4})
     f1 = next(x for x in fragments_of(g, (2, 3), 4) if x.side == {0, 1, 4})
     with pytest.raises(TheoremViolation, match="not a fragment") as info:
-        _overlap_verdict(g, (0, 1), (2, 3), f, f1, frozenset())
+        _overlap_verdict(
+            g,
+            (0, 1),
+            (2, 3),
+            mask_of(f.side),
+            mask_of(f.complement),
+            mask_of(f1.side),
+            mask_of(f1.complement),
+            frozenset(),
+            f.host_kprime,
+        )
     assert info.value.payload == {
         "n": 6,
         "edges": g.edges(),
@@ -188,6 +199,77 @@ def test_scan_overlap_k6():
     assert st.small_complement == 0  # K6 complements always share vertices
 
 
+def test_scan_overlap_reads_masks_only():
+    """The scan leaves no edge or neighbour tuples cached on the graph."""
+    g = complete(6)
+    scan_overlap_cases(g)
+    assert g._edges is None and g._adj is None
+
+
+def reference_overlap_stats(g):
+    """scan_overlap_cases rebuilt from the public calls: every fragment
+    validated, every pair meeting the hypotheses checked in full."""
+    pairs = configs = alpha = beta = 0
+    hosts = {e: fragments_of(g, e, g.n) for e in g.edges()}
+    for frags in hosts.values():
+        for fr in frags:
+            fr.validate()
+    for e in g.edges():
+        for e1 in g.edges():
+            if set(e) & set(e1):
+                continue
+            pairs += 1
+            for f in hosts[e]:
+                for f1 in hosts[e1]:
+                    if set(e1) <= f.complement and set(e) <= f1.side and f.side & f1.side:
+                        configs += 1
+                        verdict = check_fragment_overlap(g, e, e1, f, f1).verdict
+                        alpha += verdict is OverlapVerdict.INTERSECTION_FRAGMENT
+                        beta += verdict is OverlapVerdict.SMALL_COMPLEMENT
+    return pairs, configs, alpha, beta
+
+
+def test_scan_overlap_matches_reference():
+    graphs = [g for i, g in enumerate(all_connected_graphs_on(6)) if i % 50 == 0]
+    graphs += [
+        complete(6),
+        Graph(6, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2)]),
+        Graph(6, [(0, 1), (0, 2), (0, 5), (1, 4), (2, 3)]),
+        two_cliques_bridged(5, 2),
+    ]
+    assert len(graphs) == 539
+    total = 0
+    for g in graphs:
+        st = scan_overlap_cases(g)
+        stats = (st.edge_pairs, st.configurations, st.intersection_fragment,
+                 st.small_complement)
+        assert stats == reference_overlap_stats(g), g.edges()
+        total += st.configurations
+    assert total > 0
+
+
+def test_scan_overlap_catches_a_scanner_fault(monkeypatch):
+    """A bipartition scanner at fault everywhere is caught once per host: a
+    value one too high by the maximum-adjacency kernel, a side whose cut is
+    not minimum by the boundary recount."""
+    real = connectivity._scan_bipartitions
+
+    def inject(fault):
+        def faulty(masks, alive):
+            return fault(alive, *real(masks, alive))
+
+        monkeypatch.setattr(connectivity, "_scan_bipartitions", faulty)
+        monkeypatch.setattr(fragments, "_scan_bipartitions", faulty)
+
+    inject(lambda alive, best, sides: (best + 1, sides))
+    with pytest.raises(InternalCheckError, match="maximum-adjacency"):
+        scan_overlap_cases(complete(6))
+    # in each host K4 the lowest two vertices have 4 edges out, not 3
+    inject(lambda alive, best, sides: (best, sides + [mask_of(list(_bits(alive))[:2])]))
+    with pytest.raises(InternalCheckError, match="boundary is not 3"):
+        scan_overlap_cases(complete(6))
+
+
 def test_descent_on_bridged_cliques():
     g = two_cliques_bridged(5, 2)
     f0 = fragments_of(g, (0, 1), 2)[0]
@@ -211,6 +293,9 @@ def test_descent_conclusion_report():
     assert rep.disjoint_confirmed == 2
     assert rep.split_endpoint_cases == ()
     assert rep.min_side_degree == 2
+    # a result belongs to the graph it was computed on
+    with pytest.raises(ValueError, match="not a fragment"):
+        verify_descent_conclusion(complete(10), 2, res)
 
 
 def test_descent_preconditions():
@@ -233,3 +318,8 @@ def test_fragment_degree_bounds():
     for row in rep.rows:
         assert row.cross_ok
         assert row.cross_neighbors >= 2 - rep.side_order + 1
+    # side {0, 2, 3} of host minus (1, 4); the deleted endpoints count as neither
+    assert [
+        (r.vertex, r.cross_neighbors, r.inside_neighbors, r.inside_bound_applies)
+        for r in rep.rows
+    ] == [(0, 1, 2, False), (2, 0, 2, True), (3, 0, 2, True)]
