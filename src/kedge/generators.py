@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .connectivity import is_k_edge_connected
 from .errors import GenerationError, InternalCheckError
-from .graph import Graph
+from .graph import Graph, _bits
 from .rng import SplitMix64, derive_seed
 
 
@@ -166,18 +166,20 @@ def _augmented_attempt(n: int, k: int, delta_min: int, seed: int) -> Graph | Non
     except GenerationError:
         return None
     rng = SplitMix64(derive_seed(seed, 1))
-    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    adj = list(g.adjacency_masks())
+    full = g.full_mask()
     while True:
-        v = min(range(n), key=lambda u: (len(adj[u]), u))
-        if len(adj[v]) >= delta_min:
+        v = min(range(n), key=lambda u: adj[u].bit_count())
+        if adj[v].bit_count() >= delta_min:
             break
-        candidates = [w for w in range(n) if w != v and w not in adj[v]]
+        # non-neighbours of v, ascending: the draw below depends on the order
+        candidates = list(_bits(full & ~adj[v] & ~(1 << v)))
         if not candidates:
             return None
         w = candidates[rng.randrange(len(candidates))]
-        adj[v].add(w)
-        adj[w].add(v)
-    return Graph(n, [(u, w) for u in range(n) for w in adj[u] if u < w])
+        adj[v] |= 1 << w
+        adj[w] |= 1 << v
+    return Graph(n, [(u, w) for u in range(n) for w in _bits(adj[u])])
 
 
 def gen_with_hypotheses(n: int, k: int, delta_min: int, seed: int) -> Graph:

@@ -26,13 +26,13 @@ class Graph:
     Vertices are the integers 0..n-1.  Instances are immutable: derived
     graphs (induced subgraphs, deletions) are new objects.  Adjacency is kept
     as per-vertex bitmasks, which make the exhaustive bipartition scans
-    elsewhere in the package cheap.  Neighbour and edge tuples are built on
-    demand, by the first `neighbors` or `edges` call, so a graph only ever
-    read through its masks does not carry them.  The constructor validates
-    every edge; duplicate edges collapse silently.
+    elsewhere in the package cheap.  The edge tuple is built on demand, by
+    the first `edges` call, so a graph only ever read through its masks
+    does not carry it; `neighbors` reads its vertex's mask on every call.
+    The constructor validates every edge; duplicate edges collapse silently.
     """
 
-    __slots__ = ("_n", "_adj", "_masks", "_edges")
+    __slots__ = ("_n", "_masks", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -47,7 +47,6 @@ class Graph:
             masks[v] |= 1 << u
         self._n = n
         self._masks = tuple(masks)
-        self._adj: tuple[tuple[int, ...], ...] | None = None
         self._edges: tuple[tuple[int, int], ...] | None = None
 
     @property
@@ -71,9 +70,7 @@ class Graph:
         return sum(m.bit_count() for m in self._masks) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        if self._adj is None:
-            self._adj = tuple(tuple(_bits(m)) for m in self._masks)
-        return self._adj[v]
+        return tuple(_bits(self._masks[v]))
 
     def neighbor_mask(self, v: int) -> int:
         return self._masks[v]

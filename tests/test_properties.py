@@ -1,5 +1,6 @@
-"""Property tests: the value kernel against the oracle, and Graph's edge
-accessors and vertex deletions against their definitions."""
+"""Property tests: the value kernel against the oracle, Graph's edge
+accessors and vertex deletions against their definitions, and the graph
+file formats against round trips."""
 
 import itertools
 
@@ -10,6 +11,14 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from kedge.connectivity import _edge_value, _scan_bipartitions  # noqa: E402
 from kedge.graph import Graph, _bits, mask_of  # noqa: E402
+from kedge.io import (  # noqa: E402
+    GRAPH6_MAX_N,
+    parse_edge_list,
+    parse_graph6,
+    sniff_format,
+    write_edge_list,
+    write_graph6,
+)
 
 settings = hypothesis.settings(max_examples=300, deadline=None)
 
@@ -74,3 +83,15 @@ def test_induced_subgraph_and_deletion_match_definition(drawn, data):
             g.delete_vertices(gone)
     else:
         assert g.delete_vertices(gone) == (sub, index)
+
+
+@settings
+@hypothesis.given(graphs(n_max=GRAPH6_MAX_N))
+def test_io_round_trips(drawn):
+    g, _ = drawn
+    text = write_edge_list(g)
+    assert sniff_format(text) == "edgelist"
+    assert parse_edge_list(text) == g
+    text = write_graph6(g)
+    assert sniff_format(text) == "graph6"
+    assert parse_graph6(text) == g

@@ -2,7 +2,7 @@
 
 import pytest
 
-from kedge import connectivity
+from kedge import connectivity, removal
 from kedge.connectivity import EdgeCut, edge_connectivity, is_k_connected, is_k_edge_connected
 from kedge.generators import (
     all_graphs,
@@ -14,6 +14,7 @@ from kedge.generators import (
     random_graph,
     two_cliques_bridged,
 )
+from kedge.errors import InternalCheckError, TheoremViolation
 from kedge.graph import Graph, mask_of
 from kedge.removal import (
     HCSubgraph,
@@ -21,12 +22,10 @@ from kedge.removal import (
     _certify,
     _tree_images,
     decompose_cut,
-    embed_tree,
     extract_connected_subgraph,
     find_removable_edge,
     find_removable_tree,
     find_removable_vertex,
-    iter_tree_embeddings,
     removable_tree_via_thomassen,
     residual_min_cut,
 )
@@ -101,19 +100,46 @@ def test_tree_finder_coincides_with_vertex_and_edge():
             assert e.removed == t2.removed
 
 
+def iter_tree_embeddings(g, tree, region):
+    """Every embedding of the tree into the region mask, as host tuples.
+
+    Tree vertex i goes to host `assignment[i]`.  Tree vertices are placed in
+    index order, each on an unused region neighbour of its parent's host,
+    hosts ascending, so embeddings come in lexicographic order.
+    """
+    assignment = []
+
+    def place(i):
+        if i == tree.order:
+            yield tuple(assignment)
+            return
+        hosts = g.vertices() if i == 0 else g.neighbors(assignment[tree.parents[i]])
+        for w in hosts:
+            if region >> w & 1 and w not in assignment:
+                assignment.append(w)
+                yield from place(i + 1)
+                assignment.pop()
+
+    return place(0)
+
+
 def test_iter_tree_embeddings_counts():
     k3 = complete(3)
-    assert len(list(iter_tree_embeddings(k3, path_tree(3), range(3)))) == 6
+    assert len(list(iter_tree_embeddings(k3, path_tree(3), 0b111))) == 6
     c4 = cycle_graph(4)
-    assert len(list(iter_tree_embeddings(c4, path_tree(3), range(4)))) == 8
-    restricted = list(iter_tree_embeddings(c4, path_tree(3), [0, 1, 2]))
-    assert [e.assignment for e in restricted] == [(0, 1, 2), (2, 1, 0)]
+    assert len(list(iter_tree_embeddings(c4, path_tree(3), 0b1111))) == 8
+    restricted = list(iter_tree_embeddings(c4, path_tree(3), 0b0111))
+    assert restricted == [(0, 1, 2), (2, 1, 0)]
+    # the two embeddings share one image, which the region walk yields once
+    assert list(_tree_images(c4, path_tree(3), 0b0111)) == [0b0111]
+    assert len(list(_tree_images(c4, path_tree(3)))) == 4
 
 
-def first_seen_images(g, tree):
+def first_seen_images(g, tree, region=None):
     """Vertex images of every embedding, deduplicated in first-seen order."""
-    embeddings = iter_tree_embeddings(g, tree, g.vertices())
-    return list(dict.fromkeys(mask_of(emb.assignment) for emb in embeddings))
+    region = g.full_mask() if region is None else region
+    embeddings = iter_tree_embeddings(g, tree, region)
+    return list(dict.fromkeys(map(mask_of, embeddings)))
 
 
 def test_tree_images_follow_first_embedding_order():
@@ -129,6 +155,26 @@ def test_tree_images_follow_first_embedding_order():
                 assert list(_tree_images(g, tree)) == first_seen_images(g, tree)
                 pairs += 1
     assert pairs == 8541 + 30 * 14
+
+
+def test_region_walk_matches_reference():
+    """Every labeled graph with n <= 5 and every tree with m <= n, walked in
+    the empty region, the full mask and three seeded random regions."""
+    rng = SplitMix64(12)
+    walks = images = 0
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            for m in range(1, n + 1):
+                for tree in enumerate_trees(m):
+                    regions = [0, g.full_mask()]
+                    regions += [rng.randrange(1 << n) for _ in range(3)]
+                    for region in regions:
+                        found = list(_tree_images(g, tree, region))
+                        assert found == first_seen_images(g, tree, region)
+                        assert all(image & ~region == 0 for image in found)
+                        walks += 1
+                        images += len(found)
+    assert walks == 5 * 8541 and images > 10_000
 
 
 def reference_tree_finder(g, k, tree):
@@ -162,11 +208,12 @@ def test_tree_finder_matches_reference_on_hits_and_misses():
     assert outcomes == {True, False}
 
 
-def test_embed_tree_first_is_deterministic():
+def test_region_walk_first_image_is_deterministic():
     c4 = cycle_graph(4)
-    emb = embed_tree(c4, path_tree(3), [0, 1, 2])
-    assert emb.assignment == (0, 1, 2)
-    assert embed_tree(c4, star_tree(4), range(4)) is None
+    assert next(iter_tree_embeddings(c4, path_tree(3), 0b0111)) == (0, 1, 2)
+    assert list(_tree_images(c4, path_tree(3), 0b0111)) == [0b0111]
+    assert list(_tree_images(c4, star_tree(4), 0b0111)) == []
+    assert list(_tree_images(c4, star_tree(4))) == []
 
 
 def test_extract_connected_subgraph():
@@ -194,6 +241,35 @@ def test_removable_tree_via_thomassen():
     cert = removable_tree_via_thomassen(complete(38), 1, path_tree(2))
     assert cert.removed == (0, 1)
     assert cert.residual_kprime == 35
+
+
+def test_dense_route_takes_first_interior_image():
+    """The dense route removes the first embedding inside the core interior,
+    and reports an empty walk or a failed certificate with full context."""
+    # cliques on 0..72 and on 0, 1, 2, 73..139: the separator {0, 1, 2}
+    # joins the larger side's core as its boundary
+    edges = [e for e in complete(140).edges() if e[0] < 3 or (e[0] < 73) == (e[1] < 73)]
+    g = Graph(140, edges)
+    tree = path_tree(3)
+    core = extract_connected_subgraph(g, 4)
+    assert (core.vertices, core.boundary) == (frozenset(range(73)), frozenset({0, 1, 2}))
+    first = next(iter_tree_embeddings(g, tree, mask_of(core.interior())))
+    cert = removable_tree_via_thomassen(g, 1, tree)
+    assert cert.removed == tuple(sorted(first)) == (3, 4, 5)
+
+
+def test_dense_route_failure_branches(monkeypatch):
+    g = complete(38)
+    tree = path_tree(2)
+    monkeypatch.setattr(removal, "_certify", lambda *args: None)
+    with pytest.raises(TheoremViolation) as info:
+        removable_tree_via_thomassen(g, 1, tree)
+    payload = info.value.payload
+    assert payload["removed"] == (0, 1) and payload["tree"] == tree.spec_string()
+    assert payload["core"] == tuple(range(38)) and payload["boundary"] == ()
+    monkeypatch.setattr(removal, "_tree_images", lambda *args: iter(()))
+    with pytest.raises(InternalCheckError, match="tree embedding failed"):
+        removable_tree_via_thomassen(g, 1, tree)
 
 
 def test_dense_route_runs_no_flow(monkeypatch):
