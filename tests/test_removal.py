@@ -130,8 +130,7 @@ def test_iter_tree_embeddings_counts():
     assert len(list(iter_tree_embeddings(c4, path_tree(3), 0b1111))) == 8
     restricted = list(iter_tree_embeddings(c4, path_tree(3), 0b0111))
     assert restricted == [(0, 1, 2), (2, 1, 0)]
-    # the two embeddings share one image, which the region walk yields once
-    assert list(_tree_images(c4, path_tree(3), 0b0111)) == [0b0111]
+    # the walk yields each image once: C4's 8 embeddings of path:3 have 4
     assert len(list(_tree_images(c4, path_tree(3)))) == 4
 
 
@@ -244,12 +243,12 @@ def test_removable_tree_via_thomassen():
 
 
 def test_dense_route_takes_first_interior_image():
-    """The dense route removes the first embedding inside the core interior,
-    and reports an empty walk or a failed certificate with full context."""
+    """The dense route removes the first embedding inside the core interior."""
     # cliques on 0..72 and on 0, 1, 2, 73..139: the separator {0, 1, 2}
     # joins the larger side's core as its boundary
-    edges = [e for e in complete(140).edges() if e[0] < 3 or (e[0] < 73) == (e[1] < 73)]
-    g = Graph(140, edges)
+    g = Graph(
+        140, [e for e in complete(140).edges() if e[0] < 3 or (e[0] < 73) == (e[1] < 73)]
+    )
     tree = path_tree(3)
     core = extract_connected_subgraph(g, 4)
     assert (core.vertices, core.boundary) == (frozenset(range(73)), frozenset({0, 1, 2}))
@@ -259,6 +258,7 @@ def test_dense_route_takes_first_interior_image():
 
 
 def test_dense_route_failure_branches(monkeypatch):
+    """A failed certificate and an empty walk are reported with full context."""
     g = complete(38)
     tree = path_tree(2)
     monkeypatch.setattr(removal, "_certify", lambda *args: None)
