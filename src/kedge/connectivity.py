@@ -19,115 +19,26 @@ It walks the sides in Gray-code order on adjacency masks restricted to an
 alive-vertex mask, so a host with deleted vertices is scanned in place.
 
 Vertex connectivity likewise has one kernel, _vertex_cut, on the same
-masks.  It runs unit-capacity flows on the split-vertex network and uses
-Even's bound (SIAM J. Comput. 1975): a minimum cut of size c misses one of
-any c+1 vertices, so only the first c+1 alive vertices need serve as
-sources.  Two non-adjacent vertices with c common neighbours have c
-internally disjoint paths of length two, so a pair sharing as many
-neighbours as the bound needs no flow; on dense inputs no pair does, and no
-network is built.  vertex_connectivity, vertex_cut_below, is_k_connected,
-the dense-core extraction and its validation all ask it.
+masks.  It grows unit flows by shortest augmenting paths on the implicit
+split-vertex graph (_augment) and uses Even's bound (SIAM J. Comput.
+1975): a minimum cut of size c misses one of any c+1 vertices, so only the
+first c+1 alive vertices need serve as sources.  Two non-adjacent vertices
+with c common neighbours have c internally disjoint paths of length two, so
+a pair sharing as many neighbours as the bound needs no flow; on dense
+inputs no pair does.  vertex_connectivity, vertex_cut_below,
+is_k_connected, the dense-core extraction and its validation all ask it.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
+from math import isfinite
 from typing import Sequence
 
 from .graph import Graph, _bits, _edges_between, mask_of
 
 EXHAUSTIVE_LIMIT = 16
-_INF = float("inf")
-
-
-class _FlowNet:
-    """Arc-paired flow network; arc a's reverse is a^1."""
-
-    __slots__ = ("n", "adj", "to", "cap", "base")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.base: list[int] | None = None
-
-    def add(self, u: int, v: int, cap: int, rcap: int = 0) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(rcap)
-
-    def freeze(self) -> None:
-        self.base = self.cap.copy()
-
-    def reset(self) -> None:
-        self.cap = self.base.copy()
-
-    def max_flow(self, s: int, t: int, limit: float = _INF) -> int:
-        adj, to, cap = self.adj, self.to, self.cap
-        flow = 0
-        while flow < limit:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                lu = level[u] + 1
-                for a in adj[u]:
-                    v = to[a]
-                    if cap[a] > 0 and level[v] < 0:
-                        level[v] = lu
-                        queue.append(v)
-            if level[t] < 0:
-                break
-            it = [0] * self.n
-            while flow < limit:
-                path: list[int] = []
-                u = s
-                found = False
-                while True:
-                    if u == t:
-                        found = True
-                        break
-                    if it[u] < len(adj[u]):
-                        a = adj[u][it[u]]
-                        if cap[a] > 0 and level[to[a]] == level[u] + 1:
-                            path.append(a)
-                            u = to[a]
-                        else:
-                            it[u] += 1
-                    elif u == s:
-                        break
-                    else:
-                        a = path.pop()
-                        u = to[a ^ 1]
-                        it[u] += 1
-                if not found:
-                    break
-                aug = min(cap[a] for a in path)
-                if flow + aug > limit:
-                    aug = int(limit - flow)
-                for a in path:
-                    cap[a] -= aug
-                    cap[a ^ 1] += aug
-                flow += aug
-        return flow
-
-    def residual_reachable(self, s: int) -> int:
-        """Bitmask of nodes reachable from s along positive residual arcs."""
-        adj, to, cap = self.adj, self.to, self.cap
-        seen = 1 << s
-        queue = [s]
-        for u in queue:
-            for a in adj[u]:
-                v = to[a]
-                if cap[a] > 0 and not seen >> v & 1:
-                    seen |= 1 << v
-                    queue.append(v)
-        return seen
 
 
 def _edge_value(
@@ -278,16 +189,42 @@ def _min_cut_sides(g: Graph, alive: int) -> tuple[int, list[int]]:
     ]
 
 
-def local_edge_connectivity(g: Graph, s: int, t: int, cap: float = _INF) -> int:
-    """Maximum number of pairwise edge-disjoint s-t paths."""
+def local_edge_connectivity(g: Graph, s: int, t: int, cap: float = float("inf")) -> int:
+    """Maximum number of pairwise edge-disjoint s-t paths, or cap if that is less.
+
+    Shortest augmenting paths on frontier masks.  fwd[u] has bit v while a
+    unit runs along uv from u to v: u's residual neighbours are masks[u] &
+    ~fwd[u], and a path against a unit cancels it.  No unit enters s, so the
+    flow is the count of units leaving it.  A finite cap must be an integer.
+    """
     if s == t:
         raise ValueError("endpoints must differ")
     if not (g.has_vertex(s) and g.has_vertex(t)):
         raise ValueError("endpoint out of range")
-    net = _FlowNet(g.n)
-    for u, v in g.edges():
-        net.add(u, v, 1, 1)
-    return net.max_flow(s, t, cap)
+    if isfinite(cap) and cap % 1:
+        raise ValueError(f"cap must be an integer or infinite, got {cap}")
+    masks = g.adjacency_masks()
+    fwd = [0] * g.n
+    while fwd[s].bit_count() < cap:
+        levels = [1 << s]
+        seen = 1 << s
+        while levels[-1] and not seen >> t & 1:
+            reach = 0
+            for u in _bits(levels[-1]):
+                reach |= masks[u] & ~fwd[u]
+            levels.append(reach & ~seen)
+            seen |= reach
+        if not seen >> t & 1:
+            break
+        v = t
+        for level in reversed(levels[:-1]):
+            u = next(u for u in _bits(level & masks[v]) if not fwd[u] >> v & 1)
+            if fwd[v] >> u & 1:
+                fwd[v] ^= 1 << u
+            else:
+                fwd[u] |= 1 << v
+            v = u
+    return fwd[s].bit_count()
 
 
 def edge_connectivity(g: Graph) -> tuple[int, EdgeCut]:
@@ -351,66 +288,91 @@ def enumerate_min_edge_cuts(g: Graph, max_vertices: int = EXHAUSTIVE_LIMIT) -> l
     return [_cut_from_side(g, full, side) for side in sides]
 
 
-def _split_net(masks: Sequence[int], alive: int, verts: list[int]) -> _FlowNet:
-    """_vertex_cut's split-vertex network on `alive`, frozen for reset()."""
-    net = _FlowNet(2 * len(masks))
-    for v in verts:
-        net.add(2 * v, 2 * v + 1, 1)
-    for u in verts:
-        for v in _bits((masks[u] & alive) >> u + 1 << u + 1):
-            net.add(2 * u + 1, 2 * v, len(verts))
-            net.add(2 * v + 1, 2 * u, len(verts))
-    net.freeze()
-    return net
+def _augment(masks: Sequence[int], alive: int, s: int, t: int, into: dict[int, int]) -> int | None:
+    """One shortest augmenting s-t path for _vertex_cut (s, t not adjacent).
+
+    Each alive vertex is an entry and an exit joined by a unit arc; an edge
+    uv joins u's exit to v's entry and v's exit to u's entry.  The flow is
+    `into`: each vertex on a path, s and t aside, maps to the vertex whose
+    exit feeds its entry.  An exit reaches its neighbours' entries and, on a
+    path, its own; an entry reaches its own exit if free, else the one
+    feeding it.  A path is applied to `into` and None returned; else the
+    minimum cut is returned: the vertices whose entry was reached, exit not.
+    """
+    used = mask_of(into)
+    outs, ins = [1 << s], [0]
+    seen_out = seen_in = 0
+    while outs[-1]:
+        seen_out |= outs[-1]
+        entries = outs[-1] & used
+        for u in _bits(outs[-1]):
+            entries |= masks[u]
+        entries &= alive & ~seen_in
+        seen_in |= entries
+        ins.append(entries)
+        if entries >> t & 1:
+            break
+        exits = entries & ~used
+        for w in _bits(entries & used):
+            exits |= 1 << into[w]
+        outs.append(exits & ~seen_out)
+    else:
+        return seen_in & ~seen_out
+    w = t
+    for level in reversed(range(len(outs))):
+        # the exit before w's entry: a neighbour's, which now feeds w, else w's own
+        feeders = outs[level] & masks[w]
+        u = (feeders & -feeders).bit_length() - 1 if feeders else w
+        if u == w:
+            del into[w]
+        elif w != t:
+            into[w] = u
+        # the entry before u's exit: u's own if u was free, else the one u fed
+        w = u if not used >> u & 1 else next(
+            v for v in _bits(ins[level] & masks[u] & used) if into[v] == u
+        )
+    return None
 
 
 def _vertex_cut(masks: Sequence[int], alive: int, k: int) -> int | None:
     """Minimum vertex cut of the graph induced on `alive` if its connectivity is below k.
 
     The cut is a mask, the empty cut 0 when that graph is disconnected;
-    None means connectivity at least k, as always for a clique.  Sources s
-    run over the alive vertices in ascending order, each against every
-    alive non-neighbour t, by unit-capacity flow on the split-vertex
-    network (entry 2v, exit 2v+1).  A cut below c misses one of the first
-    c sources (Even's bound), so with c the smallest cut found so far, or
-    the starting bound below, the scan stops after c sources.  A pair with
-    at least c common neighbours has that many internally disjoint s-t paths
-    of length two, so its flow would reach c and change nothing: it is
-    skipped, and the network is built on the first pair that needs a flow.
-    The cut comes from the first (s, t) pair reaching the minimum: the
-    entries reachable from s in the residual network whose exits are not.
+    None means connectivity at least k, as always for a clique or at most
+    one vertex.  Sources s run over the alive vertices in ascending order,
+    each against every alive non-neighbour t, by _augment's shortest
+    augmenting paths.  A cut below c misses one of the first c sources
+    (Even's bound), so with c the smallest cut found so far, or the starting
+    bound below, the scan stops after c sources.  A pair with at least c
+    common neighbours has that many internally disjoint s-t paths of length
+    two, so its flow would reach c and change nothing: it is skipped.  The
+    cut comes from the first (s, t) pair reaching the minimum.
     """
     verts = list(_bits(alive))
-    n = len(verts)
-    min_degree = min((masks[v] & alive).bit_count() for v in verts)
+    min_degree = min(((masks[v] & alive).bit_count() for v in verts), default=0)
     # a non-clique has a cut of at most min(min_degree, n - 2) vertices
-    best, cut, net = min(k, min_degree + 1, n - 1), None, None
-    i = 0
-    while i < best:
-        s = verts[i]
+    best, cut = min(k, min_degree + 1, len(verts) - 1), None
+    for i, s in enumerate(verts):
+        if i >= best:
+            break
         for t in _bits(alive & ~masks[s] & ~(1 << s)):
             if (masks[s] & masks[t] & alive).bit_count() >= best:
                 continue
-            if net is None:
-                net = _split_net(masks, alive, verts)
-            net.reset()
-            if net.max_flow(2 * s + 1, 2 * t, best) < best:
-                reach = net.residual_reachable(2 * s + 1)
-                cut = mask_of(v for v in verts if reach >> 2 * v & 3 == 1)
-                best = cut.bit_count()
-        i += 1
+            into: dict[int, int] = {}
+            for _ in range(best):
+                found = _augment(masks, alive, s, t, into)
+                if found is not None:
+                    cut, best = found, found.bit_count()
+                    break
     return cut
 
 
 def vertex_connectivity(g: Graph) -> int:
     """Minimum vertices whose removal disconnects or trivializes the graph."""
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         raise ValueError("vertex connectivity of the empty graph is undefined")
-    if n == 1:
-        return 0
-    cut = _vertex_cut(g.adjacency_masks(), g.full_mask(), n)
-    return n - 1 if cut is None else cut.bit_count()
+    cut = _vertex_cut(g.adjacency_masks(), g.full_mask(), g.n)
+    return g.n - 1 if cut is None else cut.bit_count()
 
 
 def vertex_cut_below(g: Graph, k: int) -> tuple[int, ...] | None:
@@ -421,8 +383,6 @@ def vertex_cut_below(g: Graph, k: int) -> tuple[int, ...] | None:
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if g.n <= 1:
-        return None
     cut = _vertex_cut(g.adjacency_masks(), g.full_mask(), k)
     return None if cut is None else tuple(_bits(cut))
 

@@ -85,6 +85,16 @@ def test_local_edge_connectivity():
     assert local_edge_connectivity(g, 2, 3) == 3
     with pytest.raises(ValueError):
         local_edge_connectivity(g, 0, 0)
+    # the third path needs the edge (0, 3), freed when the second path
+    # cancelled the first's unit on it
+    g = Graph(12, [
+        (0, 2), (0, 3), (0, 5), (0, 10), (1, 7), (1, 10), (2, 8),
+        (3, 6), (3, 7), (3, 9), (5, 6), (6, 8), (9, 11), (10, 11),
+    ])
+    assert local_edge_connectivity(g, 6, 10) == 3
+    # a fractional cap is refused rather than rounded
+    with pytest.raises(ValueError, match="integer"):
+        local_edge_connectivity(complete(5), 0, 1, 2.5)
 
 
 def test_is_k_edge_connected_conventions():
@@ -267,13 +277,13 @@ def test_vertex_connectivity_matches_definition(monkeypatch):
     # a dense call can both skip a source's non-neighbours and run flows to
     # others: record the sinks each source's flows reach
     sinks = {}
-    max_flow = connectivity._FlowNet.max_flow
+    augment = connectivity._augment
 
-    def recording(net, s, t, limit):
-        sinks.setdefault(s // 2, set()).add(t // 2)
-        return max_flow(net, s, t, limit)
+    def recording(masks, alive, s, t, into):
+        sinks.setdefault(s, set()).add(t)
+        return augment(masks, alive, s, t, into)
 
-    monkeypatch.setattr(connectivity._FlowNet, "max_flow", recording)
+    monkeypatch.setattr(connectivity, "_augment", recording)
     mixed = 0
     for g in dense:
         masks = g.adjacency_masks()
@@ -285,6 +295,74 @@ def test_vertex_connectivity_matches_definition(monkeypatch):
                 for s, reached in sinks.items()
             )
     assert mixed > 0
+
+
+def test_augment_paths_and_cut_certify_each_other():
+    """_augment to the end on every non-adjacent pair of sparse seeded graphs:
+    `into` holds internally disjoint s-t paths (and nothing but closed cycles
+    besides), and the cut separates s from t with one vertex per path, so
+    both are optimal (Menger)."""
+    # the second path must reroute the first, 0-1-2-3-4: from 3's entry it
+    # backs through 2's exit and entry to 1's exit, leaving 2 off both paths
+    rerouted = Graph(9, [
+        (0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 3), (1, 7), (7, 8), (8, 4),
+    ])
+    graphs = [rerouted] + seeded_random_graphs(40, 10, 22, seed=83, p=0.18)
+    for g in graphs:
+        masks, full = g.adjacency_masks(), g.full_mask()
+        for s, t in itertools.permutations(range(g.n), 2):
+            if masks[s] >> t & 1:
+                continue
+            into = {}
+            while (cut := connectivity._augment(masks, full, s, t, into)) is None:
+                pass
+            # each path ends at the one vertex on it that feeds no other
+            ends = [v for v in into if v not in into.values()]
+            on_paths = set()
+            for v in ends:
+                assert masks[v] >> t & 1
+                while v != s:
+                    assert v not in on_paths and masks[v] >> into[v] & 1
+                    on_paths.add(v)
+                    v = into[v]
+            rest = set(into) - on_paths
+            assert {into[v] for v in rest} == rest
+            assert cut.bit_count() == len(ends) and not cut & (1 << s | 1 << t)
+            side = 1 << s
+            for _ in range(g.n):
+                side |= mask_of(u for v in _bits(side) for u in _bits(masks[v] & ~cut))
+            assert not side >> t & 1
+    into = {}
+    masks, full = rerouted.adjacency_masks(), rerouted.full_mask()
+    while connectivity._augment(masks, full, 0, 4, into) is None:
+        pass
+    assert into == {1: 0, 7: 1, 8: 7, 5: 0, 6: 5, 3: 6}
+
+
+def test_vertex_connectivity_matches_networkx():
+    """A third route for kappa, beyond the definition's reach: networkx's
+    node_connectivity on seeded graphs with n = 17-60; below kappa + 1 no cut,
+    at it a cut of kappa vertices that separates the graph."""
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        random_graph(n, min(0.9, (2 + i % 7) / n), i)
+        for i, n in enumerate(range(17, 61, 5))
+    ]
+    graphs += [gen_with_hypotheses(17 + 4 * i, 1 + i % 4, 2 + i % 5, i) for i in range(8)]
+    graphs += [two_cliques_bridged(q, b) for q, b in ((9, 1), (12, 3), (20, 5), (30, 2))]
+    kappas = set()
+    for g in graphs:
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(g.vertices())
+        kappa = vertex_connectivity(g)
+        assert kappa == nx.node_connectivity(h)
+        kappas.add(kappa)
+        for k in range(1, kappa + 1):
+            assert vertex_cut_below(g, k) is None
+        cut = vertex_cut_below(g, kappa + 1)
+        assert len(cut) == kappa
+        assert not g.connected_within(g.full_mask() & ~mask_of(cut))
+    assert {0, 1, 2, 3} <= kappas
 
 
 def check_edge_value(masks, alive, want):

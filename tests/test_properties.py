@@ -1,6 +1,6 @@
-"""Property tests: the value kernel against the oracle, Graph's edge
-accessors and vertex deletions against their definitions, and the graph
-file formats against round trips."""
+"""Property tests: the value kernel against the oracle, local edge
+connectivity, Graph's edge accessors and vertex deletions against their
+definitions, and the graph file formats against round trips."""
 
 import itertools
 
@@ -9,7 +9,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from kedge.connectivity import _edge_value, _scan_bipartitions  # noqa: E402
+from kedge.connectivity import (  # noqa: E402
+    _edge_value,
+    _scan_bipartitions,
+    local_edge_connectivity,
+)
 from kedge.graph import Graph, _bits, mask_of  # noqa: E402
 from kedge.io import (  # noqa: E402
     GRAPH6_MAX_N,
@@ -51,6 +55,23 @@ def test_edge_value_matches_oracle(drawn, data):
     assert decided == k if want >= k else decided < k
     early, _ = _edge_value(masks, alive, min_degree, k)
     assert early == want if want >= k else early < k
+
+
+@settings
+@hypothesis.given(graphs(n_max=10), st.data())
+def test_local_edge_connectivity_matches_min_boundary(drawn, data):
+    """min(cap, the smallest boundary of a side holding s and not t)."""
+    g, _ = drawn
+    hypothesis.assume(g.n >= 2)
+    s, t = data.draw(st.permutations(range(g.n)))[:2]
+    cap = data.draw(st.sampled_from([0, 1, 2, 3, 4, float("inf")]))
+    masks = g.adjacency_masks()
+    others = g.full_mask() & ~(1 << s | 1 << t)
+    boundaries = []
+    for subset in range(1 << others.bit_count()):
+        side = 1 << s | mask_of(v for i, v in enumerate(_bits(others)) if subset >> i & 1)
+        boundaries.append(sum((masks[v] & ~side).bit_count() for v in _bits(side)))
+    assert local_edge_connectivity(g, s, t, cap) == min(cap, min(boundaries))
 
 
 @settings

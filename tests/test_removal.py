@@ -278,7 +278,7 @@ def test_dense_route_runs_no_flow(monkeypatch):
     def no_flow(*args):
         raise RuntimeError("max-flow ran")
 
-    monkeypatch.setattr(connectivity._FlowNet, "max_flow", no_flow)
+    monkeypatch.setattr(connectivity, "_augment", no_flow)
     g = random_graph(42, 0.95, 1)
     core = extract_connected_subgraph(g, 3)
     core.validate(g)
