@@ -118,11 +118,15 @@ class EdgeCut:
     def value(self) -> int:
         return len(self.edges)
 
-    def validate(self, g: Graph) -> None:
-        a, b = set(self.side_a), set(self.side_b)
-        if a & b or a | b != set(range(g.n)) or not a or not b:
+    def validate(self, g: Graph, alive: int | None = None) -> None:
+        """Check that the sides partition the vertex mask `alive` (default:
+        all of g), both nonempty, and that the edges are g's edges between
+        them, each pair in either order."""
+        a, b = mask_of(self.side_a), mask_of(self.side_b)
+        alive = g.full_mask() if alive is None else alive
+        if a & b or a | b != alive or not a or not b:
             raise ValueError("cut sides must partition the vertex set, both nonempty")
-        if _edges_between(g, mask_of(a), mask_of(b)) != set(self.edges):
+        if _edges_between(g, a, b) != {(u, v) if u < v else (v, u) for u, v in self.edges}:
             raise ValueError("cut edge set does not match the bipartition boundary")
 
 

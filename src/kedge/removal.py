@@ -6,7 +6,14 @@ deterministic order, re-verify every hit from scratch, and return None when
 nothing qualifies.  Trees are placed by one walk, `_tree_images`, which
 yields the distinct vertex images of the tree's embeddings, each at its
 lexicographically first embedding (tree vertices in index order, hosts
-ascending).  The tree finder walks it exhaustively.  Separately,
+ascending).  The walk visits only embeddings that can be first of their
+image: where a tree automorphism's smallest moved vertex a goes to b, the
+first embedding puts a on a lower host than b, so b's candidates start
+above the host of a, its floor.  Skipping a recurring search state is
+exact for the same reason: the earlier, smaller prefix with the same
+state beats every embedding through the recurrence.  Neither rule drops a
+first embedding, so neither changes the images or their order.  The tree
+finder walks it exhaustively.  Separately,
 `removable_tree_via_thomassen` handles graphs of very large minimum degree:
 it extracts a highly connected subgraph and takes the first image of the
 same walk inside the subgraph's interior, away from its boundary.  The tree
@@ -29,7 +36,7 @@ from .connectivity import (
     is_k_edge_connected,
 )
 from .errors import ExtractionFailed, InternalCheckError, TheoremViolation
-from .graph import Graph, _bits, _edges_between, mask_of
+from .graph import Graph, _bits, mask_of
 from .io import graph_payload
 from .trees import TreeSpec
 
@@ -91,22 +98,21 @@ class HCSubgraph:
             )
 
 
-def _certify(
-    g: Graph, kind: str, removed: Iterable[int], k: int
-) -> RemovalCertificate | None:
-    """Build a certificate if deleting `removed` keeps g k-edge-connected.
+def _certify(g: Graph, kind: str, removed: int, k: int) -> RemovalCertificate | None:
+    """Build a certificate if deleting the vertex mask `removed` keeps g k-edge-connected.
 
     The residual is g's masks on the surviving vertices, with no graph
     built.  One call of the value kernel gives its exact edge connectivity
     or a value below k; the value is checked against the bipartition oracle,
     which runs no flow either, whenever the residual is small enough.
     """
-    removed = tuple(sorted(set(removed)))
     masks = g.adjacency_masks()
-    alive = g.full_mask() & ~mask_of(removed)
+    alive = g.full_mask() & ~removed
     if not alive & alive - 1:
         # at most one vertex left: K1 is 1-edge-connected and nothing more
-        return RemovalCertificate(kind, removed, None, True) if alive and k == 1 else None
+        if alive and k == 1:
+            return RemovalCertificate(kind, tuple(_bits(removed)), None, True)
+        return None
     min_degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
     kprime = min_degree if min_degree < k else _edge_value(masks, alive, min_degree, k)[0]
     if kprime < k:
@@ -117,13 +123,13 @@ def _certify(
             raise InternalCheckError(
                 f"kernel and oracle disagree on residual connectivity ({kprime} vs {oracle})"
             )
-    return RemovalCertificate(kind, removed, kprime, False)
+    return RemovalCertificate(kind, tuple(_bits(removed)), kprime, False)
 
 
 def _first_certified(
-    g: Graph, kind: str, candidates: Iterable[Iterable[int]], k: int
+    g: Graph, kind: str, candidates: Iterable[int], k: int
 ) -> RemovalCertificate | None:
-    """Certificate for the first candidate vertex set that `_certify` accepts."""
+    """Certificate for the first candidate vertex mask that `_certify` accepts."""
     for removed in candidates:
         cert = _certify(g, kind, removed, k)
         if cert is not None:
@@ -141,13 +147,39 @@ def _require_k_edge_connected(g: Graph, k: int) -> None:
 def find_removable_vertex(g: Graph, k: int) -> RemovalCertificate | None:
     """First vertex (ascending id) whose deletion keeps g k-edge-connected."""
     _require_k_edge_connected(g, k)
-    return _first_certified(g, "vertex", ((v,) for v in g.vertices()), k)
+    return _first_certified(g, "vertex", (1 << v for v in g.vertices()), k)
 
 
 def find_removable_edge(g: Graph, k: int) -> RemovalCertificate | None:
     """First edge (sorted order) whose endpoint deletion keeps g k-edge-connected."""
     _require_k_edge_connected(g, k)
-    return _first_certified(g, "edge", g.edges(), k)
+    return _first_certified(g, "edge", (1 << u | 1 << v for u, v in g.edges()), k)
+
+
+def _floors(tree: TreeSpec) -> list[int]:
+    """For each tree vertex b, a vertex a < b whose host must lie below b's, or -1.
+
+    An embedding is the first of its image only if no tree automorphism
+    gives a smaller one.  If an automorphism sigma has smallest moved
+    vertex a, composing with it changes the embedding first at a, so the
+    first embedding puts a on a lower host than sigma(a).  Two families of
+    automorphisms are read off the rooted codes: swapping the subtrees of
+    b and its latest earlier sibling with an isomorphic subtree (smallest
+    moved vertex: that sibling), and moving the root to a vertex b whose
+    whole-tree code equals the root's (smallest moved vertex: 0).
+    """
+    subtree, whole = tree.rooted_codes
+    parents = tree.parents
+    floors = [-1] * tree.order
+    twin: dict[tuple, int] = {}
+    for b in range(1, tree.order):
+        key = (parents[b], subtree[b])
+        if key in twin:
+            floors[b] = twin[key]
+        elif whole[b] == whole[0]:
+            floors[b] = 0
+        twin[key] = b
+    return floors
 
 
 def _tree_images(
@@ -156,40 +188,50 @@ def _tree_images(
     """Distinct vertex images of the tree's embeddings in g, as bitmasks.
 
     Only embeddings inside the `region` mask count (default: all of g).
-    Each image is yielded once; images are ordered by their
-    lexicographically first embedding, that is, by the hosts of the tree
-    vertices in index order.  The walk meets embeddings in that order:
-    it places tree vertices in index order, each on an unused region
-    neighbour of its parent's host, hosts ascending.  A search state is the
-    used mask together with the hosts of the placed tree vertices that
-    still parent unplaced ones, and it fixes every image below it.  A state
-    is recorded once its subtree is exhausted, and skipped when it recurs:
-    its images have all been yielded already.  The stack lives in per-level
-    arrays: a recursive generator would refer to itself through its closure
-    and keep every call's sets alive until the cyclic collector runs.
+    Each image is yielded once, in the order of its lexicographically first
+    embedding (hosts of the tree vertices in index order).  The walk meets
+    embeddings in that order: it places tree vertices in index order, each
+    on an unused region neighbour of its parent's host, hosts ascending.
+    It skips what holds no first embedding, so no image is lost:
+    - a host at or below the host of the vertex's floor (see `_floors`);
+    - a recurring search state, that is, used mask plus the hosts of placed
+      vertices that still parent unplaced ones: the earlier, smaller prefix
+      with the same state beats every completion of the recurrence.
+    The last tree vertex is placed in bulk: `filled[u]` masks the x for
+    which u | x was yielded already.  The stack lives in per-level arrays:
+    a recursive generator would refer to itself through its closure and
+    keep every call's sets alive until the cyclic collector runs.
     """
+    region = g.full_mask() if region is None else region
+    last = tree.order - 1
+    if not last:
+        for v in _bits(region):
+            yield 1 << v
+        return
     masks = g.adjacency_masks()
     parents = tree.parents
-    m = tree.order
-    last_child = [0] * m
-    for i in range(1, m):
+    # floors are pruning only, so they wait for the first image: a finder
+    # that certifies it never pays for the rooted codes
+    floors = [-1] * tree.order
+    pruning = False
+    last_parent, last_floor = parents[last], -1
+    last_child = [0] * tree.order
+    for i in range(1, tree.order):
         last_child[parents[i]] = i
     # open_parents[i]: tree vertices below i with a child at index i or above
     open_parents = [
-        tuple(j for j in range(i) if last_child[j] >= i) for i in range(m)
+        tuple(j for j in range(i) if last_child[j] >= i) for i in range(last)
     ]
     shift = g.n.bit_length()
-    last = m - 1
     # a key packs the used mask and the open hosts into one int; the count
     # of open hosts differs between levels, so each level has its own set
-    explored: list[set[int]] = [set() for _ in range(m)]
-    seen: set[int] = set()
-    hosts = [0] * m
+    explored: list[set[int]] = [set() for _ in range(last)]
+    filled: dict[int, int] = {}
+    hosts = [0] * tree.order
     # per level: candidates left, used mask before placing, state key
-    left = [0] * m
-    base = [0] * m
-    keys = [0] * m
-    region = g.full_mask() if region is None else region
+    left = [0] * last
+    base = [0] * last
+    keys = [0] * last
     left[0] = region
     i = 0
     while i >= 0:
@@ -202,10 +244,25 @@ def _tree_images(
         left[i] = candidates ^ low
         used = base[i] | low
         hosts[i] = low.bit_length() - 1
-        if i == last:
-            if used not in seen:
-                seen.add(used)
-                yield used
+        if i == last - 1:
+            # used lies inside region, so region ^ used is region minus used
+            fresh = masks[hosts[last_parent]] & (region ^ used) & ~filled.get(used, 0)
+            if last_floor >= 0:
+                fresh &= -(2 << hosts[last_floor])
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                image = used | low
+                # image minus any one of its vertices has that vertex filled
+                rest = image
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    filled[image ^ bit] = filled.get(image ^ bit, 0) | bit
+                yield image
+                if not pruning:
+                    floors, pruning = _floors(tree), True
+                    last_floor = floors[last]
             continue
         key = used
         for j in open_parents[i + 1]:
@@ -213,8 +270,9 @@ def _tree_images(
         if key in explored[i + 1]:
             continue
         i += 1
-        # used lies inside region, so region ^ used is region minus used
         left[i] = masks[hosts[parents[i]]] & (region ^ used)
+        if floors[i] >= 0:
+            left[i] &= -(2 << hosts[floors[i]])
         base[i] = used
         keys[i] = key
 
@@ -227,14 +285,16 @@ def find_removable_tree(
     Exhaustive: None is returned only after every distinct image has been
     certified and failed.  The images come from `_tree_images`, each once,
     ordered by its lexicographically first embedding (tree vertices in
-    index order, hosts ascending).  The walk skips a search state
-    only after an earlier visit explored it completely; every image below
-    it was then already checked, so skipping cannot change the answer.
+    index order, hosts ascending).  The walk skips a placement below a
+    tree vertex's floor and a search state that an earlier, smaller prefix
+    already reached; neither holds a first embedding, so every image is
+    still reached at its first embedding and certified, and skipping
+    cannot change the answer.
     """
     _require_k_edge_connected(g, k)
     if g.n <= tree.order:
         raise ValueError("graph must have more vertices than the tree")
-    return _first_certified(g, "tree", map(_bits, _tree_images(g, tree)), k)
+    return _first_certified(g, "tree", _tree_images(g, tree), k)
 
 
 def extract_connected_subgraph(g: Graph, k_target: int) -> HCSubgraph:
@@ -320,8 +380,7 @@ def removable_tree_via_thomassen(
         raise InternalCheckError(
             "tree embedding failed inside a verified core interior"
         )
-    removed = tuple(_bits(image))
-    cert = _certify(g, "tree", removed, k)
+    cert = _certify(g, "tree", image, k)
     if cert is None:
         raise TheoremViolation(
             "verified core produced a tree whose removal broke"
@@ -330,7 +389,7 @@ def removable_tree_via_thomassen(
                 "graph": graph_payload(g),
                 "k": k,
                 "tree": tree.spec_string(),
-                "removed": removed,
+                "removed": tuple(_bits(image)),
                 "core": tuple(sorted(core.vertices)),
                 "boundary": tuple(sorted(core.boundary)),
             },
@@ -406,14 +465,7 @@ def decompose_cut(
             raise ValueError(f"vertex {v} out of range for n={g.n}")
     masks = g.adjacency_masks()
     alive = g.full_mask() & ~mask_of(tset)
-    ends = {v for e in cut.edges for v in e}
-    if not {*cut.side_a, *cut.side_b, *ends} <= set(_bits(alive)):
-        raise ValueError("cut names a vertex outside g minus tprime")
-    a, b = mask_of(cut.side_a), mask_of(cut.side_b)
-    if a & b or a | b != alive or not a or not b:
-        raise ValueError("cut sides must partition the vertex set, both nonempty")
-    if _edges_between(g, a, b) != {(u, v) if u < v else (v, u) for u, v in cut.edges}:
-        raise ValueError("cut edge set does not match the bipartition boundary")
+    cut.validate(g, alive)
     kprime = _edge_value(masks, alive, cut.value, 0)[0]  # exact: the cut bounds lambda
     if kprime != cut.value:
         raise ValueError(
@@ -422,6 +474,7 @@ def decompose_cut(
 
     side = frozenset(cut.side_a)
     complement = frozenset(cut.side_b)
+    ends = {v for e in cut.edges for v in e}
     h = core.vertices
     d1 = frozenset(ends & side)
     d2 = frozenset(ends & complement)

@@ -9,6 +9,7 @@ edge-list files.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import Graph, _bits
 from . import io as graph_io
@@ -49,9 +50,36 @@ class TreeSpec:
     def to_graph(self) -> Graph:
         return Graph(self.order, self.edges())
 
+    @cached_property
+    def rooted_codes(self) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+        """Every vertex's rooted code, from one pass up and one pass down.
+
+        A code is the tuple of a vertex's children's codes, sorted, so
+        isomorphic rooted trees encode equally.  The first tuple holds each
+        vertex's subtree code under root 0; the pass runs from the last
+        vertex up, since children follow their parents.  The second holds
+        the code of the whole tree rooted at each vertex; that pass runs
+        down: seen from v, the part hanging off v's parent p is p's whole
+        code with one copy of v's subtree code taken out.
+        """
+        p = self.parents
+        m = len(p)
+        kids: list[list[tuple]] = [[] for _ in range(m)]
+        down: list[tuple] = [()] * m
+        for v in range(m - 1, 0, -1):
+            down[v] = tuple(sorted(kids[v]))
+            kids[p[v]].append(down[v])
+        down[0] = tuple(sorted(kids[0]))
+        whole = down[:]
+        for v in range(1, m):
+            above = list(whole[p[v]])
+            above.remove(down[v])
+            whole[v] = tuple(sorted((*down[v], tuple(above))))
+        return tuple(down), tuple(whole)
+
     def canonical_code(self):
-        """Isomorphism invariant: minimum rooted encoding over all roots."""
-        return canonical_code(self.adjacency())
+        """Isomorphism invariant: minimum rooted code over all roots."""
+        return min(self.rooted_codes[1])
 
     def spec_string(self) -> str:
         """A grammar string that parses back to this tree's shape."""
@@ -63,32 +91,6 @@ class TreeSpec:
         if not seq:
             return "path:2"
         return "prufer:" + ",".join(str(x) for x in seq)
-
-
-def _rooted_code(adj: list[list[int]], root: int):
-    """Nested-tuple encoding of the tree rooted at `root`.
-
-    Children codes are sorted, so isomorphic rooted trees encode equally.
-    Iterative post-order; the trees here are small but recursion limits are
-    not worth depending on.
-    """
-    order: list[tuple[int, int]] = []
-    stack = [(root, -1)]
-    while stack:
-        v, parent = stack.pop()
-        order.append((v, parent))
-        for w in adj[v]:
-            if w != parent:
-                stack.append((w, v))
-    codes: dict[int, tuple] = {}
-    for v, parent in reversed(order):
-        kids = sorted(codes[w] for w in adj[v] if w != parent)
-        codes[v] = tuple(kids)
-    return codes[root]
-
-
-def canonical_code(adj: list[list[int]]):
-    return min(_rooted_code(adj, r) for r in range(len(adj)))
 
 
 def path_tree(m: int) -> TreeSpec:

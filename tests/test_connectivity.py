@@ -365,6 +365,29 @@ def test_vertex_connectivity_matches_networkx():
     assert {0, 1, 2, 3} <= kappas
 
 
+def test_edge_connectivity_matches_networkx():
+    """A third route for lambda, beyond the oracle's reach: networkx's
+    edge_connectivity on seeded graphs with n = 20-60, and each witness cut
+    a valid cut of that value."""
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        random_graph(n, min(0.9, (2 + i % 7) / n), i)
+        for i, n in enumerate(range(20, 61, 5))
+    ]
+    graphs += [gen_with_hypotheses(20 + 5 * i, 1 + i % 4, 2 + i % 5, i) for i in range(8)]
+    graphs += [two_cliques_bridged(q, b) for q, b in ((10, 1), (15, 3), (30, 4))]
+    lambdas = set()
+    for g in graphs:
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(g.vertices())
+        kprime, cut = edge_connectivity(g)
+        assert kprime == nx.edge_connectivity(h)
+        cut.validate(g)
+        assert cut.value == kprime
+        lambdas.add(kprime)
+    assert len(graphs) == 20 and {0, 1, 2, 3} <= lambdas
+
+
 def check_edge_value(masks, alive, want):
     """_edge_value on `alive` in every form, given its edge connectivity `want`.
 

@@ -1,5 +1,7 @@
 """Removable-structure finders, certificates, and the dense-graph machinery."""
 
+import itertools
+
 import pytest
 
 from kedge import connectivity, removal
@@ -31,6 +33,8 @@ from kedge.removal import (
 )
 from kedge.rng import SplitMix64
 from kedge.trees import enumerate_trees, path_tree, star_tree
+
+from conftest import reordered
 
 
 def pendant_complete(n):
@@ -142,18 +146,74 @@ def first_seen_images(g, tree, region=None):
 
 
 def test_tree_images_follow_first_embedding_order():
+    """Every tree with m <= 6 on every small graph; then every shape with
+    m <= 7 under two seeded reorderings, so that the floors meet vertex
+    orders other than the enumeration's, in the full region and a random
+    one, on the sparser random graphs and on K_6 and K_7."""
     graphs = [g for n in range(1, 6) for g in all_graphs(n)]
-    graphs += [
+    randoms = [
         random_graph(6 + seed % 5, (0.3, 0.5, 0.7)[seed % 3], seed)
         for seed in range(30)
     ]
     pairs = 0
-    for g in graphs:
+    for g in graphs + randoms:
         for m in range(1, min(g.n, 6) + 1):
             for tree in enumerate_trees(m):
                 assert list(_tree_images(g, tree)) == first_seen_images(g, tree)
                 pairs += 1
     assert pairs == 8541 + 30 * 14
+    rng = SplitMix64(14)
+    shapes = [
+        reordered(shape, rng)
+        for m in range(1, 8)
+        for shape in enumerate_trees(m)
+        for _ in range(2)
+    ]
+    hosts = [g for g in randoms if g.edge_count <= 2 * g.n] + [complete(6), complete(7)]
+    walks = images = 0
+    for g in hosts:
+        for tree in shapes:
+            if tree.order > g.n:
+                continue
+            for region in (g.full_mask(), rng.randrange(1 << g.n) | rng.randrange(1 << g.n)):
+                found = list(_tree_images(g, tree, region))
+                assert found == first_seen_images(g, tree, region)
+                walks += 1
+                images += len(found)
+    assert len(hosts) == 22 and walks == 1936 and images > 10_000
+
+
+def automorphism_moves(tree):
+    """(a, sigma(a)) for every tree automorphism sigma other than the identity,
+    a being its smallest moved vertex; brute force over all permutations."""
+    edges = {frozenset(e) for e in tree.edges()}
+    moves = set()
+    for sigma in itertools.permutations(range(tree.order)):
+        if {frozenset((sigma[u], sigma[v])) for u, v in tree.edges()} != edges:
+            continue
+        moved = [v for v in range(tree.order) if sigma[v] != v]
+        if moved:
+            moves.add((moved[0], sigma[moved[0]]))
+    return moves
+
+
+def test_floors_are_witnessed_by_automorphisms():
+    """Each floor pair (a, b) of `_floors` comes from an automorphism whose
+    smallest moved vertex is a and which sends a to b, so a first embedding
+    puts a below b: every shape with m <= 7, as enumerated and under two
+    seeded reorderings."""
+    rng = SplitMix64(7)
+    pairs = 0
+    for m in range(1, 8):
+        for shape in enumerate_trees(m):
+            for tree in [shape, reordered(shape, rng), reordered(shape, rng)]:
+                moves = automorphism_moves(tree)
+                floors = removal._floors(tree)
+                for b, a in enumerate(floors):
+                    if a >= 0:
+                        assert a < b and (a, b) in moves
+                        pairs += 1
+    assert pairs > 100
 
 
 def test_region_walk_matches_reference():
@@ -179,7 +239,7 @@ def test_region_walk_matches_reference():
 def reference_tree_finder(g, k, tree):
     """First hit among the deduplicated embedding images, certified one by one."""
     for image in first_seen_images(g, tree):
-        cert = _certify(g, "tree", [v for v in g.vertices() if image >> v & 1], k)
+        cert = _certify(g, "tree", image, k)
         if cert is not None:
             return cert
     return None
@@ -345,7 +405,7 @@ def test_mask_route_matches_relabelled_route():
         for _ in range(3):
             removed = {rng.randrange(g.n) for _ in range(rng.randrange(6))}
             certs, cut = relabelled_route(g, removed, ks)
-            assert [_certify(g, "x", removed, k) for k in ks] == certs
+            assert [_certify(g, "x", mask_of(removed), k) for k in ks] == certs
             certified += sum(cert is not None for cert in certs)
             if cut is None:
                 with pytest.raises(ValueError):

@@ -5,9 +5,14 @@ form: it builds each tree's adjacency and compares center-rooted encodings
 computed locally.
 """
 
+import hashlib
+
 import pytest
 
 from kedge.graph import Graph
+from kedge.rng import SplitMix64
+
+from conftest import reordered
 from kedge.trees import (
     ENUMERATION_LIMIT,
     FREE_TREE_COUNTS,
@@ -42,6 +47,27 @@ def _local_center_code(tree: TreeSpec):
         return "(" + "".join(subs) + ")"
 
     return tuple(sorted(encode(c, None) for c in centers))
+
+
+def _rooted_code(adj: list[list[int]], root: int):
+    """Nested-tuple encoding of the tree rooted at `root`, one root at a time.
+
+    Children codes are sorted, so isomorphic rooted trees encode equally.
+    This is the package's former canonical form, kept as the reference for
+    the one-pass codes of `TreeSpec.rooted_codes`.
+    """
+    order: list[tuple[int, int]] = []
+    stack = [(root, -1)]
+    while stack:
+        v, parent = stack.pop()
+        order.append((v, parent))
+        for w in adj[v]:
+            if w != parent:
+                stack.append((w, v))
+    codes: dict[int, tuple] = {}
+    for v, parent in reversed(order):
+        codes[v] = tuple(sorted(codes[w] for w in adj[v] if w != parent))
+    return codes[root]
 
 
 def test_tree_spec_basics():
@@ -148,6 +174,40 @@ def test_enumeration_is_duplicate_free_and_complete():
     family = [_local_center_code(t) for t in enumerate_trees(m)]
     assert len(family) == len(set(family)) == len(seen)
     assert set(family) == seen
+
+
+def test_rooted_codes_match_reference():
+    """Every tree with m <= 10, as enumerated and under five seeded
+    reorderings: the whole-tree codes are the per-root reference codes, the
+    subtree codes are the reference codes of the subtrees, and the
+    canonical code is their minimum."""
+    rng = SplitMix64(10)
+    trees = 0
+    for m in range(1, ENUMERATION_LIMIT + 1):
+        for shape in enumerate_trees(m):
+            for tree in [shape] + [reordered(shape, rng) for _ in range(5)]:
+                adj = tree.adjacency()
+                whole = tuple(_rooted_code(adj, r) for r in range(m))
+                subtree, found = tree.rooted_codes
+                assert found == whole
+                for v in range(1, m):
+                    # v's subtree: the tree rooted at v without the edge to its parent
+                    cut = [list(a) for a in adj]
+                    cut[v].remove(tree.parents[v])
+                    assert subtree[v] == _rooted_code(cut, v)
+                assert subtree[0] == whole[0]
+                assert tree.canonical_code() == min(whole)
+                trees += 1
+    assert trees == 6 * sum(FREE_TREE_COUNTS)
+
+
+def test_enumeration_order_is_pinned():
+    """The parent arrays of every order up to the limit, in order; the digest
+    was taken from the per-root canonical form the one-pass codes replace."""
+    arrays = [t.parents for m in range(1, ENUMERATION_LIMIT + 1) for t in enumerate_trees(m)]
+    assert len(arrays) == sum(FREE_TREE_COUNTS)
+    digest = hashlib.sha256(repr(arrays).encode()).hexdigest()
+    assert digest == "ab5a8f99fcc3ea67fa37bd7582d3a743a94431fbfa7e5481fef8e794d30d1f28"
 
 
 def test_enumeration_limit():
