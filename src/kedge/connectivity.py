@@ -32,6 +32,7 @@ is_k_connected, the dense-core extraction and its validation all ask it.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cache
 from heapq import heappop, heappush
 from math import isfinite
 from typing import Sequence
@@ -151,6 +152,16 @@ def _edge_cut(g: Graph, alive: int) -> tuple[int, EdgeCut]:
     return kprime, _cut_from_side(g, alive, side)
 
 
+@cache
+def _gray_flips(c: int) -> bytes:
+    """The index flipped at step i = 1 .. 2^c - 1 of a c-bit Gray-code walk,
+    the lowest set bit of i: the walk on c-1 bits, then c-1, then that walk again."""
+    if c == 0:
+        return b""
+    half = _gray_flips(c - 1)
+    return half + bytes((c - 1,)) + half
+
+
 def _scan_bipartitions(masks: Sequence[int], alive: int) -> tuple[int, list[int]]:
     """Minimum boundary over the bipartitions of `alive`, and the sides reaching it.
 
@@ -170,8 +181,7 @@ def _scan_bipartitions(masks: Sequence[int], alive: int) -> tuple[int, list[int]
     boundary = (masks[root.bit_length() - 1] & alive).bit_count()
     best = boundary
     sides = [side]
-    for i in range(1, 1 << len(others)):
-        j = (i & -i).bit_length() - 1
+    for j in _gray_flips(len(others)):
         side ^= flips[j]
         delta = degs[j] - 2 * (nbs[j] & side).bit_count()
         boundary += delta if side & flips[j] else -delta

@@ -146,9 +146,11 @@ def gen_hamiltonian_stack(
             raise GenerationError(
                 f"could not place cycle {placed + 1} of {t} after 200 tries"
             )
-    for e in itertools.combinations(range(n), 2):
-        if e not in edges and rng.random() < extra_edge_prob:
-            edges.add(e)
+    # no draw falls below 0.0, and nothing reads the stream after this pass
+    if extra_edge_prob > 0.0:
+        for e in itertools.combinations(range(n), 2):
+            if e not in edges and rng.random() < extra_edge_prob:
+                edges.add(e)
     g = Graph(n, edges)
     if not is_k_edge_connected(g, 2 * t):
         raise InternalCheckError(
@@ -167,11 +169,13 @@ def _augmented_attempt(n: int, k: int, delta_min: int, seed: int) -> Graph | Non
         return None
     rng = SplitMix64(derive_seed(seed, 1))
     adj = list(g.adjacency_masks())
+    degrees = [mask.bit_count() for mask in adj]
     full = g.full_mask()
     while True:
-        v = min(range(n), key=lambda u: adj[u].bit_count())
-        if adj[v].bit_count() >= delta_min:
+        low = min(degrees)
+        if low >= delta_min:
             break
+        v = degrees.index(low)  # the lowest id at the minimum degree
         # non-neighbours of v, ascending: the draw below depends on the order
         candidates = list(_bits(full & ~adj[v] & ~(1 << v)))
         if not candidates:
@@ -179,7 +183,9 @@ def _augmented_attempt(n: int, k: int, delta_min: int, seed: int) -> Graph | Non
         w = candidates[rng.randrange(len(candidates))]
         adj[v] |= 1 << w
         adj[w] |= 1 << v
-    return Graph(n, [(u, w) for u in range(n) for w in _bits(adj[u])])
+        degrees[v] += 1
+        degrees[w] += 1
+    return Graph(n, [(u, w) for u in range(n) for w in _bits(adj[u] >> u + 1 << u + 1)])
 
 
 def gen_with_hypotheses(n: int, k: int, delta_min: int, seed: int) -> Graph:
@@ -265,9 +271,11 @@ def generate(spec: GenSpec) -> Graph:
     """Run the generator a GenSpec describes."""
     if spec.model == "hamiltonian_stack":
         p = spec.params_dict()
-        t = int(p.get("t", max(1, (spec.k + 1) // 2)))
+        t = float(p.get("t", max(1, (spec.k + 1) // 2)))
+        if not t.is_integer():
+            raise ValueError(f"t must be a whole number of cycles, got {t}")
         prob = float(p.get("extra_edge_prob", 0.0))
-        return gen_hamiltonian_stack(spec.n, t, prob, spec.seed)
+        return gen_hamiltonian_stack(spec.n, int(t), prob, spec.seed)
     if spec.model == "with_hypotheses":
         return gen_with_hypotheses(spec.n, spec.k, spec.delta_min, spec.seed)
     if spec.model == "gnp":

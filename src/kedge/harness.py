@@ -24,10 +24,12 @@ import time
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 from .connectivity import (
     EXHAUSTIVE_LIMIT,
     ConnectivityReport,
+    _edge_value,
     connectivity_report,
     edge_connectivity,
     edge_connectivity_bruteforce,
@@ -171,10 +173,15 @@ class Cell:
     def m(self) -> int | None:
         return self.tree.order if self.tree is not None else None
 
+    @cached_property
+    def spec(self) -> str | None:
+        """The shape's spec string (a Pruefer encode), named once per cell."""
+        return self.tree.spec_string() if self.tree is not None else None
+
     def label(self, statement: str) -> str:
         if self.tree is None:
             return f"{statement} k={self.k}"
-        return f"{statement} k={self.k} tree={self.tree.spec_string()}"
+        return f"{statement} k={self.k} tree={self.spec}"
 
 
 @dataclass
@@ -313,7 +320,7 @@ def _run_trial(
             statement=statement,
             k=cell.k,
             m=cell.m,
-            tree=cell.tree.spec_string() if cell.tree is not None else None,
+            tree=cell.spec,
             cell_index=cell.index,
             trial_index=trial_index,
             seed=seed,
@@ -342,10 +349,11 @@ def _run_trial(
             min_order=cell.m + 1 if cell.m else 0,  # room for the tree
         )
         # any model is allowed, so the hypotheses are confirmed up front
-        # (edge_connectivity needs two vertices)
+        # (the value kernel needs two vertices)
         if g is None or g.n < 2 or g.min_degree() < delta:
             return report(g, OUTCOME_GENFAIL)
-    kprime, _ = edge_connectivity(g)
+    # lambda alone, with no witness cut: min(lambda, min degree) is lambda
+    kprime = _edge_value(g.adjacency_masks(), g.full_mask(), g.min_degree(), 0)[0]
     # never true for tightness: K_{k+m} has edge connectivity k+m-1
     if kprime < cell.k:
         return report(g, OUTCOME_GENFAIL)

@@ -37,12 +37,12 @@ class SplitMix64:
         """Uniform integer in [0, n), by rejection to avoid modulo bias."""
         if n <= 0:
             raise ValueError(f"randrange needs a positive bound, got {n}")
+        if n & (n - 1) == 0:
+            return self.next_u64() & (n - 1)
         # largest multiple of n that fits in 64 bits
-        limit = _MASK64 - (_MASK64 % n) if n & (n - 1) else _MASK64
+        limit = _MASK64 - (_MASK64 % n)
         while True:
             x = self.next_u64()
-            if n & (n - 1) == 0:
-                return x & (n - 1)
             if x <= limit:
                 return x % n
 

@@ -132,6 +132,20 @@ def test_verify_config_file(tmp_path, capsys):
     assert "mader_vertex k=1" in out and "mader_vertex k=2" in out
 
 
+def test_verify_config_rejects_a_fractional_cycle_count(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "statement": "mader_vertex",
+        "k_values": [2],
+        "trials": 1,
+        "master_seed": 5,
+        "model": "hamiltonian_stack",
+        "params": {"t": 2.7},
+    }))
+    code, _, err = run(["verify", "--config", str(cfg)], capsys)
+    assert code == 2 and "whole number" in err
+
+
 def test_verify_usage_errors(capsys):
     code, _, err = run(["verify", "--statement", "edge-pair", "--k", "2"], capsys)
     assert code == 2 and "required" in err

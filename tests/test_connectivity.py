@@ -242,6 +242,49 @@ def test_bipartition_scanner_matches_definition():
             assert got == cuts
 
 
+def _scan_by_reference(masks, alive):
+    """The bipartition scan with step i's flipped index recomputed as the
+    lowest set bit of i, for i = 1 .. 2^c - 1, instead of read from a table."""
+    root = alive & -alive
+    others = list(_bits(alive & ~root))
+    side = root
+    boundary = (masks[root.bit_length() - 1] & alive).bit_count()
+    best, sides = boundary, [side]
+    for i in range(1, 1 << len(others)):
+        v = others[(i & -i).bit_length() - 1]
+        side ^= 1 << v
+        inside = (masks[v] & alive & side).bit_count()
+        outside = (masks[v] & alive & ~side).bit_count()
+        boundary += outside - inside if side >> v & 1 else inside - outside
+        if boundary <= best and side != alive:
+            if boundary < best:
+                best, sides = boundary, []
+            sides.append(side)
+    return best, sides
+
+
+def test_scanner_matches_reference_walk():
+    for c in range(16):
+        assert list(connectivity._gray_flips(c)) == [
+            (i & -i).bit_length() - 1 for i in range(1, 1 << c)
+        ]
+    scans = 0
+    for g in all_labeled_graphs(5):
+        masks = g.adjacency_masks()
+        for alive in range(1, 1 << g.n):
+            if alive.bit_count() >= 2:
+                assert _scan_bipartitions(masks, alive) == _scan_by_reference(masks, alive)
+                scans += 1
+    assert scans == 27362
+    rng = SplitMix64(71)
+    for g in seeded_random_graphs(30, 6, 12, seed=73):
+        masks, full = g.adjacency_masks(), g.full_mask()
+        alives = [full] + [full & ~(1 << rng.randrange(g.n)) for _ in range(2)]
+        alives.append(full & rng.next_u64() | 3)
+        for alive in alives:
+            assert _scan_bipartitions(masks, alive) == _scan_by_reference(masks, alive)
+
+
 def _vertex_connectivity_by_definition(g):
     """Size of the smallest vertex set whose deletion disconnects g or
     leaves at most one vertex, from subsets in order of size."""

@@ -17,7 +17,8 @@ from kedge.generators import (
     random_graph,
     two_cliques_bridged,
 )
-from kedge.io import write_edge_list
+from kedge import generators
+from kedge.io import write_edge_list, write_graph6
 from kedge.rng import SplitMix64, derive_seed
 
 
@@ -122,6 +123,45 @@ def test_rng_golden_values():
     assert derive_seed(42, 3, 7) == 0x0F22D4F63A180868
 
 
+# graph6 strings the generators drew before their loops were tightened; they
+# pin every draw across versions, where the determinism tests above only
+# compare two runs of one version
+GOLDEN_WITH_HYPOTHESES = {
+    # (n, k, delta_min, seed): (graph6, attempts)
+    (10, 1, 2, 3): ("I`?PCDGB?", 1),  # t = 1
+    (12, 2, 4, 7): ("KLXRKOxaeOgi", 1),  # t = 1
+    (13, 3, 5, 11): ("L`yeJFwDshpWL`", 1),  # t = 2
+    (14, 4, 6, 5): ("MdzIlQ@NGtKkW}kb?", 1),  # t = 2
+    (12, 5, 7, 9): ("Kz~u`}Nijfmu", 1),  # t = 3
+    (16, 6, 8, 2): ("OxLS{}{HmUkXxEmLm{bxk", 2),  # t = 3, first packing fails
+}
+
+GOLDEN_HAMILTONIAN_STACK = {
+    # (n, t, extra_edge_prob, seed): graph6
+    (9, 2, 0.0, 4): "HDvdaTd",
+    (12, 3, 0.0, 9): "KtSiYfThvUFe",
+    (12, 3, 0.3, 9): "K|ui]fVjvVVe",
+    (15, 2, 0.3, 21): "NNRPAcxRDFekEfpB|[?",
+}
+
+
+def test_generator_golden_outputs(monkeypatch):
+    attempts = []
+    attempt = generators._augmented_attempt
+
+    def counted(*args):
+        attempts.append(args)
+        return attempt(*args)
+
+    monkeypatch.setattr(generators, "_augmented_attempt", counted)
+    for args, (code, tries) in GOLDEN_WITH_HYPOTHESES.items():
+        attempts.clear()
+        assert write_graph6(gen_with_hypotheses(*args)) == code, args
+        assert len(attempts) == tries, args
+    for args, code in GOLDEN_HAMILTONIAN_STACK.items():
+        assert write_graph6(gen_hamiltonian_stack(*args)) == code, args
+
+
 def test_genspec_round_trip_and_dispatch():
     spec = GenSpec(model="with_hypotheses", n=10, k=2, delta_min=4, seed=7)
     assert generate(spec) == gen_with_hypotheses(10, 2, 4, 7)
@@ -134,6 +174,13 @@ def test_genspec_round_trip_and_dispatch():
     assert generate(GenSpec(model="petersen")) == petersen_graph()
     with pytest.raises(ValueError):
         generate(GenSpec(model="no_such_model", n=5))
+
+
+def test_genspec_rejects_a_fractional_cycle_count():
+    for t in (2.7, 0.5, float("inf"), float("nan")):
+        spec = GenSpec(model="hamiltonian_stack", n=9, seed=4, params=(("t", t),))
+        with pytest.raises(ValueError, match="whole number"):
+            generate(spec)
 
 
 def test_graph_enumeration():
