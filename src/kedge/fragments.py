@@ -133,10 +133,7 @@ def _host_sides(g: Graph, alive: int) -> tuple[int, list[int]]:
         kprime, firsts = _min_cut_sides(g, alive)
         sides = firsts + [alive & ~first for first in firsts]
     else:
-        kprime, sides, rest = 0, [], alive
-        while rest:
-            sides.append(g.component_within(rest))
-            rest &= ~sides[-1]
+        kprime, sides = 0, g.components_within(alive)
     sides.sort(key=lambda side: tuple(_bits(side)))
     return kprime, sides
 

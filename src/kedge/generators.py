@@ -1,9 +1,9 @@
 """Seeded generators and named instances for experiment graphs.
 
-Every generator re-verifies its own claims (edge connectivity, minimum
-degree) before returning, and is a pure function of its seed, so runs
-reproduce exactly.  Enumeration helpers for small labeled graphs live here
-as well.
+Every generator checks each claim (edge connectivity, minimum degree)
+once, raising InternalCheckError on a miss, and is a pure function of its
+seed, so runs reproduce exactly.  Enumeration helpers for small labeled
+graphs live here as well.
 """
 
 from __future__ import annotations
@@ -103,14 +103,38 @@ def named_instance(tag: str) -> Graph:
     return complete(k + m)
 
 
+def _cycle_stack(n: int, t: int, rng: SplitMix64) -> set[tuple[int, int]]:
+    """Edges of t edge-disjoint Hamiltonian cycles, a 2t-edge-connected union; a
+    shuffle sharing an edge with an earlier cycle is redrawn, up to 200 times."""
+    edges: set[tuple[int, int]] = set()
+    for placed in range(t):
+        for _ in range(200):
+            order = list(range(n))
+            rng.shuffle(order)
+            cyc = []
+            for i in range(n):
+                u, v = order[i], order[(i + 1) % n]
+                e = (u, v) if u < v else (v, u)
+                if e in edges:
+                    break
+                cyc.append(e)
+            else:
+                edges.update(cyc)
+                break
+        else:
+            raise GenerationError(
+                f"could not place cycle {placed + 1} of {t} after 200 tries"
+            )
+    return edges
+
+
 def gen_hamiltonian_stack(
     n: int, t: int, extra_edge_prob: float, seed: int
 ) -> Graph:
     """Union of t edge-disjoint Hamiltonian cycles plus random extras.
 
-    Every nontrivial cut crosses each cycle at least twice, so the result
-    is 2t-edge-connected by construction; that is still re-verified before
-    returning.  Extra edges are sampled independently per non-edge.
+    2t-edge-connected by construction (_cycle_stack), which is still checked
+    before returning.  Extra edges are sampled independently per non-edge.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
@@ -123,29 +147,7 @@ def gen_hamiltonian_stack(
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise ValueError("extra_edge_prob must be a probability")
     rng = SplitMix64(seed)
-    edges: set[tuple[int, int]] = set()
-    for placed in range(t):
-        success = False
-        for _ in range(200):
-            order = list(range(n))
-            rng.shuffle(order)
-            cyc = []
-            ok = True
-            for i in range(n):
-                u, v = order[i], order[(i + 1) % n]
-                e = (u, v) if u < v else (v, u)
-                if e in edges:
-                    ok = False
-                    break
-                cyc.append(e)
-            if ok:
-                edges.update(cyc)
-                success = True
-                break
-        if not success:
-            raise GenerationError(
-                f"could not place cycle {placed + 1} of {t} after 200 tries"
-            )
+    edges = _cycle_stack(n, t, rng)
     # no draw falls below 0.0, and nothing reads the stream after this pass
     if extra_edge_prob > 0.0:
         for e in itertools.combinations(range(n), 2):
@@ -164,22 +166,23 @@ def _augmented_attempt(n: int, k: int, delta_min: int, seed: int) -> Graph | Non
     if 2 * t >= n:
         return complete(n)
     try:
-        g = gen_hamiltonian_stack(n, t, 0.0, seed)
+        edges = _cycle_stack(n, t, SplitMix64(seed))
     except GenerationError:
         return None
+    adj = [0] * n
+    for u, w in edges:
+        adj[u] |= 1 << w
+        adj[w] |= 1 << u
     rng = SplitMix64(derive_seed(seed, 1))
-    adj = list(g.adjacency_masks())
     degrees = [mask.bit_count() for mask in adj]
-    full = g.full_mask()
+    full = (1 << n) - 1
     while True:
         low = min(degrees)
         if low >= delta_min:
             break
         v = degrees.index(low)  # the lowest id at the minimum degree
-        # non-neighbours of v, ascending: the draw below depends on the order
+        # v's non-neighbours, ascending for the draw; deg v < delta_min < n leaves one
         candidates = list(_bits(full & ~adj[v] & ~(1 << v)))
-        if not candidates:
-            return None
         w = candidates[rng.randrange(len(candidates))]
         adj[v] |= 1 << w
         adj[w] |= 1 << v
@@ -193,9 +196,9 @@ def gen_with_hypotheses(n: int, k: int, delta_min: int, seed: int) -> Graph:
 
     Builds a Hamiltonian-cycle stack covering the connectivity target, then
     adds random edges at minimum-degree vertices until the degree target
-    holds.  The result is verified before returning; a handful of retries
-    with derived seeds guards against unlucky cycle packing.  Deterministic
-    in (n, k, delta_min, seed); no uniformity over the class is promised.
+    holds.  Only a failed cycle packing is retried (64 derived seeds); each
+    promise is checked once, and a miss is a bug: InternalCheckError.
+    Deterministic in (n, k, delta_min, seed); no uniformity is promised.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -205,7 +208,9 @@ def gen_with_hypotheses(n: int, k: int, delta_min: int, seed: int) -> Graph:
         raise ValueError(f"n must exceed delta_min={delta_min}")
     for attempt in range(64):
         g = _augmented_attempt(n, k, delta_min, derive_seed(seed, attempt))
-        if g is not None and g.min_degree() >= delta_min and is_k_edge_connected(g, k):
+        if g is not None:
+            if g.min_degree() < delta_min or not is_k_edge_connected(g, k):
+                raise InternalCheckError(f"graph misses k={k} or delta_min={delta_min}")
             return g
     raise GenerationError(
         f"no graph with connectivity {k} and degree {delta_min} on {n}"

@@ -140,6 +140,15 @@ class Graph:
             reached |= frontier
         return reached
 
+    def components_within(self, mask: int) -> list[int]:
+        """Components of the subgraph induced on the mask, as bitmasks
+        ordered by lowest vertex; the empty mask gives none."""
+        out = []
+        while mask:
+            out.append(self.component_within(mask))
+            mask &= ~out[-1]
+        return out
+
     def connected_within(self, mask: int) -> bool:
         """Is the subgraph induced on the mask's vertices connected?
 
@@ -166,13 +175,7 @@ class Graph:
 
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest member."""
-    out: list[list[int]] = []
-    rest = g.full_mask()
-    while rest:
-        comp = g.component_within(rest)
-        rest &= ~comp
-        out.append(list(_bits(comp)))
-    return out
+    return [list(_bits(comp)) for comp in g.components_within(g.full_mask())]
 
 
 def normalize_edge(g: Graph, e: tuple[int, int]) -> tuple[int, int]:

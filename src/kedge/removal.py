@@ -335,14 +335,8 @@ def extract_connected_subgraph(g: Graph, k_target: int) -> HCSubgraph:
         cut = _vertex_cut(masks, candidate, k_target)
         if cut is None:
             break
-        rest = candidate & ~cut
-        keep = 0
-        while rest:
-            comp = g.component_within(rest)
-            rest &= ~comp
-            if comp.bit_count() > keep.bit_count():
-                keep = comp
-        candidate = cut | keep
+        # max keeps the first largest: ties go to the lowest vertex
+        candidate = cut | max(g.components_within(candidate & ~cut), key=int.bit_count)
     vertices = frozenset(_bits(candidate))
     boundary = frozenset(v for v in vertices if masks[v] & ~candidate)
     result = HCSubgraph(vertices=vertices, boundary=boundary, k_target=k_target)

@@ -43,7 +43,7 @@ class SplitMix64:
         limit = _MASK64 - (_MASK64 % n)
         while True:
             x = self.next_u64()
-            if x <= limit:
+            if x < limit:
                 return x % n
 
     def random(self) -> float:

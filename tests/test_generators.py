@@ -1,6 +1,11 @@
 import pytest
 
-from kedge.connectivity import edge_connectivity, is_k_edge_connected
+from kedge.connectivity import (
+    edge_connectivity,
+    edge_connectivity_bruteforce,
+    is_k_edge_connected,
+)
+from kedge.errors import GenerationError, InternalCheckError
 from kedge.generators import (
     ENUM_GRAPH_LIMIT,
     GenSpec,
@@ -19,7 +24,7 @@ from kedge.generators import (
 )
 from kedge import generators
 from kedge.io import write_edge_list, write_graph6
-from kedge.rng import SplitMix64, derive_seed
+from kedge.rng import _MASK64, SplitMix64, derive_seed
 
 
 def test_fixed_instances():
@@ -123,6 +128,22 @@ def test_rng_golden_values():
     assert derive_seed(42, 3, 7) == 0x0F22D4F63A180868
 
 
+def test_randrange_rejects_the_partial_block():
+    class Scripted(SplitMix64):
+        def __init__(self, values):
+            super().__init__(0)
+            self.values = iter(values)
+
+        def next_u64(self):
+            return next(self.values)
+
+    # the largest multiple of 3 below 2**64; accepting it would give
+    # residue 0 one value more than the others
+    limit = _MASK64 - _MASK64 % 3
+    assert Scripted([limit, 5]).randrange(3) == 2
+    assert Scripted([limit - 1]).randrange(3) == (limit - 1) % 3
+
+
 # graph6 strings the generators drew before their loops were tightened; they
 # pin every draw across versions, where the determinism tests above only
 # compare two runs of one version
@@ -160,6 +181,63 @@ def test_generator_golden_outputs(monkeypatch):
         assert len(attempts) == tries, args
     for args, code in GOLDEN_HAMILTONIAN_STACK.items():
         assert write_graph6(gen_hamiltonian_stack(*args)) == code, args
+
+
+def test_gen_with_hypotheses_checks_each_promise_once(monkeypatch):
+    checks = []
+    check = generators.is_k_edge_connected
+
+    def counted(g, k):
+        checks.append(k)
+        return check(g, k)
+
+    monkeypatch.setattr(generators, "is_k_edge_connected", counted)
+    for args in GOLDEN_WITH_HYPOTHESES:
+        checks.clear()
+        gen_with_hypotheses(*args)
+        assert checks == [args[1]], args  # the final graph's, not the stack's
+
+
+def test_a_failed_final_check_raises_without_a_retry(monkeypatch):
+    attempts = []
+    attempt = generators._augmented_attempt
+
+    def counted(*args):
+        attempts.append(args)
+        return attempt(*args)
+
+    monkeypatch.setattr(generators, "_augmented_attempt", counted)
+    # the stack's lambda >= 4 would pass; the final lambda >= 3 fails
+    monkeypatch.setattr(generators, "is_k_edge_connected", lambda g, k: k != 3)
+    with pytest.raises(InternalCheckError):
+        gen_with_hypotheses(12, 3, 5, 1)
+    assert len(attempts) == 1
+    # a degree miss raises just the same
+    monkeypatch.setattr(generators, "_augmented_attempt", lambda *args: cycle_graph(12))
+    with pytest.raises(InternalCheckError):
+        gen_with_hypotheses(12, 3, 5, 1)
+
+
+def test_gen_with_hypotheses_meets_its_promises_or_gives_up():
+    """Every small case returns a graph meeting both targets, checked by the
+    bipartition oracle, or raises the usual GenerationError; degree targets
+    up to n - 1 take the augmenting loop to its last non-neighbours."""
+    gave_up = 0
+    for n in range(3, 10):
+        for k in range(1, n):
+            for delta_min in range(k, n):
+                try:
+                    g = gen_with_hypotheses(n, k, delta_min, n * k + delta_min)
+                except GenerationError as exc:
+                    assert str(exc) == (
+                        f"no graph with connectivity {k} and degree {delta_min}"
+                        f" on {n} vertices after 64 attempts"
+                    )
+                    gave_up += 1
+                    continue
+                assert g.n == n and g.min_degree() >= delta_min
+                assert edge_connectivity_bruteforce(g) >= k
+    assert gave_up > 0  # packing t cycles with 2t = n - 1 seldom succeeds
 
 
 def test_genspec_round_trip_and_dispatch():

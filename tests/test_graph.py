@@ -83,6 +83,15 @@ def test_components_ordering():
     comps = components(g)
     # ordered by smallest member, members sorted
     assert comps == [[0, 6], [1, 3], [2, 5], [4]]
+    # within a mask: bitmasks ordered by lowest vertex
+    assert g.components_within(mask_of([0, 2, 4, 5, 6])) == [
+        mask_of([0, 6]),
+        mask_of([2, 5]),
+        mask_of([4]),
+    ]
+    assert g.components_within(mask_of([3, 5])) == [mask_of([3]), mask_of([5])]
+    assert g.components_within(g.full_mask()) == [mask_of(c) for c in comps]
+    assert g.components_within(0) == []
 
 
 def test_normalize_edge():
