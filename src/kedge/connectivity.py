@@ -193,16 +193,6 @@ def _scan_bipartitions(masks: Sequence[int], alive: int) -> tuple[int, list[int]
     return best, sides
 
 
-def _min_cut_sides(g: Graph, alive: int) -> tuple[int, list[int]]:
-    """_scan_bipartitions on g's masks, keeping the sides whose two halves both
-    induce connected subgraphs: the minimum edge cuts of g on `alive`."""
-    kprime, sides = _scan_bipartitions(g.adjacency_masks(), alive)
-    return kprime, [
-        side for side in sides
-        if g.connected_within(side) and g.connected_within(alive & ~side)
-    ]
-
-
 def local_edge_connectivity(g: Graph, s: int, t: int, cap: float = float("inf")) -> int:
     """Maximum number of pairwise edge-disjoint s-t paths, or cap if that is less.
 
@@ -283,9 +273,10 @@ def edge_connectivity_bruteforce(g: Graph, max_vertices: int = EXHAUSTIVE_LIMIT)
 def enumerate_min_edge_cuts(g: Graph, max_vertices: int = EXHAUSTIVE_LIMIT) -> list[EdgeCut]:
     """All minimum edge cuts, exhaustively.
 
-    Every bipartition with both sides connected and boundary equal to the
-    edge connectivity, each listed once with vertex 0 in side_a, ordered by
-    side_a as a sorted tuple.
+    Every bipartition with boundary equal to the edge connectivity, each
+    listed once with vertex 0 in side_a, ordered by side_a as a sorted tuple.
+    The scanner's sides need no connectivity check: in a connected graph a
+    side split into parts with no edge between has boundary >= 2 lambda > lambda.
     """
     n = g.n
     if n < 2:
@@ -297,7 +288,7 @@ def enumerate_min_edge_cuts(g: Graph, max_vertices: int = EXHAUSTIVE_LIMIT) -> l
     if not g.is_connected():
         raise ValueError("cut enumeration expects a connected graph")
     full = g.full_mask()
-    _, sides = _min_cut_sides(g, full)
+    _, sides = _scan_bipartitions(g.adjacency_masks(), full)
     sides.sort(key=lambda m: tuple(_bits(m)))
     return [_cut_from_side(g, full, side) for side in sides]
 

@@ -22,7 +22,6 @@ from enum import Enum
 from .connectivity import (
     EXHAUSTIVE_LIMIT,
     _edge_value,
-    _min_cut_sides,
     _scan_bipartitions,
     is_k_edge_connected,
 )
@@ -74,8 +73,14 @@ class Fragment:
     def validate(self) -> None:
         """Recheck every structural invariant from scratch.
 
-        Raises ValueError with a specific message on the first failure.
+        Raises ValueError with a specific message on the first failure.  The
+        host is scanned once, by _host_sides.  The sides of a cut of the host's
+        positive connectivity are connected (see _host_sides): no check.
         """
+        self._host_scan()
+
+    def _host_scan(self) -> list[int]:
+        """validate, returning _host_sides's side masks of the host."""
         g = self.graph
         if len(set(self.deleted)) != len(self.deleted):
             raise ValueError("deleted vertices repeat")
@@ -89,37 +94,30 @@ class Fragment:
         alive = g.full_mask() & ~mask_of(self.deleted)
         if (self.side | self.complement) != frozenset(_bits(alive)):
             raise ValueError("side and complement must partition the host vertices")
-        if alive.bit_count() > EXHAUSTIVE_LIMIT:
-            raise ValueError(
-                f"host on {alive.bit_count()} vertices exceeds the exhaustive limit"
-                f" of {EXHAUSTIVE_LIMIT}"
-            )
-        kprime, _ = _scan_bipartitions(g.adjacency_masks(), alive)
+        kprime, sides = _host_sides(g, alive)
         if kprime != self.host_kprime:
             raise ValueError(
                 f"stored host connectivity {self.host_kprime} is wrong"
                 f" (actual {kprime})"
             )
         side = mask_of(self.side)
-        complement = mask_of(self.complement)
-        if _edges_between(g, side, complement) != self.cut_edges:
+        if _edges_between(g, side, alive & ~side) != self.cut_edges:
             raise ValueError("cut_edges is not the side/complement boundary")
         if len(self.cut_edges) != kprime:
             raise ValueError("cut is not a minimum edge-cut of the host")
-        if kprime > 0:
-            if not g.connected_within(side):
-                raise ValueError("side does not induce a connected subgraph")
-            if not g.connected_within(complement):
-                raise ValueError("complement does not induce a connected subgraph")
+        return sides
 
 
 def _host_sides(g: Graph, alive: int) -> tuple[int, list[int]]:
     """Host connectivity of g on `alive` and the side masks of its fragments.
 
     A disconnected host gives its components, with connectivity 0.  A
-    connected host gives both halves of every minimum edge-cut.  Sides are
-    sorted by sorted vertex tuple, and none repeats: each cut comes once,
-    with the lowest alive vertex in its first half.
+    connected host gives both halves of every minimum edge-cut, taken from
+    the scanner as they come.  Each half induces a connected subgraph: were
+    it split into parts with no edge between, its boundary would be theirs
+    summed, at least twice the connectivity, which is positive here.  Sides
+    are sorted by sorted vertex tuple, and none repeats: each cut comes
+    once, with the lowest alive vertex in its first half.
     """
     size = alive.bit_count()
     if size > EXHAUSTIVE_LIMIT:
@@ -130,7 +128,7 @@ def _host_sides(g: Graph, alive: int) -> tuple[int, list[int]]:
     if size < 2:
         raise ValueError("residual graph must keep at least two vertices")
     if g.connected_within(alive):
-        kprime, firsts = _min_cut_sides(g, alive)
+        kprime, firsts = _scan_bipartitions(g.adjacency_masks(), alive)
         sides = firsts + [alive & ~first for first in firsts]
     else:
         kprime, sides = 0, g.components_within(alive)
@@ -138,19 +136,25 @@ def _host_sides(g: Graph, alive: int) -> tuple[int, list[int]]:
     return kprime, sides
 
 
-def _host_fragments(g: Graph, e: tuple[int, int]) -> tuple[int, list[Fragment]]:
-    """All fragments of g minus the endpoints of e, plus the host connectivity,
-    in _host_sides's order.  The host is scanned on g's own masks, with the
-    endpoints of e masked out."""
-    alive = g.full_mask() & ~mask_of(e)
-    kprime, sides = _host_sides(g, alive)
-    remaining = frozenset(_bits(alive))
-    out = []
-    for half in sides:
-        side = frozenset(_bits(half))
-        cut_edges = _edges_between(g, half, alive & ~half)
-        out.append(Fragment(g, tuple(e), side, remaining - side, cut_edges, kprime))
-    return kprime, out
+def _fragment(g: Graph, e: tuple[int, int], alive: int, side: int, kprime: int) -> Fragment:
+    """The fragment of g minus the endpoints of e with side mask `side`, on
+    the host mask `alive` of connectivity kprime."""
+    rest = alive & ~side
+    halves = frozenset(_bits(side)), frozenset(_bits(rest))
+    return Fragment(g, e, *halves, _edges_between(g, side, rest), kprime)
+
+
+def _deficient_hosts(g: Graph, k: int, region: int):
+    """(edge, host mask, connectivity, _host_sides's sides) for each edge of
+    g, in order, whose endpoints lie in the mask `region` (so the region and
+    the host cover g) and whose endpoint deletion leaves connectivity below k."""
+    full = g.full_mask()
+    for u, v in g.edges():
+        alive = full & ~(1 << u | 1 << v)
+        if region | alive == full:
+            kprime, sides = _host_sides(g, alive)
+            if kprime < k:
+                yield (u, v), alive, kprime, sides
 
 
 def fragments_of(g: Graph, e: tuple[int, int], k: int) -> list[Fragment]:
@@ -167,10 +171,11 @@ def fragments_of(g: Graph, e: tuple[int, int], k: int) -> list[Fragment]:
         raise ValueError("graph must have at least 4 vertices")
     if k < 1:
         raise ValueError("threshold must be at least 1")
-    kprime, frags = _host_fragments(g, e)
+    alive = g.full_mask() & ~mask_of(e)
+    kprime, sides = _host_sides(g, alive)
     if kprime >= k:
         return []
-    return frags
+    return [_fragment(g, e, alive, side, kprime) for side in sides]
 
 
 class OverlapVerdict(Enum):
@@ -240,11 +245,11 @@ def check_fragment_overlap(
     """
     e = normalize_edge(g, e)
     e1 = normalize_edge(g, e1)
-    f.validate()
+    # f's host is the first host once f is known to be a fragment of it
+    host_sides = f._host_scan()
     f1.validate()
     _require_fragment_of(g, e, f, "f", "e")
     _require_fragment_of(g, e1, f1, "f1", "e1")
-    _, host_sides = _host_sides(g, g.full_mask() & ~mask_of(e))
     halves = [mask_of(part) for part in (f.side, f.complement, f1.side, f1.complement)]
     return _overlap_verdict(g, e, e1, *halves, frozenset(host_sides), f.host_kprime)
 
@@ -439,23 +444,18 @@ def minimal_fragment_descent(
             f" {k}"
         )
 
-    region = frozenset(f0.side) | set(e0)
-    best: tuple | None = None
-    for u, v in g.edges():
-        if u not in region or v not in region:
-            continue
-        kprime, frags = _host_fragments(g, (u, v))
-        if kprime >= k:
-            continue
-        for fr in frags:
-            if not fr.side <= region:
-                continue
-            key = (len(fr.side), tuple(sorted(fr.side)), (u, v))
-            if best is None or key < best[0]:
-                best = (key, (u, v), fr)
-    if best is None:
+    region = mask_of(f0.side) | mask_of(e0)
+    family = [
+        (side.bit_count(), tuple(_bits(side)), edge, alive, kprime)
+        for edge, alive, kprime, sides in _deficient_hosts(g, k, region)
+        for side in sides
+        if not side & ~region
+    ]
+    if not family:
         raise InternalCheckError("seed fragment vanished from its own family")
-    return DescentResult(edge=best[1], fragment=best[2], region=region)
+    _, side, edge, alive, kprime = min(family)
+    fragment = _fragment(g, edge, alive, mask_of(side), kprime)
+    return DescentResult(edge, fragment, frozenset(_bits(region)))
 
 
 @dataclass(frozen=True)
@@ -491,28 +491,23 @@ def verify_descent_conclusion(
     f1 = result.fragment
     f1.validate()
     _require_fragment_of(g, e1, f1, "result.fragment", "result.edge")
+    e1m = mask_of(e1)
+    minimal = mask_of(f1.side)
     edges_checked = 0
     fragments_checked = 0
     disjoint = 0
     splits: list[tuple[tuple[int, int], tuple[int, ...], bool]] = []
-    for u, v in g.edges():
-        if u not in f1.side or v not in f1.side:
-            continue
-        kprime, frags = _host_fragments(g, (u, v))
-        if kprime >= k:
-            continue
+    for edge, _, _, sides in _deficient_hosts(g, k, minimal):
         edges_checked += 1
-        for fr in frags:
+        for side in sides:
             fragments_checked += 1
-            inside = len(set(e1) & fr.side)
+            inside = (e1m & side).bit_count()
             if inside == 2:
                 continue
             if inside == 1:
-                splits.append(
-                    ((u, v), tuple(sorted(fr.side)), bool(fr.side & f1.side))
-                )
+                splits.append((edge, tuple(_bits(side)), bool(side & minimal)))
                 continue
-            if fr.side & f1.side:
+            if side & minimal:
                 raise TheoremViolation(
                     "a fragment avoiding the chosen edge still meets the"
                     " minimal fragment",
@@ -521,18 +516,18 @@ def verify_descent_conclusion(
                         "edges": g.edges(),
                         "chosen_edge": e1,
                         "minimal_side": tuple(sorted(f1.side)),
-                        "offending_edge": (u, v),
-                        "offending_side": tuple(sorted(fr.side)),
+                        "offending_edge": edge,
+                        "offending_side": tuple(_bits(side)),
                     },
                 )
             disjoint += 1
-    sub, _ = g.induced_subgraph(f1.side)
+    masks = g.adjacency_masks()
     return DescentConclusionReport(
         edges_checked=edges_checked,
         fragments_checked=fragments_checked,
         disjoint_confirmed=disjoint,
         split_endpoint_cases=tuple(splits),
-        min_side_degree=sub.min_degree(),
+        min_side_degree=min((masks[v] & minimal).bit_count() for v in _bits(minimal)),
     )
 
 

@@ -77,7 +77,9 @@ class CampaignConfig:
     specs) or from `m_values` (every tree of each listed order).  The
     generator's degree target defaults to the statement's hypothesis
     threshold (k+1 for vertex removal, k+2 for edge removal, k+m for tree
-    removal) and can be overridden with `delta_min`.
+    removal) and can be overridden with `delta_min`.  Configs come from JSON
+    files, so field types are checked: counts, seeds and delta_min must be
+    ints (not bools), trees and model strings, and params values numbers.
     """
 
     statement: str
@@ -92,10 +94,21 @@ class CampaignConfig:
     params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "k_values", tuple(self.k_values))
-        object.__setattr__(self, "m_values", tuple(self.m_values))
-        object.__setattr__(self, "trees", tuple(self.trees))
-        object.__setattr__(self, "n_range", tuple(self.n_range))
+        lists = {"k_values": int, "m_values": int, "n_range": int, "trees": str}
+        for name, kind in lists.items():
+            got = getattr(self, name)
+            if not isinstance(got, (list, tuple)) or any(type(v) is not kind for v in got):
+                raise ValueError(f"{name} must be a list of {kind.__name__}, got {got!r}")
+            object.__setattr__(self, name, tuple(got))
+        for name, ok in (
+            ("trials", type(self.trials) is int),
+            ("master_seed", type(self.master_seed) is int),
+            ("model", type(self.model) is str),
+            ("delta_min", self.delta_min is None or type(self.delta_min) is int),
+            ("params", all(type(v) in (int, float) for _, v in self.params)),
+        ):
+            if not ok:
+                raise ValueError(f"{name} has the wrong type: {getattr(self, name)!r}")
         object.__setattr__(self, "params", tuple(sorted(self.params)))
         if self.statement not in STATEMENTS:
             raise ValueError(f"unknown statement {self.statement!r}")
@@ -123,18 +136,16 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignConfig":
-        return cls(
-            statement=data["statement"],
-            k_values=tuple(data["k_values"]),
-            trials=int(data["trials"]),
-            master_seed=int(data["master_seed"]),
-            n_range=tuple(data.get("n_range", (8, 16))),
-            m_values=tuple(data.get("m_values", ())),
-            trees=tuple(data.get("trees", ())),
-            model=data.get("model", "with_hypotheses"),
-            delta_min=data.get("delta_min"),
-            params=tuple(sorted(dict(data.get("params", {})).items())),
-        )
+        """The config of a JSON object, absent optional keys at their
+        defaults and other keys ignored; a ValueError names a missing key."""
+        if not isinstance(data, dict) or not isinstance(data.get("params", {}), dict):
+            raise ValueError("a campaign config and its params must be JSON objects")
+        fields = {f.name: f.default for f in dataclasses.fields(cls)}
+        for name, default in fields.items():
+            if default is dataclasses.MISSING and name not in data:
+                raise ValueError(f"campaign config lacks the key {name!r}")
+        given = {name: data[name] for name in fields if name in data}
+        return cls(**given | {"params": tuple(data.get("params", {}).items())})
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,42 @@ def test_verify_config_rejects_a_fractional_cycle_count(tmp_path, capsys):
     assert code == 2 and "whole number" in err
 
 
+VALID_CONFIG = {"statement": "mader_vertex", "k_values": [2], "trials": 1, "master_seed": 5}
+TREE_CONFIG = VALID_CONFIG | {"statement": "tree", "m_values": [2]}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(VALID_CONFIG | {"k_values": [2.5]}, id="fractional-k"),
+        pytest.param(VALID_CONFIG | {"k_values": 2}, id="scalar-k_values"),
+        pytest.param(VALID_CONFIG | {"k_values": [True]}, id="bool-k"),
+        pytest.param(TREE_CONFIG | {"m_values": [2.0]}, id="float-m"),
+        pytest.param(VALID_CONFIG | {"n_range": [8.5, 10]}, id="fractional-n_range"),
+        pytest.param(TREE_CONFIG | {"m_values": [], "trees": [3]}, id="numeric-tree"),
+        pytest.param(VALID_CONFIG | {"model": 5}, id="numeric-model"),
+        pytest.param(
+            VALID_CONFIG | {"model": "hamiltonian_stack", "params": {"t": [1]}},
+            id="list-param",
+        ),
+        pytest.param(VALID_CONFIG | {"trials": 2.7}, id="fractional-trials"),
+        pytest.param(VALID_CONFIG | {"delta_min": 3.5}, id="fractional-delta_min"),
+        pytest.param([VALID_CONFIG], id="top-level-list"),
+        pytest.param(
+            {key: v for key, v in VALID_CONFIG.items() if key != "k_values"},
+            id="missing-k_values",
+        ),
+    ],
+)
+def test_verify_rejects_a_malformed_config(tmp_path, capsys, config):
+    """A config of the wrong shape or with a mistyped field is an input
+    error, never a crash or a run on a coerced value."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run(["verify", "--config", str(cfg)], capsys)
+    assert code == 2 and err.startswith("error:")
+
+
 def test_verify_usage_errors(capsys):
     code, _, err = run(["verify", "--statement", "edge-pair", "--k", "2"], capsys)
     assert code == 2 and "required" in err

@@ -263,26 +263,40 @@ def _scan_by_reference(masks, alive):
     return best, sides
 
 
+def _check_scan(g, alive):
+    """The scan of g on `alive` equals the reference walk, and on a connected
+    host both halves of every side it returns are connected: a half split
+    into parts with no edge between would have boundary at least twice the
+    positive minimum.  Returns whether the host is connected."""
+    masks = g.adjacency_masks()
+    best, sides = _scan_bipartitions(masks, alive)
+    assert (best, sides) == _scan_by_reference(masks, alive)
+    if not g.connected_within(alive):
+        return False
+    for side in sides:
+        assert g.connected_within(side) and g.connected_within(alive & ~side)
+    return True
+
+
 def test_scanner_matches_reference_walk():
     for c in range(16):
         assert list(connectivity._gray_flips(c)) == [
             (i & -i).bit_length() - 1 for i in range(1, 1 << c)
         ]
-    scans = 0
+    scans = connected = 0
     for g in all_labeled_graphs(5):
-        masks = g.adjacency_masks()
         for alive in range(1, 1 << g.n):
             if alive.bit_count() >= 2:
-                assert _scan_bipartitions(masks, alive) == _scan_by_reference(masks, alive)
+                connected += _check_scan(g, alive)
                 scans += 1
-    assert scans == 27362
+    assert (scans, connected) == (27362, 14383)
     rng = SplitMix64(71)
     for g in seeded_random_graphs(30, 6, 12, seed=73):
-        masks, full = g.adjacency_masks(), g.full_mask()
+        full = g.full_mask()
         alives = [full] + [full & ~(1 << rng.randrange(g.n)) for _ in range(2)]
         alives.append(full & rng.next_u64() | 3)
         for alive in alives:
-            assert _scan_bipartitions(masks, alive) == _scan_by_reference(masks, alive)
+            _check_scan(g, alive)
 
 
 def _vertex_connectivity_by_definition(g):

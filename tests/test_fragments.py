@@ -1,11 +1,12 @@
 """Fragment construction, the overlap dichotomy, and minimal-fragment descent."""
 
 import itertools
+import sys
 from dataclasses import replace
 
 import pytest
 
-from kedge.connectivity import EXHAUSTIVE_LIMIT
+from kedge.connectivity import EXHAUSTIVE_LIMIT, edge_connectivity_bruteforce
 from kedge import connectivity, fragments
 from kedge.errors import InternalCheckError, TheoremViolation
 from kedge.fragments import (
@@ -20,7 +21,9 @@ from kedge.fragments import (
     verify_descent_conclusion,
 )
 from kedge.generators import complete, cycle_graph, two_cliques_bridged
-from kedge.graph import Graph, _bits, mask_of
+from kedge.graph import Graph, _bits, _edges_between, mask_of
+
+from conftest import seeded_random_graphs
 
 
 def all_connected_graphs_on(n):
@@ -97,6 +100,98 @@ def test_fragment_validate_rejects_tampering():
     for wrong, message in cases:
         with pytest.raises(ValueError, match=message):
             wrong.validate()
+
+
+def _is_fragment_by_definition(f, lambdas):
+    """The definition of a fragment, from scratch: side and complement
+    partition the host into two nonempty parts, cut_edges is the set of host
+    edges between them, its size is the host's edge connectivity by the
+    oracle (as is host_kprime), and when that is positive both parts induce
+    connected subgraphs.  `lambdas` caches the oracle per deleted pair."""
+    g = f.graph
+    host = set(range(g.n)) - set(f.deleted)
+    if not f.side or not f.complement or f.side & f.complement:
+        return False
+    if f.side | f.complement != host:
+        return False
+    boundary = {
+        (u, v) for u, v in g.edges() if {u, v} <= host and (u in f.side) != (v in f.side)
+    }
+    if f.cut_edges != boundary:
+        return False
+    if f.deleted not in lambdas:
+        host_graph, _ = g.delete_vertices(f.deleted)
+        lambdas[f.deleted] = edge_connectivity_bruteforce(host_graph)
+    lam = lambdas[f.deleted]
+    if len(boundary) != lam or f.host_kprime != lam:
+        return False
+    halves = (f.side, f.complement)
+    return lam == 0 or all(g.induced_subgraph(h)[0].is_connected() for h in halves)
+
+
+def _perturbed(f):
+    """Records near f: host_kprime off by one, each host vertex moved across
+    (cut_edges recomputed), each cut edge dropped, one host edge added, and
+    the endpoints of each other edge of the graph as the deleted pair."""
+    g = f.graph
+    yield replace(f, host_kprime=f.host_kprime + 1)
+    yield replace(f, host_kprime=f.host_kprime - 1)
+    for v in f.side | f.complement:
+        side, rest = f.side ^ {v}, f.complement ^ {v}
+        yield replace(f, side=side, complement=rest,
+                      cut_edges=_edges_between(g, mask_of(side), mask_of(rest)))
+    for edge in f.cut_edges:
+        yield replace(f, cut_edges=f.cut_edges - {edge})
+    inner = [e for e in g.edges() if not set(e) & set(f.deleted) and e not in f.cut_edges]
+    if inner:
+        yield replace(f, cut_edges=f.cut_edges | {inner[0]})
+    for edge in g.edges():
+        if edge != f.deleted:
+            yield replace(f, deleted=edge)
+
+
+def test_fragment_validate_matches_definition():
+    """validate raises exactly when a record is not a fragment by definition,
+    on every fragment of seeded graphs of order 6 to 9 and its perturbations."""
+    originals = 0
+    verdicts = {True: 0, False: 0}
+    for g in seeded_random_graphs(12, 6, 9, seed=89, p=0.6):
+        lambdas = {}
+        for e in g.edges():
+            for f in fragments_of(g, e, g.n):
+                originals += 1
+                for record in [f, *_perturbed(f)]:
+                    valid = _is_fragment_by_definition(record, lambdas)
+                    try:
+                        record.validate()
+                    except ValueError:
+                        assert not valid, record
+                    else:
+                        assert valid, record
+                    verdicts[valid] += 1
+    # 316 perturbations, each a vertex moved across, land on another minimum cut
+    assert (originals, verdicts[True], verdicts[False]) == (703, 703 + 316, 17581)
+
+
+def test_overlap_check_scans_two_hosts(monkeypatch):
+    """One overlap check scans the bipartitions of each host once: f's scan
+    in validation also gives the first host's sides."""
+    real = connectivity._scan_bipartitions
+    hosts = []
+
+    def counted(masks, alive):
+        hosts.append(alive)
+        return real(masks, alive)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "kedge" and getattr(module, "_scan_bipartitions", None) is real:
+            monkeypatch.setattr(module, "_scan_bipartitions", counted)
+    g = complete(6)
+    f = next(x for x in fragments_of(g, (0, 1), 4) if x.side == {4})
+    f1 = next(x for x in fragments_of(g, (2, 3), 4) if x.side == {0, 1, 4})
+    hosts.clear()
+    check_fragment_overlap(g, (0, 1), (2, 3), f, f1)
+    assert hosts == [mask_of([2, 3, 4, 5]), mask_of([0, 1, 4, 5])]
 
 
 def test_overlap_alpha_on_k6():
