@@ -137,15 +137,17 @@ class CampaignConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignConfig":
         """The config of a JSON object, absent optional keys at their
-        defaults and other keys ignored; a ValueError names a missing key."""
+        defaults; a ValueError names a missing or an unknown key."""
         if not isinstance(data, dict) or not isinstance(data.get("params", {}), dict):
             raise ValueError("a campaign config and its params must be JSON objects")
         fields = {f.name: f.default for f in dataclasses.fields(cls)}
         for name, default in fields.items():
             if default is dataclasses.MISSING and name not in data:
                 raise ValueError(f"campaign config lacks the key {name!r}")
-        given = {name: data[name] for name in fields if name in data}
-        return cls(**given | {"params": tuple(data.get("params", {}).items())})
+        for name in data:
+            if name not in fields:
+                raise ValueError(f"campaign config has the unknown key {name!r}")
+        return cls(**data | {"params": tuple(data.get("params", {}).items())})
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,13 @@ lexicographically first embedding (tree vertices in index order, hosts
 ascending).  The walk visits only embeddings that can be first of their
 image: where a tree automorphism's smallest moved vertex a goes to b, the
 first embedding puts a on a lower host than b, so b's candidates start
-above the host of a, its floor.  Skipping a recurring search state is
-exact for the same reason: the earlier, smaller prefix with the same
-state beats every embedding through the recurrence.  Neither rule drops a
-first embedding, so neither changes the images or their order.  The tree
+above the host of a, its floor.  The walk also skips a prefix whose
+used mask, and the unused region neighbours of each placed vertex that
+still has unplaced children, match those of an earlier prefix: each later
+vertex goes into such a neighbourhood or under a later vertex, so every
+completion of the later prefix also completes the earlier, smaller one,
+to a smaller embedding of the same image.  Neither rule drops a first
+embedding, so neither changes the images or their order.  The tree
 finder walks it exhaustively.  Separately,
 `removable_tree_via_thomassen` handles graphs of very large minimum degree:
 it extracts a highly connected subgraph and takes the first image of the
@@ -23,6 +26,7 @@ finder never takes that route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 from .connectivity import (
@@ -156,7 +160,8 @@ def find_removable_edge(g: Graph, k: int) -> RemovalCertificate | None:
     return _first_certified(g, "edge", (1 << u | 1 << v for u, v in g.edges()), k)
 
 
-def _floors(tree: TreeSpec) -> list[int]:
+@cache
+def _floors(tree: TreeSpec) -> tuple[int, ...]:
     """For each tree vertex b, a vertex a < b whose host must lie below b's, or -1.
 
     An embedding is the first of its image only if no tree automorphism
@@ -166,7 +171,8 @@ def _floors(tree: TreeSpec) -> list[int]:
     automorphisms are read off the rooted codes: swapping the subtrees of
     b and its latest earlier sibling with an isomorphic subtree (smallest
     moved vertex: that sibling), and moving the root to a vertex b whose
-    whole-tree code equals the root's (smallest moved vertex: 0).
+    whole-tree code equals the root's (smallest moved vertex: 0).  Cached,
+    so the shared shapes of `enumerate_trees` pay for theirs once.
     """
     subtree, whole = tree.rooted_codes
     parents = tree.parents
@@ -179,7 +185,7 @@ def _floors(tree: TreeSpec) -> list[int]:
         elif whole[b] == whole[0]:
             floors[b] = 0
         twin[key] = b
-    return floors
+    return tuple(floors)
 
 
 def _tree_images(
@@ -194,9 +200,13 @@ def _tree_images(
     on an unused region neighbour of its parent's host, hosts ascending.
     It skips what holds no first embedding, so no image is lost:
     - a host at or below the host of the vertex's floor (see `_floors`);
-    - a recurring search state, that is, used mask plus the hosts of placed
-      vertices that still parent unplaced ones: the earlier, smaller prefix
-      with the same state beats every completion of the recurrence.
+    - a recurring search state, that is, used mask plus, for each placed
+      vertex that still parents unplaced ones, its host's unused region
+      neighbours.  Every remaining vertex goes into such a neighbourhood
+      or under a remaining vertex, so each completion C of a later prefix
+      P' with an earlier prefix P's state also completes P, and P + C is
+      a smaller embedding of the image of P' + C.  Floors prune only
+      embeddings that are not first, so they do not touch this argument.
     The last tree vertex is placed in bulk: `filled[u]` masks the x for
     which u | x was yielded already.  The stack lives in per-level arrays:
     a recursive generator would refer to itself through its closure and
@@ -222,9 +232,10 @@ def _tree_images(
     open_parents = [
         tuple(j for j in range(i) if last_child[j] >= i) for i in range(last)
     ]
-    shift = g.n.bit_length()
-    # a key packs the used mask and the open hosts into one int; the count
-    # of open hosts differs between levels, so each level has its own set
+    shift = g.n
+    # a key packs the used mask and each open host's unused region
+    # neighbours into one int; the count of open hosts differs between
+    # levels, so each level has its own set
     explored: list[set[int]] = [set() for _ in range(last)]
     filled: dict[int, int] = {}
     hosts = [0] * tree.order
@@ -265,12 +276,13 @@ def _tree_images(
                     last_floor = floors[last]
             continue
         key = used
+        unused = region ^ used
         for j in open_parents[i + 1]:
-            key = key << shift | hosts[j]
+            key = key << shift | masks[hosts[j]] & unused
         if key in explored[i + 1]:
             continue
         i += 1
-        left[i] = masks[hosts[parents[i]]] & (region ^ used)
+        left[i] = masks[hosts[parents[i]]] & unused
         if floors[i] >= 0:
             left[i] &= -(2 << hosts[floors[i]])
         base[i] = used
@@ -286,10 +298,12 @@ def find_removable_tree(
     certified and failed.  The images come from `_tree_images`, each once,
     ordered by its lexicographically first embedding (tree vertices in
     index order, hosts ascending).  The walk skips a placement below a
-    tree vertex's floor and a search state that an earlier, smaller prefix
-    already reached; neither holds a first embedding, so every image is
-    still reached at its first embedding and certified, and skipping
-    cannot change the answer.
+    tree vertex's floor, and a prefix whose used mask and open hosts'
+    unused neighbourhoods an earlier, smaller prefix already had: every
+    completion of it completes the earlier prefix too, to a smaller
+    embedding of the same image.  Neither holds a first embedding, so
+    every image is still reached at its first embedding and certified,
+    and skipping cannot change the answer.
     """
     _require_k_edge_connected(g, k)
     if g.n <= tree.order:

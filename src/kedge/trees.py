@@ -9,7 +9,7 @@ edge-list files.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .graph import Graph, _bits
 from . import io as graph_io
@@ -249,10 +249,17 @@ def enumerate_trees(m: int) -> list[TreeSpec]:
     """Every isomorphism class of trees on m vertices, 1 <= m <= 10.
 
     Grown by leaf extension with canonical-form deduplication; the list is
-    sorted by canonical code so the order is stable across runs.
+    sorted by canonical code so the order is stable across runs.  The
+    shapes are built once per process and shared, so each one's rooted
+    codes are computed once too; the list itself is the caller's.
     """
     if not 1 <= m <= ENUMERATION_LIMIT:
         raise ValueError(f"tree enumeration supports 1..{ENUMERATION_LIMIT}, got {m}")
+    return list(_tree_shapes(m))
+
+
+@cache
+def _tree_shapes(m: int) -> tuple[TreeSpec, ...]:
     level: dict[tuple, TreeSpec] = {
         path_tree(1).canonical_code(): TreeSpec((-1,))
     }
@@ -271,4 +278,4 @@ def enumerate_trees(m: int) -> list[TreeSpec]:
             f"enumeration found {len(out)} trees of order {m}, "
             f"expected {FREE_TREE_COUNTS[m - 1]}"
         )
-    return out
+    return tuple(out)

@@ -148,6 +148,20 @@ def test_05_complete_graph_family_is_tight():
     _ok(f"criterion 5: complete-graph family tight for k=2..4, m=2..5 ({rows} tree shapes)")
 
 
+def test_05b_complete_graph_family_is_tight_beyond_the_gate():
+    """The same family at orders 6 to 8, where every tree image must be
+    walked: K_{k+m} has the most twin hosts a graph can have."""
+    rows = 0
+    for k in (2, 3, 4):
+        for m in (6, 7, 8):
+            report = verify_tightness(k, m)
+            assert report.passed
+            assert len(report.rows) == FREE_TREE_COUNTS[m - 1]
+            assert all(outcome == "not_found" for _, outcome in report.rows)
+            rows += len(report.rows)
+    _ok(f"criterion 5 beyond the gate: tight for k=2..4, m=6..8 ({rows} tree shapes)")
+
+
 def test_06_dense_core_extraction_removes_a_path():
     cases = [
         (complete(38), 1, "path:2", 35),

@@ -171,6 +171,7 @@ TREE_CONFIG = VALID_CONFIG | {"statement": "tree", "m_values": [2]}
             {key: v for key, v in VALID_CONFIG.items() if key != "k_values"},
             id="missing-k_values",
         ),
+        pytest.param(VALID_CONFIG | {"n_rnage": [30, 40]}, id="unknown-key"),
     ],
 )
 def test_verify_rejects_a_malformed_config(tmp_path, capsys, config):

@@ -236,6 +236,48 @@ def test_region_walk_matches_reference():
     assert walks == 5 * 8541 and images > 10_000
 
 
+def test_tree_images_match_reference_on_twin_rich_hosts():
+    """The walk merges two search states when their open hosts have the same
+    unused neighbours, which random hosts rarely show: K_8, K_{4,4},
+    K_{3,3,2}, K_8 minus a perfect matching and C_5 blown up by 2, every
+    tree with m <= 6 as enumerated and under one seeded reordering, each in
+    the full region and two seeded ones."""
+    def multipartite(*sizes):
+        part = [i for i, size in enumerate(sizes) for _ in range(size)]
+        pairs = itertools.combinations(range(len(part)), 2)
+        return Graph(len(part), [(u, v) for u, v in pairs if part[u] != part[v]])
+
+    hosts = [
+        complete(8),
+        complete_bipartite(4, 4),
+        multipartite(3, 3, 2),
+        multipartite(2, 2, 2, 2),  # K_8 minus a perfect matching
+        # C_5 blown up by 2: vertex u lies in part u // 2 of the cycle
+        Graph(10, [
+            (u, v) for u, v in itertools.combinations(range(10), 2)
+            if (v // 2 - u // 2) % 5 in (1, 4)
+        ]),
+    ]
+    rng = SplitMix64(18)
+    shapes = [
+        tree
+        for m in range(1, 7)
+        for shape in enumerate_trees(m)
+        for tree in (shape, reordered(shape, rng))
+    ]
+    walks = images = 0
+    for g in hosts:
+        regions = [g.full_mask()]
+        regions += [rng.randrange(1 << g.n) | rng.randrange(1 << g.n) for _ in range(2)]
+        for tree in shapes:
+            for region in regions:
+                found = list(_tree_images(g, tree, region))
+                assert found == first_seen_images(g, tree, region)
+                walks += 1
+                images += len(found)
+    assert walks == 5 * 28 * 3 and images > 9_000
+
+
 def reference_tree_finder(g, k, tree):
     """First hit among the deduplicated embedding images, certified one by one."""
     for image in first_seen_images(g, tree):
