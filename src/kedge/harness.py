@@ -218,6 +218,8 @@ class CampaignResult:
 def _cells(config: CampaignConfig) -> list[Cell]:
     shapes: list[TreeSpec | None]
     if config.statement in ("tree", "tightness"):
+        if config.trees and config.m_values:
+            raise ValueError("m_values and trees are mutually exclusive")
         if config.trees:
             shapes = [parse_tree_spec(s) for s in config.trees]
         else:
@@ -225,9 +227,16 @@ def _cells(config: CampaignConfig) -> list[Cell]:
     else:
         shapes = [None]
     out = []
+    labels = set()
     for k in config.k_values:
         for shape in shapes:
-            out.append(Cell(index=len(out), k=k, tree=shape))
+            cell = Cell(index=len(out), k=k, tree=shape)
+            # the summary keys cells by label, so a repeat would merge two
+            label = cell.label(config.statement)
+            if label in labels:
+                raise ValueError(f"campaign config repeats the cell {label!r}")
+            labels.add(label)
+            out.append(cell)
     return out
 
 
@@ -385,10 +394,15 @@ def _run_trial(
     return report(g, OUTCOME_VIOLATION, kprime=kprime)
 
 
+def _tightness_outcome(k: int) -> str:
+    """The outcome of every tree removal from K_{k+m} (see `TightnessReport`)."""
+    return OUTCOME_WITNESS if k == 1 else OUTCOME_NOT_FOUND
+
+
 def _expected_outcome(config: CampaignConfig, cell: Cell) -> str | None:
     """The outcome a cell must show, or None for observational cells."""
     if config.statement == "tightness":
-        return OUTCOME_WITNESS if cell.k == 1 else OUTCOME_NOT_FOUND
+        return _tightness_outcome(cell.k)
     if _is_open_cell(config.statement, cell):
         return None
     return OUTCOME_WITNESS
@@ -454,33 +468,24 @@ def verify_tightness(k: int, m: int) -> TightnessReport:
         raise ValueError("k and m must be at least 1")
     g = complete(k + m)
     convention = k == 1
+    expected = _tightness_outcome(k)
     rows = []
     ok = True
     for tree in enumerate_trees(m):
         cert = find_removable_tree(g, k, tree)
-        if cert is None:
-            rows.append((tree.spec_string(), OUTCOME_NOT_FOUND))
-            if convention:
-                ok = False
-        else:
-            rows.append((tree.spec_string(), OUTCOME_WITNESS))
-            if not convention:
-                ok = False
-            elif not cert.residual_trivial:
-                ok = False
-    if not convention:
-        # the residual is the complete graph on k vertices; pin its value
-        residual_kprime, _ = edge_connectivity(complete(k))
-        if residual_kprime != k - 1:
+        outcome = OUTCOME_NOT_FOUND if cert is None else OUTCOME_WITNESS
+        rows.append((tree.spec_string(), outcome))
+        # a witness is expected only at k = 1, and only by the convention
+        if outcome != expected or cert is not None and not cert.residual_trivial:
             ok = False
-        expected = k - 1
-    else:
-        expected = None
+    # the residual is the complete graph on k vertices; pin its value
+    if not convention and edge_connectivity(complete(k))[0] != k - 1:
+        ok = False
     return TightnessReport(
         k=k,
         m=m,
         residual_order=k,
-        expected_residual_kprime=expected,
+        expected_residual_kprime=None if convention else k - 1,
         convention_sensitive=convention,
         rows=tuple(rows),
         passed=ok,

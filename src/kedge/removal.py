@@ -6,17 +6,8 @@ deterministic order, re-verify every hit from scratch, and return None when
 nothing qualifies.  Trees are placed by one walk, `_tree_images`, which
 yields the distinct vertex images of the tree's embeddings, each at its
 lexicographically first embedding (tree vertices in index order, hosts
-ascending).  The walk visits only embeddings that can be first of their
-image: where a tree automorphism's smallest moved vertex a goes to b, the
-first embedding puts a on a lower host than b, so b's candidates start
-above the host of a, its floor.  The walk also skips a prefix whose
-used mask, and the unused region neighbours of each placed vertex that
-still has unplaced children, match those of an earlier prefix: each later
-vertex goes into such a neighbourhood or under a later vertex, so every
-completion of the later prefix also completes the earlier, smaller one,
-to a smaller embedding of the same image.  Neither rule drops a first
-embedding, so neither changes the images or their order.  The tree
-finder walks it exhaustively.  Separately,
+ascending); its docstring gives the two pruning rules and why neither
+loses an image.  The tree finder walks it exhaustively.  Separately,
 `removable_tree_via_thomassen` handles graphs of very large minimum degree:
 it extracts a highly connected subgraph and takes the first image of the
 same walk inside the subgraph's interior, away from its boundary.  The tree
@@ -207,6 +198,11 @@ def _tree_images(
       P' with an earlier prefix P's state also completes P, and P + C is
       a smaller embedding of the image of P' + C.  Floors prune only
       embeddings that are not first, so they do not touch this argument.
+    One set holds the states of every level, each added when entered.
+    The walk is depth-first, so a state is finished before a later prefix
+    can meet it again, and states of different levels never share a key:
+    a key's length fixes its count of open-host blocks, its top block is
+    the used mask, and the used mask's popcount is the level.
     The last tree vertex is placed in bulk: `filled[u]` masks the x for
     which u | x was yielded already.  The stack lives in per-level arrays:
     a recursive generator would refer to itself through its closure and
@@ -220,11 +216,8 @@ def _tree_images(
         return
     masks = g.adjacency_masks()
     parents = tree.parents
-    # floors are pruning only, so they wait for the first image: a finder
-    # that certifies it never pays for the rooted codes
-    floors = [-1] * tree.order
-    pruning = False
-    last_parent, last_floor = parents[last], -1
+    floors = _floors(tree)
+    last_parent, last_floor = parents[last], floors[last]
     last_child = [0] * tree.order
     for i in range(1, tree.order):
         last_child[parents[i]] = i
@@ -233,22 +226,17 @@ def _tree_images(
         tuple(j for j in range(i) if last_child[j] >= i) for i in range(last)
     ]
     shift = g.n
-    # a key packs the used mask and each open host's unused region
-    # neighbours into one int; the count of open hosts differs between
-    # levels, so each level has its own set
-    explored: list[set[int]] = [set() for _ in range(last)]
+    explored: set[int] = set()
     filled: dict[int, int] = {}
     hosts = [0] * tree.order
-    # per level: candidates left, used mask before placing, state key
+    # per level: candidates left, used mask before placing
     left = [0] * last
     base = [0] * last
-    keys = [0] * last
     left[0] = region
     i = 0
     while i >= 0:
         candidates = left[i]
         if not candidates:
-            explored[i].add(keys[i])
             i -= 1
             continue
         low = candidates & -candidates
@@ -271,22 +259,19 @@ def _tree_images(
                     rest ^= bit
                     filled[image ^ bit] = filled.get(image ^ bit, 0) | bit
                 yield image
-                if not pruning:
-                    floors, pruning = _floors(tree), True
-                    last_floor = floors[last]
             continue
         key = used
         unused = region ^ used
         for j in open_parents[i + 1]:
             key = key << shift | masks[hosts[j]] & unused
-        if key in explored[i + 1]:
+        if key in explored:
             continue
+        explored.add(key)
         i += 1
         left[i] = masks[hosts[parents[i]]] & unused
         if floors[i] >= 0:
             left[i] &= -(2 << hosts[floors[i]])
         base[i] = used
-        keys[i] = key
 
 
 def find_removable_tree(
@@ -297,13 +282,9 @@ def find_removable_tree(
     Exhaustive: None is returned only after every distinct image has been
     certified and failed.  The images come from `_tree_images`, each once,
     ordered by its lexicographically first embedding (tree vertices in
-    index order, hosts ascending).  The walk skips a placement below a
-    tree vertex's floor, and a prefix whose used mask and open hosts'
-    unused neighbourhoods an earlier, smaller prefix already had: every
-    completion of it completes the earlier prefix too, to a smaller
-    embedding of the same image.  Neither holds a first embedding, so
-    every image is still reached at its first embedding and certified,
-    and skipping cannot change the answer.
+    index order, hosts ascending); its docstring shows that the pruning
+    skips only embeddings that are not first, so it cannot change the
+    answer.
     """
     _require_k_edge_connected(g, k)
     if g.n <= tree.order:
@@ -368,20 +349,15 @@ def removable_tree_via_thomassen(
 
     Extracts a (k+m)-connected subgraph whose interior keeps full ambient
     degrees, takes the first image of `_tree_images` inside the interior,
-    and certifies its deletion.  Under the stated minimum-degree
-    precondition the certificate must verify; a verified failure is not an
-    ordinary error but a theorem-violation event, raised as TheoremViolation
-    with full reproduction data.  ExtractionFailed propagates to the
-    caller; nothing here falls back to `find_removable_tree`.
+    and certifies its deletion.  The precondition, minimum degree above
+    4(k+m)^2, is checked by `extract_connected_subgraph`.  Under it the
+    certificate must verify; a verified failure is not an ordinary error
+    but a theorem-violation event, raised as TheoremViolation with full
+    reproduction data.  ExtractionFailed propagates to the caller; nothing
+    here falls back to `find_removable_tree`.
     """
-    m = tree.order
-    k_target = k + m
-    if g.min_degree() <= 4 * k_target**2:
-        raise ValueError(
-            f"minimum degree must exceed {4 * k_target**2}"
-        )
     _require_k_edge_connected(g, k)
-    core = extract_connected_subgraph(g, k_target)
+    core = extract_connected_subgraph(g, k + tree.order)
     image = next(_tree_images(g, tree, mask_of(core.interior())), None)
     if image is None:
         # interior degrees exceed 2*(k+m)^2 >= m, so this cannot happen

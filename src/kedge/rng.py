@@ -34,9 +34,13 @@ class SplitMix64:
         return _mix64(self._state)
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n), by rejection to avoid modulo bias."""
-        if n <= 0:
-            raise ValueError(f"randrange needs a positive bound, got {n}")
+        """Uniform integer in [0, n), by rejection to avoid modulo bias.
+
+        One 64-bit draw covers at most 2^64 values, so a larger n is an
+        error rather than a loop that no draw ends.
+        """
+        if not 0 < n <= 1 << 64:
+            raise ValueError(f"randrange needs a bound in [1, 2^64], got {n}")
         if n & (n - 1) == 0:
             return self.next_u64() & (n - 1)
         # largest multiple of n that fits in 64 bits

@@ -172,6 +172,16 @@ TREE_CONFIG = VALID_CONFIG | {"statement": "tree", "m_values": [2]}
             id="missing-k_values",
         ),
         pytest.param(VALID_CONFIG | {"n_rnage": [30, 40]}, id="unknown-key"),
+        # cells are keyed by label, so a repeated cell would merge in the summary
+        pytest.param(VALID_CONFIG | {"k_values": [2, 2]}, id="repeated-k"),
+        pytest.param(TREE_CONFIG | {"m_values": [2, 2]}, id="repeated-m"),
+        pytest.param(
+            TREE_CONFIG | {"m_values": [], "trees": ["path:3", "PATH:3"]},
+            id="repeated-tree-name",
+        ),
+        pytest.param(TREE_CONFIG | {"trees": ["path:2"]}, id="m_values-and-trees"),
+        # more orders than one 64-bit draw can pick from
+        pytest.param(VALID_CONFIG | {"n_range": [8, 2**64 + 8]}, id="huge-n_range"),
     ],
 )
 def test_verify_rejects_a_malformed_config(tmp_path, capsys, config):

@@ -144,6 +144,13 @@ def test_randrange_rejects_the_partial_block():
     assert Scripted([limit - 1]).randrange(3) == (limit - 1) % 3
 
 
+def test_randrange_rejects_a_bound_above_one_draw():
+    """Above 2**64 no 64-bit draw is accepted, so the loop would not end."""
+    with pytest.raises(ValueError, match=r"2\^64"):
+        SplitMix64(0).randrange(2**64 + 1)
+    assert 0 <= SplitMix64(0).randrange(2**64) < 2**64
+
+
 # graph6 strings the generators drew before their loops were tightened; they
 # pin every draw across versions, where the determinism tests above only
 # compare two runs of one version

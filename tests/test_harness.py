@@ -232,6 +232,27 @@ def test_verify_tightness_trivial_convention():
     assert all(outcome == "witness_found" for _, outcome in rep.rows)
 
 
+def test_tightness_report_matches_the_campaign():
+    """Both tightness routes share one rule: each row of `verify_tightness`
+    is the outcome of the one-trial campaign cell for the same k and tree."""
+    ms = range(1, 7)
+    result = run_campaign(
+        CampaignConfig(
+            statement="tightness",
+            k_values=(1, 2, 3, 4),
+            trials=1,
+            master_seed=0,
+            m_values=tuple(ms),
+        )
+    )
+    assert all(cell["all_expected"] for cell in result.summary["per_cell"].values())
+    for k in range(1, 5):
+        reports = [verify_tightness(k, m) for m in ms]
+        assert all(rep.passed for rep in reports)
+        rows = [row for rep in reports for row in rep.rows]
+        assert [(t.tree, t.outcome) for t in result.trials if t.k == k] == rows
+
+
 def test_verify_tightness_preconditions():
     with pytest.raises(ValueError):
         verify_tightness(0, 2)

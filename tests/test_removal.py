@@ -344,6 +344,13 @@ def test_removable_tree_via_thomassen():
     assert cert.residual_kprime == 35
 
 
+def test_dense_route_rejects_a_graph_below_the_degree_bound():
+    """K_20 is 1-edge-connected, but its minimum degree 19 is not above
+    4(k+m)^2 = 36 for k = 1 and the tree path:2."""
+    with pytest.raises(ValueError, match="minimum degree must exceed 36"):
+        removable_tree_via_thomassen(complete(20), 1, path_tree(2))
+
+
 def test_dense_route_takes_first_interior_image():
     """The dense route removes the first embedding inside the core interior."""
     # cliques on 0..72 and on 0, 1, 2, 73..139: the separator {0, 1, 2}
