@@ -17,6 +17,10 @@ from .errors import GenerationError, InternalCheckError
 from .graph import Graph, _bits
 from .rng import SplitMix64, derive_seed
 
+# the largest order `generate` draws, far above any order the package uses,
+# so a huge order in a spec or config is an input error, not an allocation
+MAX_ORDER = 1 << 12
+
 
 def complete(n: int) -> Graph:
     if n < 1:
@@ -103,29 +107,31 @@ def named_instance(tag: str) -> Graph:
     return complete(k + m)
 
 
-def _cycle_stack(n: int, t: int, rng: SplitMix64) -> set[tuple[int, int]]:
-    """Edges of t edge-disjoint Hamiltonian cycles, a 2t-edge-connected union; a
-    shuffle sharing an edge with an earlier cycle is redrawn, up to 200 times."""
-    edges: set[tuple[int, int]] = set()
+def _cycle_stack(n: int, t: int, rng: SplitMix64) -> list[int]:
+    """Adjacency masks of t edge-disjoint Hamiltonian cycles, a
+    2t-edge-connected union; a cycle sharing an edge with an earlier one is
+    redrawn, up to 200 times."""
+    adj = [0] * n
     for placed in range(t):
         for _ in range(200):
-            order = list(range(n))
-            rng.shuffle(order)
-            cyc = []
-            for i in range(n):
-                u, v = order[i], order[(i + 1) % n]
-                e = (u, v) if u < v else (v, u)
-                if e in edges:
-                    break
-                cyc.append(e)
-            else:
-                edges.update(cyc)
+            order = rng.cycle(n, adj)
+            if order is not None:
                 break
         else:
             raise GenerationError(
                 f"could not place cycle {placed + 1} of {t} after 200 tries"
             )
-    return edges
+        u = order[-1]
+        for v in order:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            u = v
+    return adj
+
+
+def _graph_of(adj: list[int]) -> Graph:
+    n = len(adj)
+    return Graph(n, [(u, w) for u in range(n) for w in _bits(adj[u] >> u + 1 << u + 1)])
 
 
 def gen_hamiltonian_stack(
@@ -147,13 +153,14 @@ def gen_hamiltonian_stack(
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise ValueError("extra_edge_prob must be a probability")
     rng = SplitMix64(seed)
-    edges = _cycle_stack(n, t, rng)
+    adj = _cycle_stack(n, t, rng)
     # no draw falls below 0.0, and nothing reads the stream after this pass
     if extra_edge_prob > 0.0:
-        for e in itertools.combinations(range(n), 2):
-            if e not in edges and rng.random() < extra_edge_prob:
-                edges.add(e)
-    g = Graph(n, edges)
+        for u, v in itertools.combinations(range(n), 2):
+            if not adj[u] >> v & 1 and rng.random() < extra_edge_prob:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    g = _graph_of(adj)
     if not is_k_edge_connected(g, 2 * t):
         raise InternalCheckError(
             "hamiltonian stack failed its structural connectivity guarantee"
@@ -166,13 +173,9 @@ def _augmented_attempt(n: int, k: int, delta_min: int, seed: int) -> Graph | Non
     if 2 * t >= n:
         return complete(n)
     try:
-        edges = _cycle_stack(n, t, SplitMix64(seed))
+        adj = _cycle_stack(n, t, SplitMix64(seed))
     except GenerationError:
         return None
-    adj = [0] * n
-    for u, w in edges:
-        adj[u] |= 1 << w
-        adj[w] |= 1 << u
     rng = SplitMix64(derive_seed(seed, 1))
     degrees = [mask.bit_count() for mask in adj]
     full = (1 << n) - 1
@@ -188,7 +191,7 @@ def _augmented_attempt(n: int, k: int, delta_min: int, seed: int) -> Graph | Non
         adj[w] |= 1 << v
         degrees[v] += 1
         degrees[w] += 1
-    return Graph(n, [(u, w) for u in range(n) for w in _bits(adj[u] >> u + 1 << u + 1)])
+    return _graph_of(adj)
 
 
 def gen_with_hypotheses(n: int, k: int, delta_min: int, seed: int) -> Graph:
@@ -274,6 +277,8 @@ class GenSpec:
 
 def generate(spec: GenSpec) -> Graph:
     """Run the generator a GenSpec describes."""
+    if spec.n > MAX_ORDER:
+        raise ValueError(f"n must be at most {MAX_ORDER}, got {spec.n}")
     if spec.model == "hamiltonian_stack":
         p = spec.params_dict()
         t = float(p.get("t", max(1, (spec.k + 1) // 2)))

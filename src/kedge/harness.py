@@ -36,7 +36,7 @@ from .connectivity import (
     is_k_edge_connected,
 )
 from .errors import GenerationError, InternalCheckError
-from .generators import GenSpec, complete, generate
+from .generators import MAX_ORDER, GenSpec, complete, generate
 from .graph import Graph
 from .io import graph_payload, load_graph
 from .removal import (
@@ -80,6 +80,8 @@ class CampaignConfig:
     removal) and can be overridden with `delta_min`.  Configs come from JSON
     files, so field types are checked: counts, seeds and delta_min must be
     ints (not bools), trees and model strings, and params values numbers.
+    Orders are capped at `generators.MAX_ORDER`: it bounds n_range's high
+    end, and delta_min stays below it, since the order must exceed delta_min.
     """
 
     statement: str
@@ -122,8 +124,10 @@ class CampaignConfig:
             raise ValueError("n_range must be (low, high) with low <= high")
         if self.n_range[0] < 1:
             raise ValueError("n_range low end must be at least 1")
-        if self.delta_min is not None and self.delta_min < 0:
-            raise ValueError("delta_min must be at least 0")
+        if self.n_range[1] > MAX_ORDER:
+            raise ValueError(f"n_range high end must be at most {MAX_ORDER}")
+        if self.delta_min is not None and not 0 <= self.delta_min < MAX_ORDER:
+            raise ValueError(f"delta_min must be at least 0 and below {MAX_ORDER}")
         if self.statement in ("tree", "tightness") and not (
             self.m_values or self.trees
         ):

@@ -4,21 +4,56 @@ The campaign harness must replay byte-for-byte across platforms and language
 runtimes, so randomness comes from SplitMix64 (Steele, Lea and Flood's
 mix function, the same one java.util.SplittableRandom uses) rather than from
 random.Random, whose helper methods are not pinned across Python versions.
-All derived quantities (ranges, shuffles, coin flips) are defined here on top
-of the raw 64-bit stream.
+All derived quantities (ranges, cycle orders, coin flips) are defined here on
+top of the raw 64-bit stream.
 """
 
 from __future__ import annotations
 
+import functools
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
+_M1_INV = pow(_M1, -1, 1 << 64)
+_M2_INV = pow(_M2, -1, 1 << 64)
+# the largest randrange bound whose rejected states are tabled; above it a
+# skipped draw is still mixed, so no table grows with the cycle length
+_TABLED_BOUND = 64
 
 
 def _mix64(z: int) -> int:
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _M1) & _MASK64
+    z = ((z ^ (z >> 27)) * _M2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _unmix64(z: int) -> int:
+    """The inverse of _mix64 on 64-bit values: each xorshift by s >= 22 is
+    undone by two more shifts, and each odd multiplier by its inverse."""
+    z ^= z >> 31 ^ z >> 62
+    z = z * _M2_INV & _MASK64
+    z ^= z >> 27 ^ z >> 54
+    z = z * _M1_INV & _MASK64
+    return z ^ z >> 30 ^ z >> 60
+
+
+def _limit(b: int) -> int:
+    """randrange(b) keeps a draw exactly when it is below this: the largest
+    multiple of b in 64 bits, or 2^64 for a power of two, which rejects nothing."""
+    return _MASK64 - _MASK64 % b if b & (b - 1) else 1 << 64
+
+
+@functools.cache
+def _rejected_states(b: int) -> frozenset[int]:
+    """The states whose draw randrange(b) rejects: since _mix64 is a
+    bijection, these are the MASK % b + 1 preimages of the draws at or above
+    the limit, or none for a power of two.  Bounds up to _TABLED_BOUND only."""
+    if not 2 <= b <= _TABLED_BOUND:
+        raise ValueError(f"rejected states are tabled for bounds 2..{_TABLED_BOUND}, got {b}")
+    return frozenset(_unmix64(y) for y in range(_limit(b), 1 << 64))
 
 
 class SplitMix64:
@@ -41,10 +76,7 @@ class SplitMix64:
         """
         if not 0 < n <= 1 << 64:
             raise ValueError(f"randrange needs a bound in [1, 2^64], got {n}")
-        if n & (n - 1) == 0:
-            return self.next_u64() & (n - 1)
-        # largest multiple of n that fits in 64 bits
-        limit = _MASK64 - (_MASK64 % n)
+        limit = _limit(n)
         while True:
             x = self.next_u64()
             if x < limit:
@@ -54,11 +86,48 @@ class SplitMix64:
         """Float in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) / (1 << 53)
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates, iterating from the back."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
+    def cycle(self, n: int, avoid: list[int]) -> list[int] | None:
+        """A uniform order of range(n) read as a Hamiltonian cycle, or None
+        when one of its edges is in the adjacency masks `avoid`.
+
+        The draws are exactly those of a Fisher-Yates shuffle of
+        list(range(n)) from the back, randrange(i + 1) for i = n-1 ... 1,
+        with the step, mix, rejection test and swap inline.  Edge
+        (order[i], order[i+1]) is tested once both ends are final, and
+        (order[0], order[1]) and the wrap edge last.  After the first
+        shared edge the try is lost, so its remaining draws only advance
+        the state: a draw at a tabled bound is rejected exactly when its
+        state is in _rejected_states, and needs no mix.  Either way the
+        stream ends where the whole shuffle's would.
+        """
+        order = list(range(n))
+        state = self._state
+        shared = False
+        for i in range(n - 1, 0, -1):
+            b = i + 1
+            if shared and b <= _TABLED_BOUND:
+                rejected = _rejected_states(b)
+                state = (state + _GOLDEN) & _MASK64
+                while state in rejected:
+                    state = (state + _GOLDEN) & _MASK64
+                continue
+            limit = _limit(b)
+            while True:
+                state = (state + _GOLDEN) & _MASK64
+                z = ((state ^ (state >> 30)) * _M1) & _MASK64
+                z = ((z ^ (z >> 27)) * _M2) & _MASK64
+                z ^= z >> 31
+                if z < limit:
+                    break
+            if shared:
+                continue
+            j = z % b
+            order[i], order[j] = order[j], order[i]
+            shared = i < n - 1 and avoid[order[i]] >> order[i + 1] & 1
+        self._state = state
+        if shared or avoid[order[0]] >> order[1] & 1 or avoid[order[-1]] >> order[0] & 1:
+            return None
+        return order
 
 
 def derive_seed(master: int, *indices: int) -> int:

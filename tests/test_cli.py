@@ -182,6 +182,9 @@ TREE_CONFIG = VALID_CONFIG | {"statement": "tree", "m_values": [2]}
         pytest.param(TREE_CONFIG | {"trees": ["path:2"]}, id="m_values-and-trees"),
         # more orders than one 64-bit draw can pick from
         pytest.param(VALID_CONFIG | {"n_range": [8, 2**64 + 8]}, id="huge-n_range"),
+        # one draw reaches this order, which no generator could allocate
+        pytest.param(VALID_CONFIG | {"n_range": [8, 2**64 - 1]}, id="huge-order"),
+        pytest.param(VALID_CONFIG | {"delta_min": 2**64 - 1}, id="huge-delta_min"),
     ],
 )
 def test_verify_rejects_a_malformed_config(tmp_path, capsys, config):
@@ -190,6 +193,14 @@ def test_verify_rejects_a_malformed_config(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     code, _, err = run(["verify", "--config", str(cfg)], capsys)
+    assert code == 2 and err.startswith("error:")
+
+
+def test_gen_rejects_a_huge_order(capsys):
+    code, _, err = run(
+        ["gen", "--model", "with_hypotheses", "--n", str(2**64 - 1), "--k", "2", "--delta", "3"],
+        capsys,
+    )
     assert code == 2 and err.startswith("error:")
 
 

@@ -24,7 +24,16 @@ from kedge.generators import (
 )
 from kedge import generators
 from kedge.io import write_edge_list, write_graph6
-from kedge.rng import _MASK64, SplitMix64, derive_seed
+from kedge.rng import (
+    _GOLDEN,
+    _MASK64,
+    SplitMix64,
+    _limit,
+    _mix64,
+    _rejected_states,
+    _unmix64,
+    derive_seed,
+)
 
 
 def test_fixed_instances():
@@ -151,6 +160,85 @@ def test_randrange_rejects_a_bound_above_one_draw():
     assert 0 <= SplitMix64(0).randrange(2**64) < 2**64
 
 
+def test_unmix_inverts_the_mix():
+    rng = SplitMix64(3)
+    for x in [0, _MASK64] + [rng.next_u64() for _ in range(200)]:
+        assert _mix64(_unmix64(x)) == x
+        assert _unmix64(_mix64(x)) == x
+
+
+def test_rejected_states_are_the_preimages_of_rejected_draws():
+    for b in range(2, 65):
+        states = _rejected_states(b)
+        assert len(states) == (0 if b & (b - 1) == 0 else _MASK64 % b + 1), b
+        assert all(_mix64(x) >= _limit(b) for x in states), b
+    assert sum(len(_rejected_states(b)) for b in range(2, 65)) == 849
+    with pytest.raises(ValueError):
+        _rejected_states(65)  # larger bounds are mixed, never tabled
+
+
+def _reference_cycle(rng, n, avoid):
+    """One packer try as a whole shuffle through the public randrange, then
+    every edge tested."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        order[i], order[j] = order[j], order[i]
+    if any(avoid[order[i]] >> order[i - 1] & 1 for i in range(n)):
+        return None
+    return order
+
+
+def _assert_cycle_matches_reference(seed, n, avoid):
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    got = rng.cycle(n, avoid)
+    assert got == _reference_cycle(ref, n, avoid), (seed, n)
+    assert rng.next_u64() == ref.next_u64(), (seed, n)  # the stream ends alike
+    return got
+
+
+def test_cycle_skips_rejected_draws_like_the_whole_shuffle():
+    """Random seeds almost never draw a rejected value, so these seeds are
+    built to: state seed + j * golden lies in _rejected_states(b), and draw j
+    (at bound b = n - j + 1) is rejected.  On K_n masks the first shared
+    edge shows after draw 2, so j <= 2 rejects before it and j >= 3 after
+    it, where the draw is skipped unmixed (or mixed, above bound 64); with
+    empty masks the rejected draw sits inside an accepted try."""
+    seen = set()
+    for n in (7, 12, 40, 70):
+        full = (1 << n) - 1
+        complete_masks = [full ^ 1 << v for v in range(n)]
+        for j in range(1, n):
+            b = n - j + 1
+            if b & (b - 1) == 0:
+                continue  # a power of two rejects nothing
+            for y in sorted({_limit(b), _MASK64}):
+                seed = (_unmix64(y) - j * _GOLDEN) & _MASK64
+                assert _assert_cycle_matches_reference(seed, n, complete_masks) is None
+                seen.add("before" if j <= 2 else "after")
+                assert _assert_cycle_matches_reference(seed, n, [0] * n) is not None
+                seen.add("accepted")
+    assert seen == {"before", "after", "accepted"}
+
+
+def test_cycle_matches_the_whole_shuffle_on_drawn_masks():
+    rng = SplitMix64(99)
+    accepted = 0
+    for _ in range(300):
+        n = 5 + rng.randrange(20)
+        avoid = [0] * n
+        for _ in range(rng.randrange(3)):
+            order = list(range(n))
+            for i in range(n - 1, 0, -1):
+                j = rng.randrange(i + 1)
+                order[i], order[j] = order[j], order[i]
+            for i in range(n):
+                avoid[order[i]] |= 1 << order[i - 1]
+                avoid[order[i - 1]] |= 1 << order[i]
+        accepted += _assert_cycle_matches_reference(rng.next_u64(), n, avoid) is not None
+    assert 0 < accepted < 300
+
+
 # graph6 strings the generators drew before their loops were tightened; they
 # pin every draw across versions, where the determinism tests above only
 # compare two runs of one version
@@ -162,6 +250,13 @@ GOLDEN_WITH_HYPOTHESES = {
     (14, 4, 6, 5): ("MdzIlQ@NGtKkW}kb?", 1),  # t = 2
     (12, 5, 7, 9): ("Kz~u`}Nijfmu", 1),  # t = 3
     (16, 6, 8, 2): ("OxLS{}{HmUkXxEmLm{bxk", 2),  # t = 3, first packing fails
+    # t = 3 at small n: most tries share an edge, and whole packings fail
+    (8, 5, 7, 6): ("G~~~~{", 7),
+    (9, 5, 7, 0): ("H~~}~^v", 7),
+    (10, 5, 8, 1): ("I~x}~~~nw", 5),
+    (10, 5, 8, 7): ("I~~v~z~nw", 4),
+    (11, 5, 8, 3): ("J~vvv~mn}^_", 5),
+    (9, 7, 8, 0): ("H~~~~~~", 12),  # t = 4
 }
 
 GOLDEN_HAMILTONIAN_STACK = {
@@ -188,6 +283,13 @@ def test_generator_golden_outputs(monkeypatch):
         assert len(attempts) == tries, args
     for args, code in GOLDEN_HAMILTONIAN_STACK.items():
         assert write_graph6(gen_hamiltonian_stack(*args)) == code, args
+    # every one of the 64 packings fails, and so does every stack's third cycle
+    attempts.clear()
+    with pytest.raises(GenerationError, match="after 64 attempts"):
+        gen_with_hypotheses(9, 7, 8, 1)
+    assert len(attempts) == 64
+    with pytest.raises(GenerationError, match="cycle 3 of 3 after 200 tries"):
+        gen_hamiltonian_stack(7, 3, 0.0, 1)
 
 
 def test_gen_with_hypotheses_checks_each_promise_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Campaign orchestration: outcomes, summaries, determinism, and reports."""
 
+import hashlib
 import json
 
 import pytest
@@ -119,6 +120,16 @@ def test_replay_determinism():
 
     assert strip(a.trials) == strip(b.trials)
     assert a.summary == b.summary
+
+
+def test_tree_campaign_report_is_pinned():
+    """The k = 5 cells pack three cycles per graph, the generator's hardest
+    draws; a report digest pins them across versions, not just two runs."""
+    report = run_campaign(CampaignConfig("tree", (4, 5), 3, 1, m_values=(3, 4))).to_dict()
+    for trial in report["trials"]:
+        trial.pop("wall_time")
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == "5c2fa86652d23efdbe54d22a8ed93a02f0e9b685da98d3a9c9f226eb29a9487f"
 
 
 def test_report_json_round_trip(tmp_path):
