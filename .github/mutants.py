@@ -1,0 +1,177 @@
+"""Mutation check: every listed mutant of a guarantee check fails a named test.
+
+A mutant is one textual edit to a file under src/kedge that weakens a
+pruning rule or a check.  For each entry, src/, tests/ and pyproject.toml
+are copied to a temporary directory; the old text must occur exactly once
+in its file, so an entry gone stale fails loudly instead of testing
+nothing.  The edit is applied to the copy and `pytest -q -x <test>` runs
+there.  The check fails if a mutant passes its test.  An equivalent
+mutant, one that no test can tell apart, is listed with the reason; only
+its staleness is checked.
+
+Run from the repository root: python .github/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+# (file, old text, new text, the test that kills the mutant)
+MUTANTS = [
+    # Chartrand's shortcut: lambda = min degree needs min degree >= n // 2
+    (
+        "connectivity.py",
+        "min_degree >= alive.bit_count() // 2:",
+        "min_degree >= alive.bit_count() // 3:",
+        "tests/test_connectivity.py::test_edge_value_matches_scanner_on_every_small_graph",
+    ),
+    # the MA merge rule: merge x and y only once r(y) reaches best
+    (
+        "connectivity.py",
+        "if attach[y] >= best:",
+        "if attach[y] >= best - 1:",
+        "tests/test_connectivity.py::test_edge_value_matches_scanner_on_every_small_graph",
+    ),
+    # Even's bound: a cut below c misses one of the first c sources
+    (
+        "connectivity.py",
+        "if i >= best:",
+        "if i >= best - 1:",
+        "tests/test_connectivity.py::test_vertex_connectivity_matches_definition",
+    ),
+    # the common-neighbour skip: c common neighbours give c disjoint paths
+    (
+        "connectivity.py",
+        "if (masks[s] & masks[t] & alive).bit_count() >= best:",
+        "if (masks[s] & masks[t] & alive).bit_count() >= best - 1:",
+        "tests/test_connectivity.py::test_vertex_connectivity_matches_definition",
+    ),
+    # _certify's oracle cross-check
+    (
+        "removal.py",
+        "if oracle != kprime:",
+        "if False:",
+        "tests/test_removal.py::test_certify_checks_the_kernel_against_the_oracle",
+    ),
+    # the tree walk's floor: hosts strictly above the floor vertex's host
+    (
+        "removal.py",
+        "left[i] &= -(2 << hosts[floors[i]])",
+        "left[i] &= -(4 << hosts[floors[i]])",
+        "tests/test_removal.py::test_tree_images_follow_first_embedding_order",
+    ),
+    # a floor of 0 only for a vertex whose whole-tree code is the root's
+    (
+        "removal.py",
+        "elif whole[b] == whole[0]:",
+        "elif True:",
+        "tests/test_removal.py::test_tree_images_follow_first_embedding_order",
+    ),
+    # the state memo: the key holds every open host's unused neighbours
+    (
+        "removal.py",
+        "for j in open_parents[i + 1]:",
+        "for j in open_parents[i + 1][1:]:",
+        "tests/test_removal.py::test_tree_images_match_reference_on_twin_rich_hosts",
+    ),
+    # filled: the bulk placement drops images that came out already
+    (
+        "removal.py",
+        "& (region ^ used) & ~filled.get(used, 0)",
+        "& (region ^ used)",
+        "tests/test_removal.py::test_tree_images_follow_first_embedding_order",
+    ),
+    # randrange keeps a draw only below the largest multiple of its bound
+    (
+        "rng.py",
+        "return _MASK64 - _MASK64 % b if b & (b - 1) else 1 << 64",
+        "return _MASK64 - _MASK64 % b + 1 if b & (b - 1) else 1 << 64",
+        "tests/test_generators.py::test_randrange_rejects_the_partial_block",
+    ),
+    # a lost try's skipped draws still step past rejected states
+    (
+        "rng.py",
+        "while state in rejected:",
+        "while False:",
+        "tests/test_generators.py::test_cycle_skips_rejected_draws_like_the_whole_shuffle",
+    ),
+    # the tree statement is open exactly for k >= 4, m >= 3
+    (
+        "harness.py",
+        "None if k >= 4 and m >= 3 else",
+        "None if k >= 3 and m >= 3 else",
+        "tests/test_harness.py::test_open_range_starts_at_k4_m3",
+    ),
+    # an unshaped statement takes no shapes
+    (
+        "harness.py",
+        "if shaped != bool(self.m_values or self.trees):",
+        "if shaped and not (self.m_values or self.trees):",
+        "tests/test_cli.py::test_verify_usage_errors",
+    ),
+    # _confirm_miss reruns the finder, which must miss again
+    (
+        "harness.py",
+        "if rerun() is not None:",
+        "if False:",
+        "tests/test_harness.py::test_flaky_finder_is_an_internal_error",
+    ),
+]
+
+# (file, old text, new text, why no test can kill it)
+EQUIVALENT = [
+    (
+        "rng.py",
+        "while state in rejected:",
+        "if state in rejected:",
+        "no tabled bound 2..64 has two rejected states one golden gamma apart"
+        " (checked exhaustively), so two rejections in a row cannot happen",
+    ),
+]
+
+
+def main() -> int:
+    failed = []
+    for path, old, new, test in MUTANTS + EQUIVALENT:
+        name = f"{path}: {old!r} -> {new!r}"
+        with tempfile.TemporaryDirectory() as tmp:
+            shutil.copytree("src", os.path.join(tmp, "src"))
+            shutil.copytree("tests", os.path.join(tmp, "tests"))
+            shutil.copy("pyproject.toml", tmp)
+            target = os.path.join(tmp, "src", "kedge", path)
+            with open(target, encoding="utf-8") as fh:
+                text = fh.read()
+            if text.count(old) != 1:
+                print(f"STALE     {name}: old text occurs {text.count(old)} times")
+                failed.append(name)
+                continue
+            if (path, old, new, test) in EQUIVALENT:
+                print(f"EQUIVALENT {name}: {test}")
+                continue
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(text.replace(old, new))
+            start = time.perf_counter()
+            run = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test],
+                cwd=tmp,
+                env=dict(os.environ, PYTHONPATH="src"),
+                capture_output=True,
+                text=True,
+            )
+            took = time.perf_counter() - start
+            # pytest exits 1 when a test fails; any other code is no verdict
+            if run.returncode == 1:
+                print(f"KILLED    {name} by {test} ({took:.1f} s)")
+            else:
+                print(f"SURVIVED  {name}: {test} exited {run.returncode} ({took:.1f} s)")
+                print(run.stdout[-2000:], run.stderr[-2000:])
+                failed.append(name)
+    print(f"{len(MUTANTS)} mutants, {len(EQUIVALENT)} equivalent, {len(failed)} failed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,6 +14,7 @@ import sys
 from .errors import InternalCheckError, KedgeError, TheoremViolation
 from .generators import GenSpec, generate
 from .harness import (
+    STATEMENTS,
     CampaignConfig,
     analyze,
     counterexample_search,
@@ -21,7 +22,6 @@ from .harness import (
     write_report,
 )
 from .io import load_graph, save_graph, write_edge_list
-from .removal import find_removable_edge, find_removable_tree, find_removable_vertex
 from .trees import parse_tree_spec
 
 EXIT_OK = 0
@@ -48,8 +48,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--k", type=int, required=True)
     which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--vertex", action="store_true")
-    which.add_argument("--edge", action="store_true")
+    # --vertex and --edge pick the unshaped statements; --tree takes a shape
+    for name, statement in STATEMENTS.items():
+        if not statement.shaped:
+            which.add_argument(
+                f"--{statement.kind}", dest="statement", action="store_const", const=name
+            )
     which.add_argument("--tree", metavar="TREESPEC")
     p.add_argument("file")
     p.set_defaults(func=cmd_find_removable)
@@ -66,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification campaign")
     p.add_argument(
         "--statement",
-        choices=("mader-vertex", "edge-pair", "tree", "tightness"),
+        choices=[name.replace("_", "-") for name in STATEMENTS],
     )
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int, default=None)
@@ -104,17 +108,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_find_removable(args) -> int:
     g = load_graph(args.file)
-    if args.vertex:
-        cert = find_removable_vertex(g, args.k)
-        kind = "vertex"
-    elif args.edge:
-        cert = find_removable_edge(g, args.k)
-        kind = "edge"
-    else:
-        cert = find_removable_tree(g, args.k, parse_tree_spec(args.tree))
-        kind = "tree"
+    statement = STATEMENTS[args.statement or "tree"]
+    tree = None if args.tree is None else parse_tree_spec(args.tree)
+    cert = statement.find(g, args.k, tree)
     if cert is None:
-        print(f"no removable {kind} for k={args.k}")
+        print(f"no removable {statement.kind} for k={args.k}")
         return EXIT_OK
     print(f"removable {cert.kind}: vertices {cert.removed}")
     if cert.residual_trivial:

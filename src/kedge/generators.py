@@ -65,46 +65,44 @@ def two_cliques_bridged(q: int, b: int) -> Graph:
     return Graph(2 * q, edges)
 
 
+def _tightness_instance(k: int, m: int) -> Graph:
+    if k < 1 or m < 1:
+        raise ValueError("tightness parameters must be positive")
+    return complete(k + m)
+
+
+# tag name: (parameter count, the order the tag asks for, builder)
+_NAMED = {
+    "complete": (1, lambda n: n, complete),
+    "complete_bipartite": (2, lambda a, b: a + b, complete_bipartite),
+    "cycle": (1, lambda n: n, cycle_graph),
+    "petersen": (0, lambda: 10, petersen_graph),
+    "two_cliques_bridged": (2, lambda q, b: 2 * q, two_cliques_bridged),
+    "tightness": (2, lambda k, m: k + m, _tightness_instance),
+}
+
+
 def named_instance(tag: str) -> Graph:
     """Build a deterministically labeled graph from a textual tag.
 
     Tags: complete:n, complete_bipartite:a,b, cycle:n, petersen,
     two_cliques_bridged:q,b, tightness:k,m (the complete graph on k+m
-    vertices).
+    vertices).  An order above MAX_ORDER is rejected before anything is
+    built.
     """
     name, _, arg = tag.partition(":")
     try:
         args = [int(x) for x in arg.split(",")] if arg else []
     except ValueError:
         raise ValueError(f"bad parameters in instance tag {tag!r}") from None
-    want = {
-        "complete": 1,
-        "complete_bipartite": 2,
-        "cycle": 1,
-        "petersen": 0,
-        "two_cliques_bridged": 2,
-        "tightness": 2,
-    }
-    if name not in want:
+    if name not in _NAMED:
         raise ValueError(f"unknown instance tag {tag!r}")
-    if len(args) != want[name]:
-        raise ValueError(
-            f"instance tag {name!r} takes {want[name]} parameters, got {len(args)}"
-        )
-    if name == "complete":
-        return complete(args[0])
-    if name == "complete_bipartite":
-        return complete_bipartite(args[0], args[1])
-    if name == "cycle":
-        return cycle_graph(args[0])
-    if name == "petersen":
-        return petersen_graph()
-    if name == "two_cliques_bridged":
-        return two_cliques_bridged(args[0], args[1])
-    k, m = args
-    if k < 1 or m < 1:
-        raise ValueError("tightness parameters must be positive")
-    return complete(k + m)
+    count, order, build = _NAMED[name]
+    if len(args) != count:
+        raise ValueError(f"instance tag {name!r} takes {count} parameters, got {len(args)}")
+    if order(*args) > MAX_ORDER:
+        raise ValueError(f"instance tag {tag!r} asks for more than {MAX_ORDER} vertices")
+    return build(*args)
 
 
 def _cycle_stack(n: int, t: int, rng: SplitMix64) -> list[int]:

@@ -48,13 +48,53 @@ from .removal import (
 from .rng import SplitMix64, derive_seed
 from .trees import TreeSpec, enumerate_trees, parse_tree_spec
 
-STATEMENTS = ("mader_vertex", "edge_pair", "tree", "tightness")
-
 OUTCOME_WITNESS = "witness_found"
 OUTCOME_NOT_FOUND = "not_found"
 OUTCOME_VIOLATION = "theorem_violation_candidate"
 OUTCOME_OPEN = "conjecture_open_datapoint"
 OUTCOME_GENFAIL = "generation_failed"
+
+
+@dataclass(frozen=True)
+class Statement:
+    """What one checked statement says, for a cell's k and tree order m.
+
+    `kind` names what a witness removes (a certificate's kind);
+    `find(g, k, tree)` runs its finder; `floor(k, m)` is the minimum degree
+    its hypotheses ask for; `expected(k, m)` is the outcome every trial
+    must show, or None where the statement is open; `shaped` says whether
+    its cells sweep tree shapes (tree and m are None for the unshaped ones).
+    """
+
+    kind: str
+    find: Callable[[Graph, int, TreeSpec | None], RemovalCertificate | None]
+    floor: Callable[[int, int | None], int]
+    expected: Callable[[int, int | None], str | None]
+    shaped: bool
+
+
+# the finders are looked up when called, so a patched module name takes effect;
+# the tree statement (arXiv 2312.05886) is proven except for k >= 4, m >= 3,
+# and removing a tree from K_{k+m} leaves K_k, whose lambda k-1 misses k
+# unless k = 1, where K_1 counts as 1-edge-connected (see `TightnessReport`)
+STATEMENTS = {
+    "mader_vertex": Statement(
+        "vertex", lambda g, k, tree: find_removable_vertex(g, k),
+        lambda k, m: k + 1, lambda k, m: OUTCOME_WITNESS, shaped=False,
+    ),
+    "edge_pair": Statement(
+        "edge", lambda g, k, tree: find_removable_edge(g, k),
+        lambda k, m: k + 2, lambda k, m: OUTCOME_WITNESS, shaped=False,
+    ),
+    "tree": Statement(
+        "tree", lambda g, k, tree: find_removable_tree(g, k, tree), lambda k, m: k + m,
+        lambda k, m: None if k >= 4 and m >= 3 else OUTCOME_WITNESS, shaped=True,
+    ),
+    "tightness": Statement(
+        "tree", lambda g, k, tree: find_removable_tree(g, k, tree), lambda k, m: k + m,
+        lambda k, m: OUTCOME_WITNESS if k == 1 else OUTCOME_NOT_FOUND, shaped=True,
+    ),
+}
 
 
 def _plain(value):
@@ -73,13 +113,13 @@ def _plain(value):
 class CampaignConfig:
     """Plain-data description of one campaign, JSON round-trippable.
 
-    For the tree statements, shapes come either from `trees` (textual tree
-    specs) or from `m_values` (every tree of each listed order).  The
-    generator's degree target defaults to the statement's hypothesis
-    threshold (k+1 for vertex removal, k+2 for edge removal, k+m for tree
-    removal) and can be overridden with `delta_min`.  Configs come from JSON
-    files, so field types are checked: counts, seeds and delta_min must be
-    ints (not bools), trees and model strings, and params values numbers.
+    For the shaped statements, shapes come from either `trees` (textual tree
+    specs) or `m_values` (every tree of each listed order); the others take
+    neither.  The generator's degree target defaults to the statement's
+    degree floor in `STATEMENTS` and can be overridden with `delta_min`.
+    Configs come from JSON files, so field types are checked: counts, seeds
+    and delta_min must be ints (not bools), trees and model strings, and
+    params values numbers.
     Orders are capped at `generators.MAX_ORDER`: it bounds n_range's high
     end, and delta_min stays below it, since the order must exceed delta_min.
     """
@@ -103,6 +143,7 @@ class CampaignConfig:
                 raise ValueError(f"{name} must be a list of {kind.__name__}, got {got!r}")
             object.__setattr__(self, name, tuple(got))
         for name, ok in (
+            ("statement", type(self.statement) is str),
             ("trials", type(self.trials) is int),
             ("master_seed", type(self.master_seed) is int),
             ("model", type(self.model) is str),
@@ -128,12 +169,10 @@ class CampaignConfig:
             raise ValueError(f"n_range high end must be at most {MAX_ORDER}")
         if self.delta_min is not None and not 0 <= self.delta_min < MAX_ORDER:
             raise ValueError(f"delta_min must be at least 0 and below {MAX_ORDER}")
-        if self.statement in ("tree", "tightness") and not (
-            self.m_values or self.trees
-        ):
-            raise ValueError(
-                f"statement {self.statement!r} needs m_values or trees"
-            )
+        shaped = STATEMENTS[self.statement].shaped
+        if shaped != bool(self.m_values or self.trees):
+            need = "needs" if shaped else "takes no"
+            raise ValueError(f"statement {self.statement!r} {need} m_values or trees")
 
     def to_dict(self) -> dict:
         return _plain(self) | {"params": dict(self.params)}
@@ -220,16 +259,14 @@ class CampaignResult:
 
 
 def _cells(config: CampaignConfig) -> list[Cell]:
-    shapes: list[TreeSpec | None]
-    if config.statement in ("tree", "tightness"):
-        if config.trees and config.m_values:
-            raise ValueError("m_values and trees are mutually exclusive")
-        if config.trees:
-            shapes = [parse_tree_spec(s) for s in config.trees]
-        else:
-            shapes = [t for m in config.m_values for t in enumerate_trees(m)]
-    else:
-        shapes = [None]
+    if config.trees and config.m_values:
+        raise ValueError("m_values and trees are mutually exclusive")
+    # the config holds shapes exactly when its statement is shaped
+    shapes: list[TreeSpec | None] = [None]
+    if config.trees:
+        shapes = [parse_tree_spec(s) for s in config.trees]
+    elif config.m_values:
+        shapes = [t for m in config.m_values for t in enumerate_trees(m)]
     out = []
     labels = set()
     for k in config.k_values:
@@ -242,20 +279,6 @@ def _cells(config: CampaignConfig) -> list[Cell]:
             labels.add(label)
             out.append(cell)
     return out
-
-
-def _delta_target(config: CampaignConfig, cell: Cell) -> int:
-    if config.delta_min is not None:
-        return config.delta_min
-    if config.statement == "mader_vertex":
-        return cell.k + 1
-    if config.statement == "edge_pair":
-        return cell.k + 2
-    return cell.k + (cell.m or 0)
-
-
-def _is_open_cell(statement: str, cell: Cell) -> bool:
-    return statement == "tree" and cell.k >= 4 and (cell.m or 0) >= 3
 
 
 def _draw_graph(
@@ -306,16 +329,6 @@ def _confirm_miss(
         raise InternalCheckError("finder disagreed with itself on a rerun")
 
 
-def _run_finder(
-    g: Graph, k: int, statement: str, tree: TreeSpec | None
-) -> RemovalCertificate | None:
-    if statement == "mader_vertex":
-        return find_removable_vertex(g, k)
-    if statement == "edge_pair":
-        return find_removable_edge(g, k)
-    return find_removable_tree(g, k, tree)
-
-
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run every (cell, trial) of the config and summarize outcomes per cell.
 
@@ -338,12 +351,12 @@ def _run_trial(
     config: CampaignConfig, cell: Cell, trial_index: int, seed: int
 ) -> TrialReport:
     start = time.perf_counter()
-    statement = config.statement
-    delta = _delta_target(config, cell)
+    statement = STATEMENTS[config.statement]
+    delta = statement.floor(cell.k, cell.m) if config.delta_min is None else config.delta_min
 
     def report(g, outcome, cert=None, kprime=None):
         return TrialReport(
-            statement=statement,
+            statement=config.statement,
             k=cell.k,
             m=cell.m,
             tree=cell.spec,
@@ -362,7 +375,7 @@ def _run_trial(
             wall_time=time.perf_counter() - start,
         )
 
-    if statement == "tightness":
+    if config.statement == "tightness":
         g = complete(cell.k + cell.m)
     else:
         g = _draw_graph(
@@ -383,33 +396,17 @@ def _run_trial(
     # never true for tightness: K_{k+m} has edge connectivity k+m-1
     if kprime < cell.k:
         return report(g, OUTCOME_GENFAIL)
-    cert = _run_finder(g, cell.k, statement, cell.tree)
+    cert = statement.find(g, cell.k, cell.tree)
     if cert is not None:
         return report(g, OUTCOME_WITNESS, cert=cert, kprime=kprime)
 
-    if statement == "tightness":
+    if config.statement == "tightness":
         return report(g, OUTCOME_NOT_FOUND, kprime=kprime)
-    if _is_open_cell(statement, cell):
+    if statement.expected(cell.k, cell.m) is None:
         return report(g, OUTCOME_OPEN, kprime=kprime)
 
-    _confirm_miss(
-        g, cell.k, delta, lambda: _run_finder(g, cell.k, statement, cell.tree)
-    )
+    _confirm_miss(g, cell.k, delta, lambda: statement.find(g, cell.k, cell.tree))
     return report(g, OUTCOME_VIOLATION, kprime=kprime)
-
-
-def _tightness_outcome(k: int) -> str:
-    """The outcome of every tree removal from K_{k+m} (see `TightnessReport`)."""
-    return OUTCOME_WITNESS if k == 1 else OUTCOME_NOT_FOUND
-
-
-def _expected_outcome(config: CampaignConfig, cell: Cell) -> str | None:
-    """The outcome a cell must show, or None for observational cells."""
-    if config.statement == "tightness":
-        return _tightness_outcome(cell.k)
-    if _is_open_cell(config.statement, cell):
-        return None
-    return OUTCOME_WITNESS
 
 
 def _summarize(
@@ -419,7 +416,7 @@ def _summarize(
     for cell in cells:
         rows = [t for t in trials if t.cell_index == cell.index]
         counts = Counter(t.outcome for t in rows)
-        expected = _expected_outcome(config, cell)
+        expected = STATEMENTS[config.statement].expected(cell.k, cell.m)
         entry = {
             "trials": len(rows),
             "witness_found": counts[OUTCOME_WITNESS],
@@ -472,7 +469,7 @@ def verify_tightness(k: int, m: int) -> TightnessReport:
         raise ValueError("k and m must be at least 1")
     g = complete(k + m)
     convention = k == 1
-    expected = _tightness_outcome(k)
+    expected = STATEMENTS["tightness"].expected(k, m)
     rows = []
     ok = True
     for tree in enumerate_trees(m):
@@ -542,7 +539,8 @@ def counterexample_search(
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    delta = k + m
+    statement = STATEMENTS["tree"]
+    delta = statement.floor(k, m)
     if n_range is None:
         n_range = (delta + 1, delta + 8)
     if n_range[0] > n_range[1]:
@@ -563,10 +561,10 @@ def counterexample_search(
         tested += 1
         all_removable = True
         for tree in trees:
-            if find_removable_tree(g, k, tree) is not None:
+            if statement.find(g, k, tree) is not None:
                 continue
             all_removable = False
-            _confirm_miss(g, k, delta, lambda: find_removable_tree(g, k, tree))
+            _confirm_miss(g, k, delta, lambda: statement.find(g, k, tree))
             candidates.append(
                 {
                     "graph": graph_payload(g),

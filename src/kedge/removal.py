@@ -204,9 +204,12 @@ def _tree_images(
     a key's length fixes its count of open-host blocks, its top block is
     the used mask, and the used mask's popcount is the level.
     The last tree vertex is placed in bulk: `filled[u]` masks the x for
-    which u | x was yielded already.  The stack lives in per-level arrays:
-    a recursive generator would refer to itself through its closure and
-    keep every call's sets alive until the cyclic collector runs.
+    which u | x was yielded already.  It needs no floor: a completion the
+    floor would cut is not first, so its image came out earlier, and
+    `filled` drops it with every other such completion.  The stack lives
+    in per-level arrays: a recursive generator would refer to itself
+    through its closure and keep every call's sets alive until the cyclic
+    collector runs.
     """
     region = g.full_mask() if region is None else region
     last = tree.order - 1
@@ -217,7 +220,7 @@ def _tree_images(
     masks = g.adjacency_masks()
     parents = tree.parents
     floors = _floors(tree)
-    last_parent, last_floor = parents[last], floors[last]
+    last_parent = parents[last]
     last_child = [0] * tree.order
     for i in range(1, tree.order):
         last_child[parents[i]] = i
@@ -246,8 +249,6 @@ def _tree_images(
         if i == last - 1:
             # used lies inside region, so region ^ used is region minus used
             fresh = masks[hosts[last_parent]] & (region ^ used) & ~filled.get(used, 0)
-            if last_floor >= 0:
-                fresh &= -(2 << hosts[last_floor])
             while fresh:
                 low = fresh & -fresh
                 fresh ^= low

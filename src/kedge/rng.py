@@ -108,6 +108,8 @@ class SplitMix64:
             if shared and b <= _TABLED_BOUND:
                 rejected = _rejected_states(b)
                 state = (state + _GOLDEN) & _MASK64
+                # an `if` would do: no tabled bound has two rejected states
+                # one gamma apart, so no two rejections come in a row
                 while state in rejected:
                     state = (state + _GOLDEN) & _MASK64
                 continue

@@ -160,6 +160,7 @@ TREE_CONFIG = VALID_CONFIG | {"statement": "tree", "m_values": [2]}
         pytest.param(VALID_CONFIG | {"n_range": [8.5, 10]}, id="fractional-n_range"),
         pytest.param(TREE_CONFIG | {"m_values": [], "trees": [3]}, id="numeric-tree"),
         pytest.param(VALID_CONFIG | {"model": 5}, id="numeric-model"),
+        pytest.param(VALID_CONFIG | {"statement": ["mader_vertex"]}, id="list-statement"),
         pytest.param(
             VALID_CONFIG | {"model": "hamiltonian_stack", "params": {"t": [1]}},
             id="list-param",
@@ -180,6 +181,9 @@ TREE_CONFIG = VALID_CONFIG | {"statement": "tree", "m_values": [2]}
             id="repeated-tree-name",
         ),
         pytest.param(TREE_CONFIG | {"trees": ["path:2"]}, id="m_values-and-trees"),
+        # the vertex and edge-pair statements sweep no shapes, so shapes are a mistake
+        pytest.param(VALID_CONFIG | {"m_values": [3]}, id="unshaped-m_values"),
+        pytest.param(VALID_CONFIG | {"trees": ["path:3"]}, id="unshaped-trees"),
         # more orders than one 64-bit draw can pick from
         pytest.param(VALID_CONFIG | {"n_range": [8, 2**64 + 8]}, id="huge-n_range"),
         # one draw reaches this order, which no generator could allocate
@@ -197,11 +201,14 @@ def test_verify_rejects_a_malformed_config(tmp_path, capsys, config):
 
 
 def test_gen_rejects_a_huge_order(capsys):
-    code, _, err = run(
-        ["gen", "--model", "with_hypotheses", "--n", str(2**64 - 1), "--k", "2", "--delta", "3"],
-        capsys,
-    )
-    assert code == 2 and err.startswith("error:")
+    for args in (
+        ["--model", "with_hypotheses", "--n", str(2**64 - 1), "--k", "2", "--delta", "3"],
+        # a named instance's tag sets its order, which the cap bounds too
+        ["--model", "complete:100000"],
+        ["--model", "two_cliques_bridged:5000,1"],
+    ):
+        code, _, err = run(["gen", *args], capsys)
+        assert code == 2 and err.startswith("error:")
 
 
 def test_verify_usage_errors(capsys):
@@ -213,6 +220,13 @@ def test_verify_usage_errors(capsys):
         capsys,
     )
     assert code == 2 and "mutually exclusive" in err
+    # the edge-pair statement sweeps no tree shapes, so an order is a mistake
+    code, _, err = run(
+        ["verify", "--statement", "edge-pair", "--k", "2", "--m", "3",
+         "--trials", "1", "--seed", "3"],
+        capsys,
+    )
+    assert code == 2 and "takes no m_values or trees" in err
 
 
 def test_verify_violation_exit_code(tmp_path, capsys, monkeypatch):

@@ -75,6 +75,24 @@ def test_tree_campaign_with_open_cell():
     assert open_cell["witness_found"] + open_cell["open_datapoints"] == 2
 
 
+def test_open_range_starts_at_k4_m3():
+    """The tree statement is proven for k <= 3 or m <= 2 and open beyond:
+    only the (4, 3) cell carries no expected outcome."""
+    res = run_campaign(
+        CampaignConfig("tree", (3, 4), 1, 0, n_range=(8, 9), m_values=(2, 3))
+    )
+    expected = {
+        (t.k, t.m): res.summary["per_cell"][f"tree k={t.k} tree={t.tree}"]["expected"]
+        for t in res.trials
+    }
+    assert expected == {
+        (3, 2): "witness_found",
+        (3, 3): "witness_found",
+        (4, 2): "witness_found",
+        (4, 3): None,
+    }
+
+
 def test_tightness_campaign_and_convention():
     cfg = CampaignConfig(
         statement="tightness",

@@ -53,6 +53,21 @@ def test_vertex_finder_on_petersen():
     assert find_removable_vertex(g, 3) is None
 
 
+def test_certify_checks_the_kernel_against_the_oracle(monkeypatch):
+    """A value kernel that overstates a small residual's connectivity is
+    caught by the bipartition oracle, never returned as a certificate."""
+    true_value = removal._edge_value
+
+    def overstated(*args):
+        value, side = true_value(*args)
+        return value + 1, side
+
+    monkeypatch.setattr(removal, "_edge_value", overstated)
+    # Petersen minus a vertex has lambda 2, which the kernel now reads as 3
+    with pytest.raises(InternalCheckError, match=r"disagree on residual connectivity \(3 vs 2\)"):
+        find_removable_vertex(petersen_graph(), 2)
+
+
 def test_vertex_finder_trivial_residual():
     cert = find_removable_vertex(complete(2), 1)
     assert cert is not None
