@@ -49,6 +49,13 @@ MUTANTS = [
         "if (masks[s] & masks[t] & alive).bit_count() >= best - 1:",
         "tests/test_connectivity.py::test_vertex_connectivity_matches_definition",
     ),
+    # the exhaustive scans' cap: no scan above EXHAUSTIVE_LIMIT vertices
+    (
+        "connectivity.py",
+        "if size > EXHAUSTIVE_LIMIT:",
+        "if size > EXHAUSTIVE_LIMIT + 1:",
+        "tests/test_connectivity.py::test_exhaustive_limit_is_enforced",
+    ),
     # _certify's oracle cross-check
     (
         "removal.py",
@@ -111,6 +118,13 @@ MUTANTS = [
         "if shaped != bool(self.m_values or self.trees):",
         "if shaped and not (self.m_values or self.trees):",
         "tests/test_cli.py::test_verify_usage_errors",
+    ),
+    # a config takes shapes from m_values or from trees, not both
+    (
+        "harness.py",
+        "if self.trees and self.m_values:",
+        "if False:",
+        "tests/test_harness.py::test_config_rejects_m_values_with_trees",
     ),
     # _confirm_miss reruns the finder, which must miss again
     (

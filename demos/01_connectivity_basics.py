@@ -3,8 +3,9 @@ Edge and vertex connectivity on small graphs
 ============================================
 
 Builds a few classic graphs, reads off their connectivity numbers, and
-shows the witness cuts.  Finishes by cross-checking the max-flow value
-against the exhaustive bipartition count on a seeded random graph.
+shows the witness cuts.  Finishes by cross-checking the maximum-adjacency
+kernel's value against the exhaustive bipartition count on a seeded random
+graph.
 """
 
 from kedge import (
@@ -43,8 +44,8 @@ print("clique interiors are separated by", local_edge_connectivity(g, 2, 6), "pa
 # vertex connectivity drops to the bridge count here
 print("vertex connectivity:", vertex_connectivity(g))
 
-# the flow value and the exhaustive split minimum agree on a random graph
+# the kernel's value and the exhaustive split minimum agree on a random graph
 g = random_graph(11, 0.4, seed=7)
-flow = edge_connectivity(g)[0]
+kernel = edge_connectivity(g)[0]
 brute = edge_connectivity_bruteforce(g)
-print("random n=11: flow", flow, "exhaustive", brute, "agree:", flow == brute)
+print("random n=11: kernel", kernel, "exhaustive", brute, "agree:", kernel == brute)

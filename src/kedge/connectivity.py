@@ -13,10 +13,13 @@ it (Chartrand, SIAM J. Appl. Math. 1966), so no cut lies below it.  The
 oracle, edge_connectivity_bruteforce, scans every bipartition and runs no
 ordering; it is compared with the kernel and must never be merged with it.
 
-Every bipartition scan in the package (the oracle, min-cut enumeration and
-the fragment hosts) runs through one flow-free scanner, _scan_bipartitions.
-It walks the sides in Gray-code order on adjacency masks restricted to an
-alive-vertex mask, so a host with deleted vertices is scanned in place.
+Every bipartition scan in the package runs through one flow-free scanner,
+_scan_bipartitions.  It walks the sides in Gray-code order on adjacency
+masks restricted to an alive-vertex mask, so a host with deleted vertices
+is scanned in place.  Minimum cuts have one exhaustive routine on it,
+_host_sides: the connectivity on a vertex mask and the sorted sides of every
+minimum cut.  enumerate_min_edge_cuts and the fragment calculus read it;
+it and the oracle share the one bound check on the scanned order.
 
 Vertex connectivity likewise has one kernel, _vertex_cut, on the same
 masks.  It grows unit flows by shortest augmenting paths on the implicit
@@ -257,40 +260,56 @@ def is_k_edge_connected(g: Graph, k: int) -> bool:
     return k == 1 or _edge_value(g.adjacency_masks(), g.full_mask(), k, k)[0] >= k
 
 
-def edge_connectivity_bruteforce(g: Graph, max_vertices: int = EXHAUSTIVE_LIMIT) -> int:
+def _check_exhaustive(size: int) -> None:
+    """The exhaustive scans' bounds: at least two vertices, at most EXHAUSTIVE_LIMIT."""
+    if size > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"the exhaustive limit is {EXHAUSTIVE_LIMIT} vertices, got {size}")
+    if size < 2:
+        raise ValueError("an exhaustive cut scan needs at least two vertices")
+
+
+def _host_sides(g: Graph, alive: int) -> tuple[int, list[int]]:
+    """Edge connectivity of g on `alive` and both sides of each minimum cut, as masks.
+
+    The package's one exhaustive min-cut routine.  A disconnected host gives
+    its components, with connectivity 0.  A connected host gives both halves
+    of every minimum edge-cut, from the scanner.  Each half induces a
+    connected subgraph: were it split into parts with no edge between, its
+    boundary would be theirs summed, at least twice the connectivity, which
+    is positive here.  Sides are sorted by sorted vertex tuple, and none
+    repeats: each cut comes once, with the lowest alive vertex in its first
+    half, so those first halves make up the first half of the list.
+    """
+    _check_exhaustive(alive.bit_count())
+    if g.connected_within(alive):
+        kprime, firsts = _scan_bipartitions(g.adjacency_masks(), alive)
+        sides = firsts + [alive & ~first for first in firsts]
+    else:
+        kprime, sides = 0, g.components_within(alive)
+    sides.sort(key=lambda side: tuple(_bits(side)))
+    return kprime, sides
+
+
+def edge_connectivity_bruteforce(g: Graph) -> int:
     """Independent oracle: minimum boundary over all 2^(n-1)-1 bipartitions.
 
     Deliberately ignorant of orderings and flows; used to pin down the kernel.
     """
-    n = g.n
-    if n < 2:
-        raise ValueError("edge connectivity needs at least two vertices")
-    if n > max_vertices:
-        raise ValueError(f"bruteforce oracle capped at n={max_vertices}, got {n}")
+    _check_exhaustive(g.n)
     return _scan_bipartitions(g.adjacency_masks(), g.full_mask())[0]
 
 
-def enumerate_min_edge_cuts(g: Graph, max_vertices: int = EXHAUSTIVE_LIMIT) -> list[EdgeCut]:
-    """All minimum edge cuts, exhaustively.
+def enumerate_min_edge_cuts(g: Graph) -> list[EdgeCut]:
+    """All minimum edge cuts of a connected graph, exhaustively.
 
     Every bipartition with boundary equal to the edge connectivity, each
     listed once with vertex 0 in side_a, ordered by side_a as a sorted tuple.
-    The scanner's sides need no connectivity check: in a connected graph a
-    side split into parts with no edge between has boundary >= 2 lambda > lambda.
     """
-    n = g.n
-    if n < 2:
-        raise ValueError("cut enumeration needs at least two vertices")
-    if n > max_vertices:
-        raise ValueError(
-            f"cut enumeration is exhaustive and capped at n={max_vertices}, got {n}"
-        )
-    if not g.is_connected():
-        raise ValueError("cut enumeration expects a connected graph")
     full = g.full_mask()
-    _, sides = _scan_bipartitions(g.adjacency_masks(), full)
-    sides.sort(key=lambda m: tuple(_bits(m)))
-    return [_cut_from_side(g, full, side) for side in sides]
+    kprime, sides = _host_sides(g, full)
+    if kprime == 0:
+        raise ValueError("cut enumeration expects a connected graph")
+    return [_cut_from_side(g, full, side) for side in sides[: len(sides) // 2]]
 
 
 def _augment(masks: Sequence[int], alive: int, s: int, t: int, into: dict[int, int]) -> int | None:

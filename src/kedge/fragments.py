@@ -7,7 +7,9 @@ structure: fragments coming from two different deleted edges either
 intersect in another fragment or force a strict size inequality, and among
 all fragments confined to a region there is a well-defined smallest one.
 This module builds those objects and checks those facts exhaustively on
-small hosts.
+small hosts.  Every host's fragments come from connectivity._host_sides,
+the package's one exhaustive min-cut routine, which also bounds the host's
+order.
 
 Vertex labels inside a Fragment always refer to the ambient graph, not the
 reindexed residual graph, so fragments living in different hosts can be
@@ -19,12 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .connectivity import (
-    EXHAUSTIVE_LIMIT,
-    _edge_value,
-    _scan_bipartitions,
-    is_k_edge_connected,
-)
+from .connectivity import _edge_value, _host_sides, is_k_edge_connected
 from .errors import InternalCheckError, TheoremViolation
 from .graph import (
     Graph,
@@ -106,34 +103,6 @@ class Fragment:
         if len(self.cut_edges) != kprime:
             raise ValueError("cut is not a minimum edge-cut of the host")
         return sides
-
-
-def _host_sides(g: Graph, alive: int) -> tuple[int, list[int]]:
-    """Host connectivity of g on `alive` and the side masks of its fragments.
-
-    A disconnected host gives its components, with connectivity 0.  A
-    connected host gives both halves of every minimum edge-cut, taken from
-    the scanner as they come.  Each half induces a connected subgraph: were
-    it split into parts with no edge between, its boundary would be theirs
-    summed, at least twice the connectivity, which is positive here.  Sides
-    are sorted by sorted vertex tuple, and none repeats: each cut comes
-    once, with the lowest alive vertex in its first half.
-    """
-    size = alive.bit_count()
-    if size > EXHAUSTIVE_LIMIT:
-        raise ValueError(
-            f"residual graph on {size} vertices exceeds the exhaustive"
-            f" limit of {EXHAUSTIVE_LIMIT}"
-        )
-    if size < 2:
-        raise ValueError("residual graph must keep at least two vertices")
-    if g.connected_within(alive):
-        kprime, firsts = _scan_bipartitions(g.adjacency_masks(), alive)
-        sides = firsts + [alive & ~first for first in firsts]
-    else:
-        kprime, sides = 0, g.components_within(alive)
-    sides.sort(key=lambda side: tuple(_bits(side)))
-    return kprime, sides
 
 
 def _fragment(g: Graph, e: tuple[int, int], alive: int, side: int, kprime: int) -> Fragment:
@@ -349,9 +318,7 @@ def scan_overlap_cases(g: Graph) -> OverlapScanStats:
     if g.n < 4:
         return OverlapScanStats(0, 0, 0, 0)
     masks = g.adjacency_masks()
-    # g.edges() would cache its tuple on every scanned graph; this list dies
-    # with the scan
-    edges = [(u, v) for u in range(g.n) for v in _bits(masks[u] >> u + 1 << u + 1)]
+    edges = g.edges()
     hosts = {}
     for edge in edges:
         alive = g.full_mask() & ~mask_of(edge)

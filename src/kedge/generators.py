@@ -182,9 +182,12 @@ def _augmented_attempt(n: int, k: int, delta_min: int, seed: int) -> Graph | Non
         if low >= delta_min:
             break
         v = degrees.index(low)  # the lowest id at the minimum degree
-        # v's non-neighbours, ascending for the draw; deg v < delta_min < n leaves one
-        candidates = list(_bits(full & ~adj[v] & ~(1 << v)))
-        w = candidates[rng.randrange(len(candidates))]
+        # v's non-neighbours (deg v < delta_min < n leaves one); the draw picks
+        # among them in ascending order: drop that many lowest, take the next
+        rest = full & ~adj[v] & ~(1 << v)
+        for _ in range(rng.randrange(rest.bit_count())):
+            rest &= rest - 1
+        w = (rest & -rest).bit_length() - 1
         adj[v] |= 1 << w
         adj[w] |= 1 << v
         degrees[v] += 1
@@ -269,16 +272,13 @@ class GenSpec:
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(sorted(self.params)))
 
-    def params_dict(self) -> dict:
-        return dict(self.params)
-
 
 def generate(spec: GenSpec) -> Graph:
     """Run the generator a GenSpec describes."""
     if spec.n > MAX_ORDER:
         raise ValueError(f"n must be at most {MAX_ORDER}, got {spec.n}")
     if spec.model == "hamiltonian_stack":
-        p = spec.params_dict()
+        p = dict(spec.params)
         t = float(p.get("t", max(1, (spec.k + 1) // 2)))
         if not t.is_integer():
             raise ValueError(f"t must be a whole number of cycles, got {t}")
@@ -287,6 +287,6 @@ def generate(spec: GenSpec) -> Graph:
     if spec.model == "with_hypotheses":
         return gen_with_hypotheses(spec.n, spec.k, spec.delta_min, spec.seed)
     if spec.model == "gnp":
-        p = float(spec.params_dict().get("p", 0.5))
+        p = float(dict(spec.params).get("p", 0.5))
         return random_graph(spec.n, p, spec.seed)
     return named_instance(spec.model)

@@ -26,13 +26,12 @@ class Graph:
     Vertices are the integers 0..n-1.  Instances are immutable: derived
     graphs (induced subgraphs, deletions) are new objects.  Adjacency is kept
     as per-vertex bitmasks, which make the exhaustive bipartition scans
-    elsewhere in the package cheap.  The edge tuple is built on demand, by
-    the first `edges` call, so a graph only ever read through its masks
-    does not carry it; `neighbors` reads its vertex's mask on every call.
-    The constructor validates every edge; duplicate edges collapse silently.
+    elsewhere in the package cheap; `edges` and `neighbors` read them on
+    every call.  The constructor validates every edge; duplicate edges
+    collapse silently.
     """
 
-    __slots__ = ("_n", "_masks", "_edges")
+    __slots__ = ("_n", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -47,7 +46,6 @@ class Graph:
             masks[v] |= 1 << u
         self._n = n
         self._masks = tuple(masks)
-        self._edges: tuple[tuple[int, int], ...] | None = None
 
     @property
     def n(self) -> int:
@@ -58,12 +56,10 @@ class Graph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
-        if self._edges is None:
-            masks = self._masks
-            self._edges = tuple(
-                (u, v) for u in range(self._n) for v in _bits(masks[u] >> u + 1 << u + 1)
-            )
-        return self._edges
+        masks = self._masks
+        return tuple(
+            (u, v) for u in range(self._n) for v in _bits(masks[u] >> u + 1 << u + 1)
+        )
 
     @property
     def edge_count(self) -> int:
@@ -71,9 +67,6 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_bits(self._masks[v]))
-
-    def neighbor_mask(self, v: int) -> int:
-        return self._masks[v]
 
     def adjacency_masks(self) -> tuple[int, ...]:
         return self._masks

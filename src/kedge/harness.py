@@ -169,6 +169,8 @@ class CampaignConfig:
             raise ValueError(f"n_range high end must be at most {MAX_ORDER}")
         if self.delta_min is not None and not 0 <= self.delta_min < MAX_ORDER:
             raise ValueError(f"delta_min must be at least 0 and below {MAX_ORDER}")
+        if self.trees and self.m_values:
+            raise ValueError("m_values and trees are mutually exclusive")
         shaped = STATEMENTS[self.statement].shaped
         if shaped != bool(self.m_values or self.trees):
             need = "needs" if shaped else "takes no"
@@ -259,8 +261,6 @@ class CampaignResult:
 
 
 def _cells(config: CampaignConfig) -> list[Cell]:
-    if config.trees and config.m_values:
-        raise ValueError("m_values and trees are mutually exclusive")
     # the config holds shapes exactly when its statement is shaped
     shapes: list[TreeSpec | None] = [None]
     if config.trees:
@@ -523,30 +523,18 @@ class CounterexampleReport:
         return _plain(self)
 
 
-def counterexample_search(
-    k: int,
-    m: int,
-    budget: int,
-    seed: int,
-    n_range: tuple[int, int] | None = None,
-) -> CounterexampleReport:
+def counterexample_search(k: int, m: int, budget: int, seed: int) -> CounterexampleReport:
     """Try to break tree removability at the conjectured threshold.
 
-    Generates `budget` graphs with connectivity >= k and minimum degree
-    >= k+m, and tries every tree of order m on each.  A miss is reported
-    as a candidate only after the hypotheses re-verify and a second
-    exhaustive pass still finds nothing.
+    Generates `budget` graphs with connectivity >= k, minimum degree >=
+    delta = k+m and order delta+1 to delta+8, and tries every tree of order
+    m on each.  A miss is reported as a candidate only after the hypotheses
+    re-verify and a second exhaustive pass still finds nothing.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     statement = STATEMENTS["tree"]
     delta = statement.floor(k, m)
-    if n_range is None:
-        n_range = (delta + 1, delta + 8)
-    if n_range[0] > n_range[1]:
-        raise ValueError("n_range must be (low, high) with low <= high")
-    if n_range[0] <= delta:
-        raise ValueError(f"n_range must start above delta={delta}")
     trees = enumerate_trees(m)
     candidates: list[dict] = []
     genfail = 0
@@ -554,7 +542,7 @@ def counterexample_search(
     min_delta_success: int | None = None
     for i in range(budget):
         trial_seed = derive_seed(seed, i)
-        g = _draw_graph(trial_seed, n_range, "with_hypotheses", k, delta)
+        g = _draw_graph(trial_seed, (delta + 1, delta + 8), "with_hypotheses", k, delta)
         if g is None:
             genfail += 1
             continue

@@ -177,7 +177,7 @@ def prufer_encode(tree: TreeSpec) -> list[int]:
     return out
 
 
-def tree_from_graph(g: Graph, name: str | None = None) -> TreeSpec:
+def tree_from_graph(g: Graph) -> TreeSpec:
     """Relabel a tree-shaped graph into parent-array form.
 
     Labels are assigned in breadth-first order from vertex 0, neighbors
@@ -191,12 +191,12 @@ def tree_from_graph(g: Graph, name: str | None = None) -> TreeSpec:
     parents = [-1] * g.n
     queue = [0]
     for u in queue:
-        for w in _bits(g.neighbor_mask(u)):
+        for w in _bits(g.adjacency_masks()[u]):
             if w not in relabel:
                 relabel[w] = len(relabel)
                 parents[relabel[w]] = relabel[u]
                 queue.append(w)
-    return TreeSpec(tuple(parents), name=name)
+    return TreeSpec(tuple(parents))
 
 
 def parse_tree_spec(text: str) -> TreeSpec:
@@ -212,7 +212,7 @@ def parse_tree_spec(text: str) -> TreeSpec:
     kind = kind.strip().lower()
     if kind == "file":
         g = graph_io.load_graph(args.strip())
-        return tree_from_graph(g, name=None)
+        return tree_from_graph(g)
 
     def ints(what: str) -> list[int]:
         try:

@@ -70,7 +70,7 @@ def test_01_flow_oracle_matches_exhaustive_splits():
         assert edge_connectivity(g)[0] == edge_connectivity_bruteforce(g)
         checked += 1
     assert time.monotonic() < deadline
-    _ok(f"criterion 1: flow oracle agrees with exhaustive splits on {checked} graphs")
+    _ok(f"criterion 1: maximum-adjacency kernel agrees with exhaustive splits on {checked} graphs")
 
 
 def _witness_campaign(statement):

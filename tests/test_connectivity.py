@@ -111,8 +111,6 @@ def test_bruteforce_matches_flow_on_small_graphs():
     for g in seeded_random_graphs(60, 2, 9, seed=31):
         want, _ = edge_connectivity(g)
         assert edge_connectivity_bruteforce(g) == want
-    with pytest.raises(ValueError):
-        edge_connectivity_bruteforce(complete(2), max_vertices=1)
 
 
 def test_enumerate_min_edge_cuts_c4():
@@ -193,10 +191,17 @@ def test_connectivity_report():
 
 def test_exhaustive_limit_is_enforced():
     big = complete(EXHAUSTIVE_LIMIT + 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exhaustive limit"):
         enumerate_min_edge_cuts(big)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exhaustive limit"):
         edge_connectivity_bruteforce(big)
+
+
+def test_enumerate_min_edge_cuts_rejects_what_has_no_cut_to_list():
+    with pytest.raises(ValueError, match="expects a connected graph"):
+        enumerate_min_edge_cuts(Graph(4, [(0, 1), (2, 3)]))
+    with pytest.raises(ValueError, match="at least two vertices"):
+        enumerate_min_edge_cuts(Graph(1))
 
 
 def all_labeled_graphs(n_max):

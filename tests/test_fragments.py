@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from kedge.connectivity import EXHAUSTIVE_LIMIT, edge_connectivity_bruteforce
-from kedge import connectivity, fragments
+from kedge import connectivity
 from kedge.errors import InternalCheckError, TheoremViolation
 from kedge.fragments import (
     Fragment,
@@ -294,13 +294,6 @@ def test_scan_overlap_k6():
     assert st.small_complement == 0  # K6 complements always share vertices
 
 
-def test_scan_overlap_reads_masks_only():
-    """The scan leaves no edge tuple cached on the graph."""
-    g = complete(6)
-    scan_overlap_cases(g)
-    assert g._edges is None
-
-
 def reference_overlap_stats(g):
     """scan_overlap_cases rebuilt from the public calls: every fragment
     validated, every pair meeting the hypotheses checked in full."""
@@ -354,7 +347,6 @@ def test_scan_overlap_catches_a_scanner_fault(monkeypatch):
             return fault(alive, *real(masks, alive))
 
         monkeypatch.setattr(connectivity, "_scan_bipartitions", faulty)
-        monkeypatch.setattr(fragments, "_scan_bipartitions", faulty)
 
     inject(lambda alive, best, sides: (best + 1, sides))
     with pytest.raises(InternalCheckError, match="maximum-adjacency"):
