@@ -56,6 +56,33 @@ MUTANTS = [
         "if size > EXHAUSTIVE_LIMIT + 1:",
         "tests/test_connectivity.py::test_exhaustive_limit_is_enforced",
     ),
+    # the row scan: the side `alive` itself, boundary 0, is no bipartition
+    (
+        "connectivity.py",
+        "flat[(2 << c) // 3] = 255",
+        "pass",
+        "tests/test_connectivity.py::test_scanner_matches_reference_walk",
+    ),
+    # the row scan: odd rows run their low codes downwards
+    (
+        "connectivity.py",
+        'row.to_bytes(width, "big" if h & 1 else "little")',
+        'row.to_bytes(width, "little")',
+        "tests/test_connectivity.py::test_scanner_matches_reference_walk",
+    ),
+    # the row scan takes hosts of 11 alive vertices or more, no fewer
+    (
+        "connectivity.py",
+        "_ROWS_FROM = 11",
+        "_ROWS_FROM = 12",
+        "tests/test_connectivity.py::test_scan_walks_in_rows_from_eleven_vertices",
+    ),
+    (
+        "connectivity.py",
+        "_ROWS_FROM = 11",
+        "_ROWS_FROM = 10",
+        "tests/test_connectivity.py::test_scan_walks_in_rows_from_eleven_vertices",
+    ),
     # _certify's oracle cross-check
     (
         "removal.py",

@@ -16,7 +16,14 @@ ordering; it is compared with the kernel and must never be merged with it.
 Every bipartition scan in the package runs through one flow-free scanner,
 _scan_bipartitions.  It walks the sides in Gray-code order on adjacency
 masks restricted to an alive-vertex mask, so a host with deleted vertices
-is scanned in place.  Minimum cuts have one exhaustive routine on it,
+is scanned in place.  Hosts of up to 10 alive vertices are walked one side
+per step.  From 11 on (_ROWS_FROM), the walk moves only the top 7 vertices
+(_WALKED) and carries a row: one integer with a byte field for each subset
+of the other low vertices, so one big-integer addition updates 2^(c-7)
+boundaries at once.  Bytes are wide enough because no boundary on at most
+EXHAUSTIVE_LIMIT = 16 vertices exceeds 8 * 8 = 64.  Both paths visit the
+same sides in the same order; the plain walk is kept below 11 vertices,
+where rows scan slower.  Minimum cuts have one exhaustive routine on it,
 _host_sides: the connectivity on a vertex mask and the sorted sides of every
 minimum cut.  enumerate_min_edge_cuts and the fragment calculus read it;
 it and the oracle share the one bound check on the scanned order.
@@ -43,6 +50,10 @@ from typing import Sequence
 from .graph import Graph, _bits, _edges_between, mask_of
 
 EXHAUSTIVE_LIMIT = 16
+# the bipartition scan runs in rows from this many alive vertices, walking
+# only the top _WALKED of them (see _scan_bipartitions)
+_ROWS_FROM = 11
+_WALKED = 7
 
 
 def _edge_value(
@@ -165,15 +176,40 @@ def _gray_flips(c: int) -> bytes:
     return half + bytes((c - 1,)) + half
 
 
+@cache
+def _row_patterns(a: int) -> tuple[int, tuple[int, ...]]:
+    """Rows of 2^a byte fields, field p standing for the a-bit Gray code
+    p ^ (p >> 1): the row of all ones, and per bit the 0/1 row of the codes
+    holding it."""
+    codes = [p ^ p >> 1 for p in range(1 << a)]
+    return int.from_bytes(bytes([1] * len(codes)), "little"), tuple(
+        int.from_bytes(bytes(code >> b & 1 for code in codes), "little") for b in range(a)
+    )
+
+
 def _scan_bipartitions(masks: Sequence[int], alive: int) -> tuple[int, list[int]]:
     """Minimum boundary over the bipartitions of `alive`, and the sides reaching it.
 
     `masks` are adjacency masks; only edges inside `alive` count.  The side
     always holds the lowest alive vertex and walks the subsets of the other
-    alive vertices in Gray-code order, skipping `alive` itself, so each step
-    moves one vertex across and changes the boundary by that vertex's
+    c alive vertices in Gray-code order, skipping `alive` itself, so each
+    step moves one vertex across and changes the boundary by that vertex's
     neighbours outside the side minus those inside it.  Sides come back as
     masks in visiting order.  `alive` needs at least two vertices.
+
+    From _ROWS_FROM alive vertices on, the walk moves only the top _WALKED
+    others.  The a = c - _WALKED lowest others ride in a row: one integer
+    with a byte field per subset of them, field p for the a-bit Gray code
+    p ^ (p >> 1).  Moving walked vertex v changes every field by deg(v)
+    minus twice v's neighbours in the side; the lowest vertex and the walked
+    ones count alike in every field, and each low neighbour adds its 0/1
+    row.  The first row is built from the same 0/1 rows.  A row is exact
+    while every field's final value fits a byte, and a boundary on at most
+    EXHAUSTIVE_LIMIT = 16 vertices is at most 8 * 8 = 64.  The c-bit walk
+    runs the low codes upwards in even rows and downwards in odd ones, so
+    odd rows are read big-endian and the joined bytes are the boundaries in
+    visiting order.  The side `alive`, code all ones, is visited at index
+    (2 << c) // 3 and marked 255.  Smaller hosts scan faster one side a step.
     """
     root = alive & -alive
     others = list(_bits(alive & ~root))
@@ -182,17 +218,52 @@ def _scan_bipartitions(masks: Sequence[int], alive: int) -> tuple[int, list[int]
     degs = [nb.bit_count() for nb in nbs]
     side = root
     boundary = (masks[root.bit_length() - 1] & alive).bit_count()
-    best = boundary
-    sides = [side]
-    for j in _gray_flips(len(others)):
-        side ^= flips[j]
-        delta = degs[j] - 2 * (nbs[j] & side).bit_count()
-        boundary += delta if side & flips[j] else -delta
-        if boundary <= best and side != alive:
-            if boundary < best:
-                best = boundary
-                sides = []
-            sides.append(side)
+    c = len(others)
+    if c < _ROWS_FROM - 1:
+        best = boundary
+        sides = [side]
+        for j in _gray_flips(c):
+            side ^= flips[j]
+            delta = degs[j] - 2 * (nbs[j] & side).bit_count()
+            boundary += delta if side & flips[j] else -delta
+            if boundary <= best and side != alive:
+                if boundary < best:
+                    best = boundary
+                    sides = []
+                sides.append(side)
+        return best, sides
+    a = c - _WALKED
+    ones, pattern = _row_patterns(a)
+    # the first row: sum of degrees minus twice the edges inside each side
+    row = boundary * ones
+    for j in range(a):
+        row += (degs[j] - 2 * (nbs[j] & root).bit_count()) * pattern[j]
+        for b in range(j):
+            if nbs[j] & flips[b]:
+                row -= 2 * (pattern[j] & pattern[b])
+    steps = [degs[j] * ones - 2 * sum(pattern[b] for b in range(a) if nbs[j] & flips[b])
+             for j in range(a, c)]
+    rows = [row]
+    for j in _gray_flips(_WALKED):
+        side ^= flips[a + j]
+        step = steps[j] - 2 * (nbs[a + j] & side).bit_count() * ones
+        row += step if side & flips[a + j] else -step
+        rows.append(row)
+    width = 1 << a
+    flat = bytearray(b"".join(
+        row.to_bytes(width, "big" if h & 1 else "little") for h, row in enumerate(rows)
+    ))
+    flat[(2 << c) // 3] = 255
+    # the first side's boundary bounds the minimum; membership tests run in C
+    best = next(v for v in range(boundary + 1) if v in flat)
+    sides = []
+    i = -1
+    for _ in range(flat.count(best)):
+        i = flat.index(best, i + 1)
+        side = root
+        for j in _bits(i ^ i >> 1):
+            side |= flips[j]
+        sides.append(side)
     return best, sides
 
 
@@ -202,14 +273,15 @@ def local_edge_connectivity(g: Graph, s: int, t: int, cap: float = float("inf"))
     Shortest augmenting paths on frontier masks.  fwd[u] has bit v while a
     unit runs along uv from u to v: u's residual neighbours are masks[u] &
     ~fwd[u], and a path against a unit cancels it.  No unit enters s, so the
-    flow is the count of units leaving it.  A finite cap must be an integer.
+    flow is the count of units leaving it.  A finite cap must be a nonnegative
+    integer.
     """
     if s == t:
         raise ValueError("endpoints must differ")
     if not (g.has_vertex(s) and g.has_vertex(t)):
         raise ValueError("endpoint out of range")
-    if isfinite(cap) and cap % 1:
-        raise ValueError(f"cap must be an integer or infinite, got {cap}")
+    if not cap >= 0 or isfinite(cap) and cap % 1:
+        raise ValueError(f"cap must be a nonnegative integer or infinite, got {cap}")
     masks = g.adjacency_masks()
     fwd = [0] * g.n
     while fwd[s].bit_count() < cap:

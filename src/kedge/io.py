@@ -19,7 +19,7 @@ from .graph import Graph
 
 def parse_edge_list(text: str) -> Graph:
     header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
+    seen: dict[tuple[int, int], int] = {}  # each edge, low end first, to its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -41,14 +41,19 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphFormatError(f"edge ({a}, {b}) out of range for n={n}", lineno)
         if a == b:
             raise GraphFormatError(f"self-loop at vertex {a}", lineno)
-        edges.append((a, b))
+        key = (a, b) if a < b else (b, a)
+        if key in seen:
+            raise GraphFormatError(
+                f"edge ({a}, {b}) repeats the edge on line {seen[key]}", lineno
+            )
+        seen[key] = lineno
     if header is None:
         raise GraphFormatError("missing 'n m' header line")
-    if len(edges) != header[1]:
+    if len(seen) != header[1]:
         raise GraphFormatError(
-            f"header promises {header[1]} edges, file has {len(edges)}"
+            f"header promises {header[1]} edges, file has {len(seen)}"
         )
-    return Graph(header[0], edges)
+    return Graph(header[0], seen)
 
 
 def write_edge_list(g: Graph) -> str:
@@ -91,25 +96,23 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, edges)
 
 
+# graph6 writes six bits per character, the first one highest; indexed by
+# the six bits read lowest first
+_GRAPH6_CHARS = "".join(chr(63 + int(f"{x:06b}"[::-1], 2)) for x in range(64))
+
+
 def write_graph6(g: Graph) -> str:
     if g.n > GRAPH6_MAX_N:
         raise GraphFormatError(
             f"graph6 emission supports n<={GRAPH6_MAX_N}, got n={g.n}"
         )
-    n = g.n
-    bits = []
-    for col in range(1, n):
-        for row in range(col):
-            bits.append(1 if g.has_edge(row, col) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(63 + n)]
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = val << 1 | b
-        out.append(chr(63 + val))
-    return "".join(out)
+    # the upper triangle column by column, row 0 first: column c's rows are
+    # the low c bits of its adjacency mask
+    bits = size = 0
+    for col, mask in enumerate(g.adjacency_masks()):
+        bits |= (mask & ((1 << col) - 1)) << size
+        size += col
+    return chr(63 + g.n) + "".join(_GRAPH6_CHARS[bits >> i & 63] for i in range(0, size, 6))
 
 
 def sniff_format(text: str) -> str:

@@ -29,6 +29,11 @@ def test_analyze_malformed_file(tmp_path, capsys):
     code, _, err = run(["analyze", str(path)], capsys)
     assert code == 2
     assert "line 2" in err
+    # a repeated edge, here reversed, is an input error too
+    path.write_text("3 2\n0 1\n1 0\n")
+    code, _, err = run(["analyze", str(path)], capsys)
+    assert code == 2
+    assert "line 3" in err and "line 2" in err
 
 
 def test_find_removable(tmp_path, capsys):

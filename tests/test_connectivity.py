@@ -92,9 +92,12 @@ def test_local_edge_connectivity():
         (3, 6), (3, 7), (3, 9), (5, 6), (6, 8), (9, 11), (10, 11),
     ])
     assert local_edge_connectivity(g, 6, 10) == 3
-    # a fractional cap is refused rather than rounded
-    with pytest.raises(ValueError, match="integer"):
-        local_edge_connectivity(complete(5), 0, 1, 2.5)
+    # a fractional, negative or NaN cap is refused rather than rounded or
+    # read as a cap of 0
+    for cap in (2.5, -3, float("nan")):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            local_edge_connectivity(complete(5), 0, 1, cap)
+    assert local_edge_connectivity(complete(5), 0, 1, 0) == 0
 
 
 def test_is_k_edge_connected_conventions():
@@ -302,6 +305,29 @@ def test_scanner_matches_reference_walk():
         alives.append(full & rng.next_u64() | 3)
         for alive in alives:
             _check_scan(g, alive)
+    # the scan runs in byte rows from 11 alive vertices: K_16 fills balanced
+    # fields with 64, the largest boundary; a perfect matching gives value 0
+    # and 127 sides; holes in `alive`, vertex 0 among them, leave 11-15
+    # alive vertices
+    matching = Graph(16, [(v, v + 1) for v in range(0, 16, 2)])
+    for g in (complete(16), complete_bipartite(8, 8), matching):
+        assert _check_scan(g, g.full_mask()) == (g is not matching)
+    assert _scan_bipartitions(matching.adjacency_masks(), matching.full_mask())[0] == 0
+    assert len(_scan_bipartitions(matching.adjacency_masks(), matching.full_mask())[1]) == 127
+    for i, g in enumerate(seeded_random_graphs(6, 16, 16, seed=79, p=0.6)):
+        holes = {7 * j % 16 for j in range(i)}
+        _check_scan(g, g.full_mask() & ~mask_of(holes))
+
+
+def test_scan_walks_in_rows_from_eleven_vertices(monkeypatch):
+    """Hosts of up to 10 alive vertices walk every other vertex; larger ones
+    walk the top 7 and carry the rest in rows."""
+    walks = []
+    real = connectivity._gray_flips
+    monkeypatch.setattr(connectivity, "_gray_flips", lambda c: walks.append(c) or real(c))
+    for n in range(2, EXHAUSTIVE_LIMIT + 1):
+        _scan_bipartitions(complete(n).adjacency_masks(), complete(n).full_mask())
+    assert walks == list(range(1, 10)) + [7] * 6
 
 
 def _vertex_connectivity_by_definition(g):

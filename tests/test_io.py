@@ -38,6 +38,17 @@ def test_edge_list_errors_carry_line_numbers():
         parse_edge_list("3 2\n0 1\n")  # header promises two edges
 
 
+def test_edge_list_rejects_a_repeated_edge():
+    """A repeat in either orientation names its own line and the first's,
+    rather than loading as a graph with fewer edges than the header says."""
+    for text in ("3 2\n0 1\n1 0\n", "# c\n3 2\n0 1\n\n0 1\n"):
+        with pytest.raises(GraphFormatError, match="repeats the edge on line") as exc:
+            parse_edge_list(text)
+        assert exc.value.line == text.count("\n")
+    # Graph itself still collapses duplicates
+    assert Graph(3, [(0, 1), (1, 0)]).edge_count == 1
+
+
 def test_edge_list_round_trip():
     for g in seeded_random_graphs(25, 1, 14, seed=7):
         assert parse_edge_list(write_edge_list(g)) == g
