@@ -17,13 +17,12 @@ Every bipartition scan in the package runs through one flow-free scanner,
 _scan_bipartitions.  It walks the sides in Gray-code order on adjacency
 masks restricted to an alive-vertex mask, so a host with deleted vertices
 is scanned in place.  Hosts of up to 10 alive vertices are walked one side
-per step.  From 11 on (_ROWS_FROM), the walk moves only the top 7 vertices
-(_WALKED) and carries a row: one integer with a byte field for each subset
-of the other low vertices, so one big-integer addition updates 2^(c-7)
-boundaries at once.  Bytes are wide enough because no boundary on at most
-EXHAUSTIVE_LIMIT = 16 vertices exceeds 8 * 8 = 64.  Both paths visit the
-same sides in the same order; the plain walk is kept below 11 vertices,
-where rows scan slower.  Minimum cuts have one exhaustive routine on it,
+a step.  From 11 on, the walk moves only the top 7 vertices and carries
+the subsets of the others as byte fields of one integer, so one addition
+updates up to 256 boundaries; a byte holds every boundary, as none on at
+most EXHAUSTIVE_LIMIT = 16 vertices exceeds 8 * 8 = 64.  Both visit the
+same sides in the same order; the size decides, as rows scan slower on
+small hosts.  Minimum cuts have one exhaustive routine on it,
 _host_sides: the connectivity on a vertex mask and the sorted sides of every
 minimum cut.  enumerate_min_edge_cuts and the fragment calculus read it;
 it and the oracle share the one bound check on the scanned order.
@@ -241,6 +240,7 @@ def _scan_bipartitions(masks: Sequence[int], alive: int) -> tuple[int, list[int]
         for b in range(j):
             if nbs[j] & flips[b]:
                 row -= 2 * (pattern[j] & pattern[b])
+    # moving walked vertex j in, before its neighbours among the walked side
     steps = [degs[j] * ones - 2 * sum(pattern[b] for b in range(a) if nbs[j] & flips[b])
              for j in range(a, c)]
     rows = [row]
