@@ -24,8 +24,22 @@ MUTANTS = [
     # Chartrand's shortcut: lambda = min degree needs min degree >= n // 2
     (
         "connectivity.py",
-        "min_degree >= alive.bit_count() // 2:",
-        "min_degree >= alive.bit_count() // 3:",
+        "if low >= len(ids) // 2:",
+        "if low >= len(ids) // 3:",
+        "tests/test_connectivity.py::test_edge_value_matches_scanner_on_every_small_graph",
+    ),
+    # the degree pass returns early only at a degree below stop
+    (
+        "connectivity.py",
+        "if d < stop:",
+        "if d <= stop:",
+        "tests/test_connectivity.py::test_edge_value_matches_scanner_on_every_small_graph",
+    ),
+    # best is clamped to the minimum degree before Chartrand's shortcut
+    (
+        "connectivity.py",
+        "best = min(best, low)",
+        "pass",
         "tests/test_connectivity.py::test_edge_value_matches_scanner_on_every_small_graph",
     ),
     # the MA merge rule: merge x and y only once r(y) reaches best
@@ -33,7 +47,7 @@ MUTANTS = [
         "connectivity.py",
         "if attach[y] >= best:",
         "if attach[y] >= best - 1:",
-        "tests/test_connectivity.py::test_edge_value_matches_scanner_on_every_small_graph",
+        "tests/test_connectivity.py::test_edge_value_on_every_labeling_of_bridged_triangles",
     ),
     # Even's bound: a cut below c misses one of the first c sources
     (

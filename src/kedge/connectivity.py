@@ -2,16 +2,18 @@
 
 Edge connectivity has one route on adjacency masks and an alive-vertex
 mask, _edge_value: maximum-adjacency orderings with contraction (Stoer &
-Wagner, JACM 1997; Nagamochi & Ibaraki, SIAM J. Discrete Math. 1992).  It
-gives the value and, as the ordering prefix that reached it, a witness
-side; is_k_edge_connected and the removal certificates take the value,
-edge_connectivity and residual_min_cut the cut too.  The overlap scan in
-fragments takes the value as well, to cross-check each fragment host's
-bipartition scan by a route that scans no bipartition.  Dense inputs need no
-ordering: once the minimum degree is at least half the order, lambda equals
-it (Chartrand, SIAM J. Appl. Math. 1966), so no cut lies below it.  The
-oracle, edge_connectivity_bruteforce, scans every bipartition and runs no
-ordering; it is compared with the kernel and must never be merged with it.
+Wagner, JACM 1997; Nagamochi & Ibaraki, SIAM J. Discrete Math. 1992) on
+supervertices kept as member masks.  It reads every degree itself, so its
+callers scan none.  It gives the value and, as the ordering prefix that
+reached it, a witness side; is_k_edge_connected and the removal
+certificates take the value, edge_connectivity and residual_min_cut the cut
+too.  The overlap scan in fragments takes the value as well, to cross-check
+each fragment host's bipartition scan by a route that scans no bipartition.
+Dense inputs need no ordering: once the minimum degree is at least half the
+order, lambda equals it (Chartrand, SIAM J. Appl. Math. 1966), so no cut
+lies below it.  The oracle, edge_connectivity_bruteforce, scans every
+bipartition and runs no ordering; it is compared with the kernel and must
+never be merged with it.
 
 Every bipartition scan in the package runs through one flow-free scanner,
 _scan_bipartitions.  It walks the sides in Gray-code order on adjacency
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cache
-from heapq import heappop, heappush
 from math import isfinite
 from typing import Sequence
 
@@ -61,62 +62,80 @@ def _edge_value(
     """min(lambda, best) on `alive` (two vertices or more) if that is >= stop, else
     a value below stop; 0 when `alive` is disconnected.  Also a side reaching it.
 
-    Each maximum-adjacency ordering (lowest id first, and again per component)
-    lowers best to every proper prefix's cut, then merges pairs with lambda >= best:
-    a scanned x and an unscanned neighbour y once r(y) >= best, as lambda(x, y) >=
-    r(y), and the last two scanned, whose cut of the phase is in best.  The side
-    is the OR of the scanned vertices' member masks at the last step that lowered
-    best, None if no step did.
+    One pass reads every neighbourhood and degree and returns the first degree
+    below stop, which lambda cannot exceed; best is then clamped to the
+    minimum degree.  When that is at least half the order (rounded down),
+    lambda equals it (Chartrand, SIAM J. Appl. Math. 1966): (best, None).
 
-    Chartrand's bound settles dense inputs first: when the minimum degree is at
-    least half the order (rounded down), lambda equals it (SIAM J. Appl. Math.
-    1966), so with best at or below it no cut lowers best and the orderings
-    would return (best, None); that is returned without them.
+    Supervertices are member masks, their degrees and outside neighbourhoods
+    out[x] recomputed once per contraction; owner[u] holds u.  Each
+    maximum-adjacency ordering (largest attachment first, lowest id among
+    ties) lowers best to every proper prefix's cut.  Scanning x adds the
+    edges from x to the owner of each unscanned u in out[x], and a
+    union-find merges pairs with lambda >= best: x and an unscanned y once
+    r(y) >= best, as lambda(x, y) >= r(y), and the last two scanned, whose
+    cut of the phase is in best.  The side is the OR of the scanned members
+    at the last step that lowered best, None if no step did.
     """
     def find(v: int) -> int:
         while leader[v] != v:
             leader[v] = v = leader[leader[v]]
         return v
 
-    min_degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
-    if best <= min_degree and min_degree >= alive.bit_count() // 2:
+    nb = [0] * alive.bit_length()
+    ids = []
+    low = len(nb)
+    for v in _bits(alive):
+        nb[v] = around = masks[v] & alive
+        d = around.bit_count()
+        if d < low:
+            if d < stop:
+                return d, None
+            low = d
+        ids.append(v)
+    best = min(best, low)
+    if low >= len(ids) // 2:
         return best, None
-    adj = {v: dict.fromkeys(_bits(masks[v] & alive), 1) for v in _bits(alive)}
-    members = {v: 1 << v for v in adj}
+    deg = [around.bit_count() for around in nb]
+    members = [1 << v for v in range(len(nb))]
+    owner = list(range(len(nb)))
+    leader = owner[:]
+    out = nb[:]
     side = None
-    while len(adj) > 1 and best >= stop:
-        leader = {v: v for v in adj}
-        attach = dict.fromkeys(adj, 0)
-        heap = sorted((0, v) for v in adj)
-        cut = x = prefix = 0
-        while attach:
-            negr, y = heappop(heap)
-            if attach.get(y) != -negr:
-                continue
-            prev, x = x, y
-            del attach[x]
-            prefix |= members[x]
-            cut += sum(adj[x].values()) + 2 * negr
-            if attach and cut < best:
-                best, side = cut, prefix
-            for y, w in adj[x].items():
-                if y in attach:
-                    attach[y] += w
-                    heappush(heap, (-attach[y], y))
-                    if attach[y] >= best:
-                        leader[find(y)] = find(x)
+    changed: list[int] = []
+    while len(ids) > 1 and best >= stop:
+        for x in changed:
+            around = 0
+            for u in _bits(members[x]):
+                owner[u] = x
+                around |= nb[u]
+            out[x] = around = around & ~members[x]
+            deg[x] = sum((nb[u] & members[x]).bit_count() for u in _bits(around))
+        attach = [0] * len(nb)
+        unscanned = ids[:]
+        rest = alive
+        cut = x = 0
+        while unscanned:
+            prev, x = x, max(unscanned, key=attach.__getitem__)
+            unscanned.remove(x)
+            rest ^= members[x]
+            cut += deg[x] - 2 * attach[x]
+            if unscanned and cut < best:
+                best, side = cut, alive ^ rest
+            for u in _bits(out[x] & rest):
+                y = owner[u]
+                attach[y] += (nb[u] & members[x]).bit_count()
+                if attach[y] >= best:
+                    leader[find(y)] = find(x)
         leader[find(prev)] = find(x)
-        merged: dict[int, dict[int, int]] = {}
-        grouped: dict[int, int] = {}
-        for v, nbrs in adj.items():
-            rv = find(v)
-            grouped[rv] = grouped.get(rv, 0) | members[v]
-            into = merged.setdefault(rv, {})
-            for u, w in nbrs.items():
-                ru = find(u)
-                if ru != rv:
-                    into[ru] = into.get(ru, 0) + w
-        adj, members = merged, grouped
+        groups: dict[int, int] = {}
+        for v in ids:
+            r = find(v)
+            groups[r] = groups.get(r, 0) | members[v]
+        ids = sorted(groups)
+        changed = [r for r in ids if groups[r] != members[r]]
+        for r in changed:
+            members[r] = groups[r]
     return best, side
 
 
@@ -321,15 +340,16 @@ def edge_connectivity(g: Graph) -> tuple[int, EdgeCut]:
 
 
 def is_k_edge_connected(g: Graph, k: int) -> bool:
-    """Decision version, by the value kernel with best and stop both k.
+    """Decision version, by the value kernel with best and stop both k: its
+    degree pass and its orderings also catch a low degree and a disconnected graph.
 
     Convention: the single-vertex graph is 1-edge-connected and nothing more.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if g.n <= 1 or g.min_degree() < k or not g.is_connected():
+    if g.n <= 1:
         return g.n == 1 and k == 1
-    return k == 1 or _edge_value(g.adjacency_masks(), g.full_mask(), k, k)[0] >= k
+    return _edge_value(g.adjacency_masks(), g.full_mask(), k, k)[0] >= k
 
 
 def _check_exhaustive(size: int) -> None:

@@ -323,10 +323,9 @@ def scan_overlap_cases(g: Graph) -> OverlapScanStats:
     for edge in edges:
         alive = g.full_mask() & ~mask_of(edge)
         kprime, sides = _host_sides(g, alive)
-        min_degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
         # stop 1 still gives lambda exactly (a value below 1 is 0) and ends a
-        # disconnected host after one ordering
-        if _edge_value(masks, alive, min_degree, 1)[0] != kprime:
+        # disconnected host at its first isolated vertex or after one ordering
+        if _edge_value(masks, alive, alive.bit_count(), 1)[0] != kprime:
             raise InternalCheckError(
                 f"host of edge {edge}: bipartition scan gives {kprime}, the"
                 " maximum-adjacency kernel disagrees"

@@ -175,23 +175,24 @@ def _augmented_attempt(n: int, k: int, delta_min: int, seed: int) -> Graph | Non
     except GenerationError:
         return None
     rng = SplitMix64(derive_seed(seed, 1))
-    degrees = [mask.bit_count() for mask in adj]
     full = (1 << n) - 1
-    while True:
-        low = min(degrees)
-        if low >= delta_min:
-            break
-        v = degrees.index(low)  # the lowest id at the minimum degree
-        # v's non-neighbours (deg v < delta_min < n leaves one); the draw picks
-        # among them in ascending order: drop that many lowest, take the next
-        rest = full & ~adj[v] & ~(1 << v)
-        for _ in range(rng.randrange(rest.bit_count())):
-            rest &= rest - 1
-        w = (rest & -rest).bit_length() - 1
-        adj[v] |= 1 << w
-        adj[w] |= 1 << v
-        degrees[v] += 1
-        degrees[w] += 1
+    # v is the lowest id at the minimum degree low: ids below v are above low,
+    # and degrees only grow, so v moves up, back to 0 when low does
+    low, v = min(mask.bit_count() for mask in adj), 0
+    while low < delta_min:
+        if v == n:
+            low, v = low + 1, 0
+        elif adj[v].bit_count() > low:
+            v += 1
+        else:
+            # v's non-neighbours (deg v < delta_min < n leaves one); the draw picks
+            # among them in ascending order: drop that many lowest, take the next
+            rest = full & ~adj[v] & ~(1 << v)
+            for _ in range(rng.randrange(rest.bit_count())):
+                rest &= rest - 1
+            w = (rest & -rest).bit_length() - 1
+            adj[v] |= 1 << w
+            adj[w] |= 1 << v
     return _graph_of(adj)
 
 

@@ -391,8 +391,8 @@ def _run_trial(
         # (the value kernel needs two vertices)
         if g is None or g.n < 2 or g.min_degree() < delta:
             return report(g, OUTCOME_GENFAIL)
-    # lambda alone, with no witness cut: min(lambda, min degree) is lambda
-    kprime = _edge_value(g.adjacency_masks(), g.full_mask(), g.min_degree(), 0)[0]
+    # lambda alone, with no witness cut: best is clamped to the minimum degree
+    kprime = _edge_value(g.adjacency_masks(), g.full_mask(), g.n, 0)[0]
     # never true for tightness: K_{k+m} has edge connectivity k+m-1
     if kprime < cell.k:
         return report(g, OUTCOME_GENFAIL)

@@ -108,8 +108,7 @@ def _certify(g: Graph, kind: str, removed: int, k: int) -> RemovalCertificate | 
         if alive and k == 1:
             return RemovalCertificate(kind, tuple(_bits(removed)), None, True)
         return None
-    min_degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
-    kprime = min_degree if min_degree < k else _edge_value(masks, alive, min_degree, k)[0]
+    kprime = _edge_value(masks, alive, alive.bit_count(), k)[0]
     if kprime < k:
         return None
     if alive.bit_count() <= EXHAUSTIVE_LIMIT:

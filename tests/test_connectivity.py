@@ -1,6 +1,7 @@
 """Connectivity kernels against each other and the exhaustive bipartition oracle."""
 
 import itertools
+from heapq import heappop, heappush
 
 import pytest
 
@@ -476,15 +477,76 @@ def test_edge_connectivity_matches_networkx():
     assert len(graphs) == 20 and {0, 1, 2, 3} <= lambdas
 
 
+def _edge_value_by_reference(masks, alive, best, stop):
+    """The value kernel on a dict-of-dicts weighted graph, rebuilt at every
+    contraction, with a lazy heap for the next vertex: the same orderings
+    and merges as _edge_value, for best at most the minimum degree and no
+    degree below stop."""
+    def find(v):
+        while leader[v] != v:
+            leader[v] = v = leader[leader[v]]
+        return v
+
+    min_degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
+    if best <= min_degree and min_degree >= alive.bit_count() // 2:
+        return best, None
+    adj = {v: dict.fromkeys(_bits(masks[v] & alive), 1) for v in _bits(alive)}
+    members = {v: 1 << v for v in adj}
+    side = None
+    while len(adj) > 1 and best >= stop:
+        leader = {v: v for v in adj}
+        attach = dict.fromkeys(adj, 0)
+        heap = sorted((0, v) for v in adj)
+        cut = x = prefix = 0
+        while attach:
+            negr, y = heappop(heap)
+            if attach.get(y) != -negr:
+                continue
+            prev, x = x, y
+            del attach[x]
+            prefix |= members[x]
+            cut += sum(adj[x].values()) + 2 * negr
+            if attach and cut < best:
+                best, side = cut, prefix
+            for y, w in adj[x].items():
+                if y in attach:
+                    attach[y] += w
+                    heappush(heap, (-attach[y], y))
+                    if attach[y] >= best:
+                        leader[find(y)] = find(x)
+        leader[find(prev)] = find(x)
+        merged, grouped = {}, {}
+        for v, nbrs in adj.items():
+            rv = find(v)
+            grouped[rv] = grouped.get(rv, 0) | members[v]
+            into = merged.setdefault(rv, {})
+            for u, w in nbrs.items():
+                ru = find(u)
+                if ru != rv:
+                    into[ru] = into.get(ru, 0) + w
+        adj, members = merged, grouped
+    return best, side
+
+
 def check_edge_value(masks, alive, want):
     """_edge_value on `alive` in every form, given its edge connectivity `want`.
 
     Exact: best at or above the minimum degree gives `want`, best below
     `want` gives best.  Decision: best = stop = k gives k exactly when
     want >= k.  Early exit: best at the minimum degree and stop = k gives
-    `want` when want >= k and otherwise some value below k.
+    `want` when want >= k and otherwise some value below k.  Witness: with
+    best at the minimum degree and stop 0, 1 or k = 1 .. 5, the value and
+    side are the reference kernel's, or the first degree below stop and no
+    side when there is one.
     """
-    min_degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
+    degrees = [(masks[v] & alive).bit_count() for v in _bits(alive)]
+    min_degree = min(degrees)
+    for stop in range(6):
+        got = _edge_value(masks, alive, min_degree, stop)
+        if min_degree < stop:
+            assert got == (next(d for d in degrees if d < stop), None)
+        else:
+            assert got == _edge_value_by_reference(masks, alive, min_degree, stop)
     assert _edge_value(masks, alive, min_degree, 0)[0] == want
     assert _edge_value(masks, alive, min_degree + 2, 0)[0] == want
     if want:
@@ -509,6 +571,16 @@ def test_edge_value_matches_scanner_on_every_small_graph():
                 checked += 1
                 disconnected += want == 0
     assert checked == 27362 and disconnected > 10000
+
+
+def test_edge_value_on_every_labeling_of_bridged_triangles():
+    """Two triangles and a bridge: lambda 1 lies below the minimum degree 2,
+    and merging a pair before r(y) reaches best hides the bridge on some
+    labelings.  No graph on five vertices has such a cut."""
+    g = two_cliques_bridged(3, 1)
+    for perm in itertools.permutations(range(6)):
+        h = Graph(6, [(perm[u], perm[v]) for u, v in g.edges()])
+        check_edge_value(h.adjacency_masks(), h.full_mask(), 1)
 
 
 def _edge_connectivity_by_flows(g, alive):

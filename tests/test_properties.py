@@ -14,7 +14,7 @@ from kedge.connectivity import (  # noqa: E402
     _scan_bipartitions,
     local_edge_connectivity,
 )
-from kedge.graph import Graph, _bits, mask_of  # noqa: E402
+from kedge.graph import Graph, _bits, _boundary_count, mask_of  # noqa: E402
 from kedge.io import (  # noqa: E402
     GRAPH6_MAX_N,
     parse_edge_list,
@@ -49,12 +49,18 @@ def test_edge_value_matches_oracle(drawn, data):
     alive = mask_of(data.draw(st.sets(st.integers(0, g.n - 1), min_size=2)))
     want = _scan_bipartitions(masks, alive)[0]
     min_degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
-    assert _edge_value(masks, alive, min_degree, 0)[0] == want
     k = data.draw(st.integers(1, 6))
-    decided, _ = _edge_value(masks, alive, k, k)
-    assert decided == k if want >= k else decided < k
-    early, _ = _edge_value(masks, alive, min_degree, k)
-    assert early == want if want >= k else early < k
+    exact = _edge_value(masks, alive, min_degree, 0)
+    decided = _edge_value(masks, alive, k, k)
+    early = _edge_value(masks, alive, min_degree, k)
+    assert exact[0] == want
+    assert decided[0] == k if want >= k else decided[0] < k
+    assert early[0] == want if want >= k else early[0] < k
+    # a side is a nonempty proper part of `alive` whose boundary is the value
+    for value, side in (exact, decided, early):
+        if side is not None:
+            assert side and side & alive == side != alive
+            assert _boundary_count(masks, side, alive & ~side) == value
 
 
 @settings
