@@ -132,6 +132,33 @@ MUTANTS = [
         "& (region ^ used)",
         "tests/test_removal.py::test_tree_images_follow_first_embedding_order",
     ),
+    # the extraction's own order and boundary checks, in place of validate
+    (
+        "removal.py",
+        "if candidate.bit_count() <= bound:",
+        "if False:",
+        "tests/test_removal.py::test_extraction_checks_order_and_boundary",
+    ),
+    (
+        "removal.py",
+        "if len(boundary) > 2 * k_target**2:",
+        "if False:",
+        "tests/test_removal.py::test_extraction_checks_order_and_boundary",
+    ),
+    # HCSubgraph.validate's from-scratch connectivity clause
+    (
+        "removal.py",
+        "if not _is_k_connected(masks, core, self.k_target):",
+        "if False:",
+        "tests/test_removal.py::test_hcsubgraph_validate_rejects_a_core_below_its_connectivity",
+    ),
+    # the k = 1 decision is connectivity, not the absence of isolated vertices
+    (
+        "connectivity.py",
+        "return g.is_connected()",
+        "return g.n > 0 and g.min_degree() > 0",
+        "tests/test_connectivity.py::test_is_k_edge_connected_at_one_is_the_value_kernel",
+    ),
     # randrange keeps a draw only below the largest multiple of its bound
     (
         "rng.py",

@@ -340,16 +340,18 @@ def edge_connectivity(g: Graph) -> tuple[int, EdgeCut]:
 
 
 def is_k_edge_connected(g: Graph, k: int) -> bool:
-    """Decision version, by the value kernel with best and stop both k: its
-    degree pass and its orderings also catch a low degree and a disconnected graph.
+    """Decision version.  For k = 1 it is g.is_connected(), a mask BFS, where
+    one maximum-adjacency phase would be quadratic in n.  Above 1 it is the
+    value kernel with best and stop both k: its degree pass and its
+    orderings also catch a low degree and a disconnected graph.
 
     Convention: the single-vertex graph is 1-edge-connected and nothing more.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if g.n <= 1:
-        return g.n == 1 and k == 1
-    return _edge_value(g.adjacency_masks(), g.full_mask(), k, k)[0] >= k
+    if k == 1:
+        return g.is_connected()
+    return g.n > 1 and _edge_value(g.adjacency_masks(), g.full_mask(), k, k)[0] >= k
 
 
 def _check_exhaustive(size: int) -> None:

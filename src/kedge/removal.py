@@ -295,51 +295,47 @@ def find_removable_tree(
 def extract_connected_subgraph(g: Graph, k_target: int) -> HCSubgraph:
     """Carve out a k_target-connected induced subgraph with a small boundary.
 
-    Strategy: start from the whole vertex set; peel vertices with fewer
-    than k_target neighbours in the candidate until none is left, then ask
-    `_vertex_cut` once on the candidate.  No cut means the candidate is
-    k_target-connected.  Otherwise keep the minimum cut plus the largest
-    component of the candidate minus it (ties: the component holding the
-    smallest vertex id) and go round again.  After peeling every vertex
-    has at least k_target neighbours, so a candidate that is not
-    k_target-connected always yields a cut.  All three postconditions
-    (connectivity, order above 4*k_target^2, boundary at most
-    2*k_target^2) are re-verified from scratch; any miss raises
-    ExtractionFailed, never a silent wrong answer.
+    Strategy: start from the whole vertex set and ask `_vertex_cut` on the
+    candidate.  No cut means the candidate is k_target-connected.
+    Otherwise keep the minimum cut plus the largest component of the
+    candidate minus it (ties: the component holding the smallest vertex
+    id), peel vertices with fewer than k_target neighbours in the candidate
+    until none is left, and go round again.  The first pass peels nothing:
+    every degree exceeds 4*k_target^2 >= k_target.  After peeling every
+    vertex has at least k_target neighbours, so a candidate that is not
+    k_target-connected always yields a cut.
+
+    The postconditions are checked here, each once, with the messages of
+    `HCSubgraph.validate`, which stays the from-scratch check for callers:
+    connectivity by the loop's last cut, as None from `_vertex_cut` on more
+    than 4*k_target^2 >= k_target vertices is `_is_k_connected`; then the
+    order above 4*k_target^2 and the boundary of at most 2*k_target^2 on
+    the candidate mask.  A miss raises ExtractionFailed, never a silent
+    wrong answer.
     """
     if k_target < 1:
         raise ValueError("k_target must be at least 1")
-    if g.min_degree() <= 4 * k_target**2:
-        raise ValueError(
-            f"minimum degree must exceed {4 * k_target**2}"
-        )
+    bound = 4 * k_target**2
+    if g.min_degree() <= bound:
+        raise ValueError(f"minimum degree must exceed {bound}")
     masks = g.adjacency_masks()
     candidate = g.full_mask()
-    while True:
+    while (cut := _vertex_cut(masks, candidate, k_target)) is not None:
+        # max keeps the first largest: ties go to the lowest vertex
+        candidate = cut | max(g.components_within(candidate & ~cut), key=int.bit_count)
         # peel low-degree vertices to a fixed point
-        while True:
-            drop = mask_of(
-                v for v in _bits(candidate)
-                if (masks[v] & candidate).bit_count() < k_target
-            )
-            if not drop:
-                break
+        while drop := mask_of(
+            v for v in _bits(candidate) if (masks[v] & candidate).bit_count() < k_target
+        ):
             candidate &= ~drop
         if not candidate:
             raise ExtractionFailed("candidate set peeled away entirely")
-        cut = _vertex_cut(masks, candidate, k_target)
-        if cut is None:
-            break
-        # max keeps the first largest: ties go to the lowest vertex
-        candidate = cut | max(g.components_within(candidate & ~cut), key=int.bit_count)
-    vertices = frozenset(_bits(candidate))
-    boundary = frozenset(v for v in vertices if masks[v] & ~candidate)
-    result = HCSubgraph(vertices=vertices, boundary=boundary, k_target=k_target)
-    try:
-        result.validate(g)
-    except ValueError as exc:
-        raise ExtractionFailed(str(exc)) from exc
-    return result
+    if candidate.bit_count() <= bound:
+        raise ExtractionFailed(f"subgraph order {candidate.bit_count()} not above {bound}")
+    boundary = frozenset(v for v in _bits(candidate) if masks[v] & ~candidate)
+    if len(boundary) > 2 * k_target**2:
+        raise ExtractionFailed(f"boundary size {len(boundary)} exceeds {2 * k_target**2}")
+    return HCSubgraph(frozenset(_bits(candidate)), boundary, k_target)
 
 
 def removable_tree_via_thomassen(

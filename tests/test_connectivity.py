@@ -111,6 +111,18 @@ def test_is_k_edge_connected_conventions():
         is_k_edge_connected(path_graph(3), 0)
 
 
+def test_is_k_edge_connected_at_one_is_the_value_kernel():
+    """The k = 1 decision by mask BFS agrees with the value kernel on every
+    labeled graph of 2 to 6 vertices."""
+    graphs = connected = 0
+    for g in all_labeled_graphs(6):
+        want = _edge_value(g.adjacency_masks(), g.full_mask(), 1, 1)[0] >= 1
+        assert is_k_edge_connected(g, 1) == want
+        graphs += 1
+        connected += want
+    assert graphs == 33866 and connected == 1 + 4 + 38 + 728 + 26704
+
+
 def test_bruteforce_matches_flow_on_small_graphs():
     for g in seeded_random_graphs(60, 2, 9, seed=31):
         want, _ = edge_connectivity(g)

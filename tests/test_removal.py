@@ -16,7 +16,7 @@ from kedge.generators import (
     random_graph,
     two_cliques_bridged,
 )
-from kedge.errors import InternalCheckError, TheoremViolation
+from kedge.errors import ExtractionFailed, InternalCheckError, TheoremViolation
 from kedge.graph import Graph, mask_of
 from kedge.removal import (
     HCSubgraph,
@@ -351,6 +351,62 @@ def test_hcsubgraph_validate_rejects_wrong_boundary():
     g = two_cliques_bridged(18, 1)
     with pytest.raises(ValueError):
         HCSubgraph(frozenset(range(18)), frozenset({1}), 2).validate(g)
+
+
+def test_hcsubgraph_validate_rejects_a_core_below_its_connectivity():
+    """The whole of two bridged K_18 has the right boundary, order and
+    boundary size, but a bridge end is a cut vertex."""
+    with pytest.raises(ValueError, match="not 2-connected"):
+        HCSubgraph(frozenset(range(36)), frozenset(), 2).validate(two_cliques_bridged(18, 1))
+
+
+def test_extraction_asks_one_cut_per_pass(monkeypatch):
+    """The last cut answers the connectivity postcondition: no second cut
+    on the finished core, and no cut before the first pass."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return cut(*args)
+
+    cut = connectivity._vertex_cut
+    # _is_k_connected reads the connectivity module's name
+    monkeypatch.setattr(removal, "_vertex_cut", counted)
+    monkeypatch.setattr(connectivity, "_vertex_cut", counted)
+    for g, k_target, passes in (
+        (random_graph(42, 0.95, 1), 3, 1),
+        (two_cliques_bridged(18, 1), 2, 2),  # the bridge end 0 is the first cut
+    ):
+        calls.clear()
+        extract_connected_subgraph(g, k_target)
+        assert len(calls) == passes
+
+
+def stubbed_extraction(monkeypatch, g, k_target, cuts):
+    """The extraction's message when `_vertex_cut` answers `cuts` in turn."""
+    answers = iter(cuts)
+    monkeypatch.setattr(removal, "_vertex_cut", lambda *args: next(answers))
+    with pytest.raises(ExtractionFailed) as info:
+        extract_connected_subgraph(g, k_target)
+    return str(info.value)
+
+
+def test_extraction_checks_order_and_boundary(monkeypatch):
+    """Cuts the real kernel never gives at k_target 1 leave a core that
+    misses the boundary bound, or the order bound."""
+    # two K_7 sharing {0, 1, 2}: the cut {0, 1, 2} keeps K_7 on 0..6, whose
+    # shared vertices all see 7..10
+    pair = Graph(11, [e for e in complete(11).edges() if e[1] < 7 or e[0] < 3 or e[0] >= 7])
+    message = stubbed_extraction(monkeypatch, pair, 1, [0b111, None])
+    assert message == "boundary size 3 exceeds 2"
+    # the independent set {2, 3, 4, 5} joined to the edges 01, 67 and 89:
+    # the cut {2, 3, 4, 5} keeps 0..5, then the cut {0, 1} keeps the
+    # triangle 0, 1, 2
+    join = Graph(
+        10, [(0, 1), (6, 7), (8, 9)] + [(s, v) for s in range(2, 6) for v in (0, 1, 6, 7, 8, 9)]
+    )
+    message = stubbed_extraction(monkeypatch, join, 1, [0b111100, 0b11, None])
+    assert message == "subgraph order 3 not above 4"
 
 
 def test_removable_tree_via_thomassen():
