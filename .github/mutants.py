@@ -132,16 +132,16 @@ MUTANTS = [
         "& (region ^ used)",
         "tests/test_removal.py::test_tree_images_follow_first_embedding_order",
     ),
-    # the extraction's own order and boundary checks, in place of validate
+    # the order and boundary bounds, which the extraction checks without validate
     (
         "removal.py",
-        "if candidate.bit_count() <= bound:",
+        "if len(self.vertices) <= bound:",
         "if False:",
         "tests/test_removal.py::test_extraction_checks_order_and_boundary",
     ),
     (
         "removal.py",
-        "if len(boundary) > 2 * k_target**2:",
+        "if len(self.boundary) > bound // 2:",
         "if False:",
         "tests/test_removal.py::test_extraction_checks_order_and_boundary",
     ),

@@ -5,7 +5,7 @@ mask, _edge_value: maximum-adjacency orderings with contraction (Stoer &
 Wagner, JACM 1997; Nagamochi & Ibaraki, SIAM J. Discrete Math. 1992) on
 supervertices kept as member masks.  It reads every degree itself, so its
 callers scan none.  It gives the value and, as the ordering prefix that
-reached it, a witness side; is_k_edge_connected and the removal
+reached it, a witness side; is_k_edge_connected above k = 1 and the removal
 certificates take the value, edge_connectivity and residual_min_cut the cut
 too.  The overlap scan in fragments takes the value as well, to cross-check
 each fragment host's bipartition scan by a route that scans no bipartition.

@@ -81,16 +81,17 @@ class HCSubgraph:
             raise ValueError("boundary is not the outward-neighbor set")
         if not _is_k_connected(masks, core, self.k_target):
             raise ValueError(f"induced subgraph is not {self.k_target}-connected")
-        if len(self.vertices) <= 4 * self.k_target**2:
-            raise ValueError(
-                f"subgraph order {len(self.vertices)} not above"
-                f" {4 * self.k_target**2}"
-            )
-        if len(self.boundary) > 2 * self.k_target**2:
-            raise ValueError(
-                f"boundary size {len(self.boundary)} exceeds"
-                f" {2 * self.k_target**2}"
-            )
+        if miss := self._size_miss():
+            raise ValueError(miss)
+
+    def _size_miss(self) -> str | None:
+        """The missed bound on order (above 4k^2) or boundary (2k^2), or None."""
+        bound = 4 * self.k_target**2
+        if len(self.vertices) <= bound:
+            return f"subgraph order {len(self.vertices)} not above {bound}"
+        if len(self.boundary) > bound // 2:
+            return f"boundary size {len(self.boundary)} exceeds {bound // 2}"
+        return None
 
 
 def _certify(g: Graph, kind: str, removed: int, k: int) -> RemovalCertificate | None:
@@ -305,13 +306,13 @@ def extract_connected_subgraph(g: Graph, k_target: int) -> HCSubgraph:
     vertex has at least k_target neighbours, so a candidate that is not
     k_target-connected always yields a cut.
 
-    The postconditions are checked here, each once, with the messages of
-    `HCSubgraph.validate`, which stays the from-scratch check for callers:
-    connectivity by the loop's last cut, as None from `_vertex_cut` on more
-    than 4*k_target^2 >= k_target vertices is `_is_k_connected`; then the
-    order above 4*k_target^2 and the boundary of at most 2*k_target^2 on
-    the candidate mask.  A miss raises ExtractionFailed, never a silent
-    wrong answer.
+    Each postcondition is checked once, and `HCSubgraph.validate` is not
+    re-run; it stays the from-scratch check for callers.  Connectivity is
+    the loop's last cut: None from `_vertex_cut` on more than
+    4*k_target^2 >= k_target vertices is `_is_k_connected`.  The order
+    above 4*k_target^2 and the boundary of at most 2*k_target^2 go through
+    validate's own size check.  A miss raises ExtractionFailed, never a
+    silent wrong answer.
     """
     if k_target < 1:
         raise ValueError("k_target must be at least 1")
@@ -330,12 +331,12 @@ def extract_connected_subgraph(g: Graph, k_target: int) -> HCSubgraph:
             candidate &= ~drop
         if not candidate:
             raise ExtractionFailed("candidate set peeled away entirely")
-    if candidate.bit_count() <= bound:
-        raise ExtractionFailed(f"subgraph order {candidate.bit_count()} not above {bound}")
-    boundary = frozenset(v for v in _bits(candidate) if masks[v] & ~candidate)
-    if len(boundary) > 2 * k_target**2:
-        raise ExtractionFailed(f"boundary size {len(boundary)} exceeds {2 * k_target**2}")
-    return HCSubgraph(frozenset(_bits(candidate)), boundary, k_target)
+    vertices = frozenset(_bits(candidate))
+    boundary = frozenset(v for v in vertices if masks[v] & ~candidate)
+    core = HCSubgraph(vertices, boundary, k_target)
+    if miss := core._size_miss():
+        raise ExtractionFailed(miss)
+    return core
 
 
 def removable_tree_via_thomassen(

@@ -361,15 +361,15 @@ def test_hcsubgraph_validate_rejects_a_core_below_its_connectivity():
 
 
 def test_extraction_asks_one_cut_per_pass(monkeypatch):
-    """The last cut answers the connectivity postcondition: no second cut
-    on the finished core, and no cut before the first pass."""
+    """The loop's last cut answers the connectivity postcondition, so the
+    finished core gets no second cut."""
     calls = []
+    real = connectivity._vertex_cut
 
     def counted(*args):
-        calls.append(args[1])
-        return cut(*args)
+        calls.append(args)
+        return real(*args)
 
-    cut = connectivity._vertex_cut
     # _is_k_connected reads the connectivity module's name
     monkeypatch.setattr(removal, "_vertex_cut", counted)
     monkeypatch.setattr(connectivity, "_vertex_cut", counted)
