@@ -31,8 +31,8 @@ MUTANTS = [
     # the degree pass returns early only at a degree below stop
     (
         "connectivity.py",
-        "if d < stop:",
-        "if d <= stop:",
+        "if low < stop:",
+        "if low <= stop:",
         "tests/test_connectivity.py::test_edge_value_matches_scanner_on_every_small_graph",
     ),
     # best is clamped to the minimum degree before Chartrand's shortcut
@@ -151,6 +151,13 @@ MUTANTS = [
         "if not _is_k_connected(masks, core, self.k_target):",
         "if False:",
         "tests/test_removal.py::test_hcsubgraph_validate_rejects_a_core_below_its_connectivity",
+    ),
+    # the string branch of _bits reads the binary string lowest bit first
+    (
+        "graph.py",
+        "enumerate(bin(mask)[:1:-1])",
+        "enumerate(bin(mask)[2:])",
+        "tests/test_graph.py::test_bits_matches_reference_on_both_sides_of_the_density_rule",
     ),
     # the k = 1 decision is connectivity, not the absence of isolated vertices
     (

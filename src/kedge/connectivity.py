@@ -62,10 +62,11 @@ def _edge_value(
     """min(lambda, best) on `alive` (two vertices or more) if that is >= stop, else
     a value below stop; 0 when `alive` is disconnected.  Also a side reaching it.
 
-    One pass reads every neighbourhood and degree and returns the first degree
-    below stop, which lambda cannot exceed; best is then clamped to the
-    minimum degree.  When that is at least half the order (rounded down),
-    lambda equals it (Chartrand, SIAM J. Appl. Math. 1966): (best, None).
+    One pass reads every degree and returns the first degree below stop, in
+    ascending id order, which lambda cannot exceed; best is then clamped to
+    the minimum degree.  When that is at least half the order (rounded
+    down), lambda equals it (Chartrand, SIAM J. Appl. Math. 1966): (best,
+    None).  Only then are the neighbourhoods read.
 
     Supervertices are member masks, their degrees and outside neighbourhoods
     out[x] recomputed once per contraction; owner[u] holds u.  Each
@@ -82,21 +83,17 @@ def _edge_value(
             leader[v] = v = leader[leader[v]]
         return v
 
-    nb = [0] * alive.bit_length()
-    ids = []
-    low = len(nb)
-    for v in _bits(alive):
-        nb[v] = around = masks[v] & alive
-        d = around.bit_count()
-        if d < low:
-            if d < stop:
-                return d, None
-            low = d
-        ids.append(v)
+    ids = _bits(alive)
+    degrees = [(masks[v] & alive).bit_count() for v in ids]
+    low = min(degrees)
+    if low < stop:
+        return next(d for d in degrees if d < stop), None
     best = min(best, low)
     if low >= len(ids) // 2:
         return best, None
-    deg = [around.bit_count() for around in nb]
+    # slots of dead ids are never read
+    nb = [m & alive for m in masks[: alive.bit_length()]]
+    deg = list(map(int.bit_count, nb))
     members = [1 << v for v in range(len(nb))]
     owner = list(range(len(nb)))
     leader = owner[:]
@@ -230,7 +227,7 @@ def _scan_bipartitions(masks: Sequence[int], alive: int) -> tuple[int, list[int]
     (2 << c) // 3 and marked 255.  Smaller hosts scan faster one side a step.
     """
     root = alive & -alive
-    others = list(_bits(alive & ~root))
+    others = _bits(alive & ~root)
     flips = [1 << v for v in others]
     nbs = [masks[v] & alive for v in others]
     degs = [nb.bit_count() for nb in nbs]
@@ -380,7 +377,7 @@ def _host_sides(g: Graph, alive: int) -> tuple[int, list[int]]:
         sides = firsts + [alive & ~first for first in firsts]
     else:
         kprime, sides = 0, g.components_within(alive)
-    sides.sort(key=lambda side: tuple(_bits(side)))
+    sides.sort(key=_bits)
     return kprime, sides
 
 
@@ -466,8 +463,8 @@ def _vertex_cut(masks: Sequence[int], alive: int, k: int) -> int | None:
     two, so its flow would reach c and change nothing: it is skipped.  The
     cut comes from the first (s, t) pair reaching the minimum.
     """
-    verts = list(_bits(alive))
-    min_degree = min(((masks[v] & alive).bit_count() for v in verts), default=0)
+    verts = _bits(alive)
+    min_degree = min([(masks[v] & alive).bit_count() for v in verts], default=0)
     # a non-clique has a cut of at most min(min_degree, n - 2) vertices
     best, cut = min(k, min_degree + 1, len(verts) - 1), None
     for i, s in enumerate(verts):

@@ -2,15 +2,35 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of set bits, ascending."""
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of a nonnegative mask, ascending.
+
+    A mask with more than 16 set bits that fill more than a third of its
+    width is read off its binary string in one comprehension; any other is
+    walked one low bit at a time.  The string costs a step per bit of width
+    and the walk about four times that per set bit, so the string wins on
+    dense masks and loses on sparse or small ones.  Measured per call, best
+    of 7 over 32 random masks per cell (BENCH_bit_decode.json): at 113 bits
+    the string takes 3.4 us against the walk's 13.3 with every bit set, 3.6
+    against 4.7 with 38 set, but 3.6 against 2.1 with 16 set.  The string
+    loses at half density below 13 set bits (12 of 24: 1.09 against 1.01
+    us).  At widths of 32 to 1,024 it starts winning between a quarter and
+    a third of the width set; above a third, with more than 16 set, it wins
+    every measured cell by 15% or more.  A mask of at most 16 vertices is
+    always walked.
+    """
+    count = mask.bit_count()
+    if count > 16 and 3 * count > mask.bit_length():
+        return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -65,13 +85,19 @@ class Graph:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self._masks) // 2
 
+    def _check_vertex(self, v: int) -> None:
+        if not 0 <= v < self._n:
+            raise ValueError(f"vertex {v} out of range for n={self._n}")
+
     def neighbors(self, v: int) -> tuple[int, ...]:
+        self._check_vertex(v)
         return tuple(_bits(self._masks[v]))
 
     def adjacency_masks(self) -> tuple[int, ...]:
         return self._masks
 
     def degree(self, v: int) -> int:
+        self._check_vertex(v)
         return self._masks[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
@@ -80,7 +106,7 @@ class Graph:
     def min_degree(self) -> int:
         if self._n == 0:
             raise ValueError("min_degree of the empty graph is undefined")
-        return min(m.bit_count() for m in self._masks)
+        return min(map(int.bit_count, self._masks))
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self._n > v >= 0 and bool(self._masks[u] >> v & 1)
@@ -98,8 +124,7 @@ class Graph:
         """
         kept = sorted(set(keep))
         for v in kept:
-            if not 0 <= v < self._n:
-                raise ValueError(f"vertex {v} out of range for n={self._n}")
+            self._check_vertex(v)
         index = {old: new for new, old in enumerate(kept)}
         edges = [
             (index[u], index[v])
@@ -112,8 +137,7 @@ class Graph:
         """Graph minus a vertex set (not all of it), plus the old->new index map."""
         gone = set(remove)
         for v in gone:
-            if not 0 <= v < self._n:
-                raise ValueError(f"vertex {v} out of range for n={self._n}")
+            self._check_vertex(v)
         if len(gone) == self._n:
             raise ValueError("cannot delete every vertex")
         return self.induced_subgraph(v for v in range(self._n) if v not in gone)
@@ -168,7 +192,7 @@ class Graph:
 
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest member."""
-    return [list(_bits(comp)) for comp in g.components_within(g.full_mask())]
+    return [_bits(comp) for comp in g.components_within(g.full_mask())]
 
 
 def normalize_edge(g: Graph, e: tuple[int, int]) -> tuple[int, int]:

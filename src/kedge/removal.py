@@ -331,9 +331,13 @@ def extract_connected_subgraph(g: Graph, k_target: int) -> HCSubgraph:
             candidate &= ~drop
         if not candidate:
             raise ExtractionFailed("candidate set peeled away entirely")
-    vertices = frozenset(_bits(candidate))
-    boundary = frozenset(v for v in vertices if masks[v] & ~candidate)
-    core = HCSubgraph(vertices, boundary, k_target)
+    # a core vertex is on the boundary iff some outside vertex is its neighbour
+    outside = 0
+    for v in _bits(g.full_mask() & ~candidate):
+        outside |= masks[v]
+    core = HCSubgraph(
+        frozenset(_bits(candidate)), frozenset(_bits(candidate & outside)), k_target
+    )
     if miss := core._size_miss():
         raise ExtractionFailed(miss)
     return core

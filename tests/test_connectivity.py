@@ -267,7 +267,7 @@ def _scan_by_reference(masks, alive):
     """The bipartition scan with step i's flipped index recomputed as the
     lowest set bit of i, for i = 1 .. 2^c - 1, instead of read from a table."""
     root = alive & -alive
-    others = list(_bits(alive & ~root))
+    others = _bits(alive & ~root)
     side = root
     boundary = (masks[root.bit_length() - 1] & alive).bit_count()
     best, sides = boundary, [side]

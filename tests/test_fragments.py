@@ -352,7 +352,7 @@ def test_scan_overlap_catches_a_scanner_fault(monkeypatch):
     with pytest.raises(InternalCheckError, match="maximum-adjacency"):
         scan_overlap_cases(complete(6))
     # in each host K4 the lowest two vertices have 4 edges out, not 3
-    inject(lambda alive, best, sides: (best, sides + [mask_of(list(_bits(alive))[:2])]))
+    inject(lambda alive, best, sides: (best, sides + [mask_of(_bits(alive)[:2])]))
     with pytest.raises(InternalCheckError, match="boundary is not 3"):
         scan_overlap_cases(complete(6))
 

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from kedge.graph import (
     Graph,
+    _bits,
     boundary_edge_count,
     components,
     mask_of,
@@ -28,6 +31,39 @@ def test_basic_adjacency():
     # out-of-range endpoints are non-edges, not wrapped or raising indices
     for u, v in [(-1, 2), (2, -1), (4, 3), (3, 4), (7, 2), (2, 7)]:
         assert not g.has_edge(u, v)
+
+
+def test_vertex_queries_reject_out_of_range_vertices():
+    """A negative vertex must not read another vertex's mask from the end."""
+    g = Graph(3, [(0, 1), (1, 2)])
+    for v in (-1, 3):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range for n=3"):
+            g.neighbors(v)
+        with pytest.raises(ValueError, match=f"vertex {v} out of range for n=3"):
+            g.degree(v)
+
+
+def test_bits_matches_reference_on_both_sides_of_the_density_rule():
+    """_bits reads a mask of more than 16 set bits filling more than a third
+    of its width off its binary string, any other by low bits; both agree
+    with the definition, in ascending order."""
+    rng = random.Random(26)
+
+    def spread(width, count):
+        """`count` set bits, the top one at width - 1."""
+        return mask_of(rng.sample(range(width - 1), count - 1) + [width - 1])
+
+    full = (1 << 4096) - 1
+    masks = [0, 1, 1 << 4095, full]
+    # sparse wide masks, and dense ones with holes
+    masks += [mask_of(rng.sample(range(4096), count)) for count in (1, 17, 100, 1365)]
+    masks += [full ^ mask_of(rng.sample(range(4096), holes)) for holes in (1, 40, 2000)]
+    # exactly 16 and 17 set bits, from full to sparse
+    masks += [spread(width, count) for count in (16, 17) for width in (count, 20, 47, 48, 60, 113)]
+    # around the one-third edge: width 3c - 1, 3c and 3c + 1 for c set bits
+    masks += [spread(3 * c + d, c) for c in (16, 17, 18, 38, 1366) for d in (-1, 0, 1)]
+    for mask in masks:
+        assert _bits(mask) == [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 def test_duplicate_edges_collapse():

@@ -347,6 +347,21 @@ def test_extract_connected_subgraph():
         extract_connected_subgraph(two_cliques_bridged(5, 1), 2)
 
 
+def test_extraction_boundary_is_the_core_with_outside_neighbours():
+    """The boundary read off the outside vertices' neighbourhoods equals its
+    definition, when the extraction peels and when the core is everything."""
+    for g, k_target, outside in (
+        (two_cliques_bridged(18, 1), 2, True),
+        (random_graph(42, 0.95, 1), 3, False),
+    ):
+        core = extract_connected_subgraph(g, k_target)
+        masks = g.adjacency_masks()
+        inside = mask_of(core.vertices)
+        assert core.boundary == {v for v in core.vertices if masks[v] & ~inside}
+        assert bool(core.boundary) == outside
+        core.validate(g)
+
+
 def test_hcsubgraph_validate_rejects_wrong_boundary():
     g = two_cliques_bridged(18, 1)
     with pytest.raises(ValueError):
