@@ -31,8 +31,8 @@ MUTANTS = [
     # the degree pass returns early only at a degree below stop
     (
         "connectivity.py",
-        "if low < stop:",
-        "if low <= stop:",
+        "if d < stop:",
+        "if d <= stop:",
         "tests/test_connectivity.py::test_edge_value_matches_scanner_on_every_small_graph",
     ),
     # best is clamped to the minimum degree before Chartrand's shortcut

@@ -66,7 +66,7 @@ def _edge_value(
     ascending id order, which lambda cannot exceed; best is then clamped to
     the minimum degree.  When that is at least half the order (rounded
     down), lambda equals it (Chartrand, SIAM J. Appl. Math. 1966): (best,
-    None).  Only then are the neighbourhoods read.
+    None).  The neighbourhoods are read only when that test fails.
 
     Supervertices are member masks, their degrees and outside neighbourhoods
     out[x] recomputed once per contraction; owner[u] holds u.  Each
@@ -84,10 +84,13 @@ def _edge_value(
         return v
 
     ids = _bits(alive)
-    degrees = [(masks[v] & alive).bit_count() for v in ids]
-    low = min(degrees)
-    if low < stop:
-        return next(d for d in degrees if d < stop), None
+    low = len(ids)
+    for v in ids:
+        d = (masks[v] & alive).bit_count()
+        if d < low:
+            if d < stop:
+                return d, None
+            low = d
     best = min(best, low)
     if low >= len(ids) // 2:
         return best, None
