@@ -17,7 +17,7 @@ def _bits(mask: int) -> list[int]:
     the string takes 3.4 us against the walk's 13.3 with every bit set, 3.6
     against 4.7 with 38 set, but 3.6 against 2.1 with 16 set.  The string
     loses at half density below 13 set bits (12 of 24: 1.09 against 1.01
-    us).  At widths of 32 to 1,024 it starts winning between a quarter and
+    us).  At widths of 40 to 1,024 it starts winning between a quarter and
     a third of the width set; above a third, with more than 16 set, it wins
     every measured cell by 15% or more.  A mask of at most 16 vertices is
     always walked.
