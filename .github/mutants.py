@@ -135,22 +135,36 @@ MUTANTS = [
     # the order and boundary bounds, which the extraction checks without validate
     (
         "removal.py",
-        "if len(self.vertices) <= bound:",
+        "if order <= bound:",
         "if False:",
         "tests/test_removal.py::test_extraction_checks_order_and_boundary",
     ),
     (
         "removal.py",
-        "if len(self.boundary) > bound // 2:",
+        "if boundary > bound // 2:",
         "if False:",
         "tests/test_removal.py::test_extraction_checks_order_and_boundary",
     ),
     # HCSubgraph.validate's from-scratch connectivity clause
     (
         "removal.py",
-        "if not _is_k_connected(masks, core, self.k_target):",
+        "if not _is_k_connected(g.adjacency_masks(), core, self.k_target):",
         "if False:",
         "tests/test_removal.py::test_hcsubgraph_validate_rejects_a_core_below_its_connectivity",
+    ),
+    # the one boundary rule: core vertices seen from outside the core
+    (
+        "removal.py",
+        "outside |= masks[v]",
+        "outside |= 0",
+        "tests/test_removal.py::test_extract_connected_subgraph",
+    ),
+    # a checked fragment must belong to the graph and edge it is used with
+    (
+        "fragments.py",
+        "if host != g or set(f.deleted) != set(e):",
+        "if False:",
+        "tests/test_fragments.py::test_overlap_rejects_foreign_fragments",
     ),
     # the string branch of _bits reads the binary string lowest bit first
     (

@@ -27,10 +27,11 @@ class GenerationError(KedgeError):
 class ExtractionFailed(KedgeError):
     """The dense-subgraph extraction heuristic could not certify a result.
 
-    Raised by `extract_connected_subgraph` and passed on by
-    `removable_tree_via_thomassen`; no wrong answer is returned in its
-    place.  Nothing in the package catches it: a caller that wants a result
-    anyway can run the exhaustive `find_removable_tree` itself.
+    Raised by `removal._extract`, the extraction behind both
+    `extract_connected_subgraph` and `removable_tree_via_thomassen`, which
+    pass it on; no wrong answer is returned in its place.  Nothing in the
+    package catches it: a caller that wants a result anyway can run the
+    exhaustive `find_removable_tree` itself.
     """
 
 

@@ -74,35 +74,45 @@ class Fragment:
         host is scanned once, by _host_sides.  The sides of a cut of the host's
         positive connectivity are connected (see _host_sides): no check.
         """
-        self._host_scan()
+        # a record always belongs to its own graph and deleted pair
+        _checked_fragment(self.graph, self.deleted, self, "fragment", "deleted")
 
-    def _host_scan(self) -> list[int]:
-        """validate, returning _host_sides's side masks of the host."""
-        g = self.graph
-        if len(set(self.deleted)) != len(self.deleted):
-            raise ValueError("deleted vertices repeat")
-        for v in self.deleted:
-            if not g.has_vertex(v):
-                raise ValueError(f"deleted vertex {v} not in graph")
-        if not self.side or not self.complement:
-            raise ValueError("side and complement must both be nonempty")
-        if self.side & self.complement:
-            raise ValueError("side and complement overlap")
-        alive = g.full_mask() & ~mask_of(self.deleted)
-        if (self.side | self.complement) != frozenset(_bits(alive)):
-            raise ValueError("side and complement must partition the host vertices")
-        kprime, sides = _host_sides(g, alive)
-        if kprime != self.host_kprime:
-            raise ValueError(
-                f"stored host connectivity {self.host_kprime} is wrong"
-                f" (actual {kprime})"
-            )
-        side = mask_of(self.side)
-        if _edges_between(g, side, alive & ~side) != self.cut_edges:
-            raise ValueError("cut_edges is not the side/complement boundary")
-        if len(self.cut_edges) != kprime:
-            raise ValueError("cut is not a minimum edge-cut of the host")
-        return sides
+
+def _checked_fragment(
+    g: Graph, e: tuple[int, ...], f: Fragment, f_name: str, e_name: str
+) -> tuple[int, int, list[int]]:
+    """Validate f from scratch, then check it is a fragment of g minus the
+    vertices of e.  Returns f's side and complement masks and _host_sides's
+    side masks of the host."""
+    host = f.graph
+    if len(set(f.deleted)) != len(f.deleted):
+        raise ValueError("deleted vertices repeat")
+    for v in f.deleted:
+        if not host.has_vertex(v):
+            raise ValueError(f"deleted vertex {v} not in graph")
+    if not f.side or not f.complement:
+        raise ValueError("side and complement must both be nonempty")
+    if f.side & f.complement:
+        raise ValueError("side and complement overlap")
+    alive = host.full_mask() & ~mask_of(f.deleted)
+    if (f.side | f.complement) != frozenset(_bits(alive)):
+        raise ValueError("side and complement must partition the host vertices")
+    kprime, sides = _host_sides(host, alive)
+    if kprime != f.host_kprime:
+        raise ValueError(
+            f"stored host connectivity {f.host_kprime} is wrong"
+            f" (actual {kprime})"
+        )
+    side = mask_of(f.side)
+    if _edges_between(host, side, alive & ~side) != f.cut_edges:
+        raise ValueError("cut_edges is not the side/complement boundary")
+    if len(f.cut_edges) != kprime:
+        raise ValueError("cut is not a minimum edge-cut of the host")
+    if host != g or set(f.deleted) != set(e):
+        raise ValueError(
+            f"{f_name} is not a fragment of g minus the endpoints of {e_name}"
+        )
+    return side, alive & ~side, sides
 
 
 def _fragment(g: Graph, e: tuple[int, int], alive: int, side: int, kprime: int) -> Fragment:
@@ -178,15 +188,6 @@ def _unmet(reason: str) -> OverlapResult:
     return OverlapResult(OverlapVerdict.HYPOTHESES_UNMET, reason=reason)
 
 
-def _require_fragment_of(
-    g: Graph, e: tuple[int, int], f: Fragment, f_name: str, e_name: str
-) -> None:
-    if f.graph != g or set(f.deleted) != set(e):
-        raise ValueError(
-            f"{f_name} is not a fragment of g minus the endpoints of {e_name}"
-        )
-
-
 def check_fragment_overlap(
     g: Graph,
     e: tuple[int, int],
@@ -215,12 +216,9 @@ def check_fragment_overlap(
     e = normalize_edge(g, e)
     e1 = normalize_edge(g, e1)
     # f's host is the first host once f is known to be a fragment of it
-    host_sides = f._host_scan()
-    f1.validate()
-    _require_fragment_of(g, e, f, "f", "e")
-    _require_fragment_of(g, e1, f1, "f1", "e1")
-    halves = [mask_of(part) for part in (f.side, f.complement, f1.side, f1.complement)]
-    return _overlap_verdict(g, e, e1, *halves, frozenset(host_sides), f.host_kprime)
+    fs, fc, host_sides = _checked_fragment(g, e, f, "f", "e")
+    f1s, f1c, _ = _checked_fragment(g, e1, f1, "f1", "e1")
+    return _overlap_verdict(g, e, e1, fs, fc, f1s, f1c, frozenset(host_sides), f.host_kprime)
 
 
 def _overlap_verdict(
@@ -402,25 +400,24 @@ def minimal_fragment_descent(
         raise ValueError(f"graph is not {k}-edge-connected")
     if g.min_degree() < k + 2:
         raise ValueError(f"minimum degree must be at least {k + 2}")
-    f0.validate()
-    _require_fragment_of(g, e0, f0, "f0", "e0")
+    seed, _, _ = _checked_fragment(g, e0, f0, "f0", "e0")
     if f0.host_kprime >= k:
         raise ValueError(
             "deleting e0's endpoints does not drop the connectivity below"
             f" {k}"
         )
 
-    region = mask_of(f0.side) | mask_of(e0)
+    region = seed | mask_of(e0)
     family = [
-        (side.bit_count(), tuple(_bits(side)), edge, alive, kprime)
+        (side.bit_count(), _bits(side), edge, side, alive, kprime)
         for edge, alive, kprime, sides in _deficient_hosts(g, k, region)
         for side in sides
         if not side & ~region
     ]
     if not family:
         raise InternalCheckError("seed fragment vanished from its own family")
-    _, side, edge, alive, kprime = min(family)
-    fragment = _fragment(g, edge, alive, mask_of(side), kprime)
+    _, _, edge, side, alive, kprime = min(family)
+    fragment = _fragment(g, edge, alive, side, kprime)
     return DescentResult(edge, fragment, frozenset(_bits(region)))
 
 
@@ -455,10 +452,8 @@ def verify_descent_conclusion(
     """
     e1 = normalize_edge(g, result.edge)
     f1 = result.fragment
-    f1.validate()
-    _require_fragment_of(g, e1, f1, "result.fragment", "result.edge")
+    minimal, _, _ = _checked_fragment(g, e1, f1, "result.fragment", "result.edge")
     e1m = mask_of(e1)
-    minimal = mask_of(f1.side)
     edges_checked = 0
     fragments_checked = 0
     disjoint = 0
@@ -481,7 +476,7 @@ def verify_descent_conclusion(
                         "n": g.n,
                         "edges": g.edges(),
                         "chosen_edge": e1,
-                        "minimal_side": tuple(sorted(f1.side)),
+                        "minimal_side": tuple(_bits(minimal)),
                         "offending_edge": edge,
                         "offending_side": tuple(_bits(side)),
                     },
@@ -528,13 +523,10 @@ def fragment_degree_bounds(
     have at least k inside.  Both checks are reported per vertex.
     """
     e1 = normalize_edge(g, e1)
-    f1.validate()
-    _require_fragment_of(g, e1, f1, "f1", "e1")
+    side, complement, _ = _checked_fragment(g, e1, f1, "f1", "e1")
     if g.min_degree() < k + 2:
         raise ValueError(f"minimum degree must be at least {k + 2}")
     masks = g.adjacency_masks()
-    side = mask_of(f1.side)
-    complement = mask_of(f1.complement)
     order = len(f1.side)
     rows = []
     for z in _bits(side):

@@ -14,12 +14,8 @@ from typing import Iterator
 
 from .connectivity import is_k_edge_connected
 from .errors import GenerationError, InternalCheckError
-from .graph import Graph, _bits
+from .graph import MAX_ORDER, Graph, _bits
 from .rng import SplitMix64, derive_seed
-
-# the largest order `generate` draws, far above any order the package uses,
-# so a huge order in a spec or config is an input error, not an allocation
-MAX_ORDER = 1 << 12
 
 
 def complete(n: int) -> Graph:

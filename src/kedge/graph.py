@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+# the largest order a graph file or a generator may ask for, far above any
+# order the package uses, so a huge order is an input error, not an allocation
+MAX_ORDER = 1 << 12
+
 
 def _bits(mask: int) -> list[int]:
     """Indices of the set bits of a nonnegative mask, ascending.
@@ -34,9 +38,13 @@ def _bits(mask: int) -> list[int]:
 
 
 def mask_of(vertices: Iterable[int]) -> int:
+    """Bitmask of vertex ids; a negative id is reported as out of range."""
     m = 0
     for v in vertices:
-        m |= 1 << v
+        try:
+            m |= 1 << v
+        except ValueError:
+            raise ValueError(f"vertex {v} out of range") from None
     return m
 
 

@@ -36,8 +36,8 @@ from .connectivity import (
     is_k_edge_connected,
 )
 from .errors import GenerationError, InternalCheckError
-from .generators import MAX_ORDER, GenSpec, complete, generate
-from .graph import Graph
+from .generators import GenSpec, complete, generate
+from .graph import MAX_ORDER, Graph
 from .io import graph_payload, load_graph
 from .removal import (
     RemovalCertificate,
@@ -120,7 +120,7 @@ class CampaignConfig:
     Configs come from JSON files, so field types are checked: counts, seeds
     and delta_min must be ints (not bools), trees and model strings, and
     params values numbers.
-    Orders are capped at `generators.MAX_ORDER`: it bounds n_range's high
+    Orders are capped at `graph.MAX_ORDER`: it bounds n_range's high
     end, and delta_min stays below it, since the order must exceed delta_min.
     """
 

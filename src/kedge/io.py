@@ -1,7 +1,8 @@
 """Reading and writing graphs: edge-list text and graph6.
 
-Edge-list format: a header line "n m", then m lines "u v" with 0-indexed
-endpoints.  Lines starting with '#' are comments and blank lines are skipped.
+Edge-list format: a header line "n m" with n at most graph.MAX_ORDER, then
+m lines "u v" with 0-indexed endpoints.  Lines starting with '#' are
+comments and blank lines are skipped.
 Emission is canonical: edges sorted by (min, max) endpoint, single trailing
 newline, so identical graphs always serialize to identical bytes.
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import os
 
 from .errors import GraphFormatError
-from .graph import Graph
+from .graph import MAX_ORDER, Graph
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -34,6 +35,8 @@ def parse_edge_list(text: str) -> Graph:
         if header is None:
             if a < 0 or b < 0:
                 raise GraphFormatError(f"header counts must be nonnegative, got {raw!r}", lineno)
+            if a > MAX_ORDER:
+                raise GraphFormatError(f"header order {a} exceeds {MAX_ORDER}", lineno)
             header = (a, b)
             continue
         n = header[0]

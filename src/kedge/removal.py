@@ -10,8 +10,11 @@ ascending); its docstring gives the two pruning rules and why neither
 loses an image.  The tree finder walks it exhaustively.  Separately,
 `removable_tree_via_thomassen` handles graphs of very large minimum degree:
 it extracts a highly connected subgraph and takes the first image of the
-same walk inside the subgraph's interior, away from its boundary.  The tree
-finder never takes that route.
+same walk inside the subgraph's interior, away from its boundary.  The
+extraction is `_extract`, which returns the subgraph and its boundary as
+vertex masks and raises ExtractionFailed on a miss; the dense route walks
+those masks, and `extract_connected_subgraph` wraps them in an HCSubgraph.
+The tree finder never takes that route.
 """
 
 from __future__ import annotations
@@ -70,28 +73,40 @@ class HCSubgraph:
         return self.vertices - self.boundary
 
     def validate(self, g: Graph) -> None:
-        if not self.vertices <= frozenset(g.vertices()):
-            raise ValueError("subgraph vertices out of range")
+        core = self._mask(g)
         if not self.boundary <= self.vertices:
             raise ValueError("boundary must lie inside the subgraph")
-        masks = g.adjacency_masks()
-        core = mask_of(self.vertices)
-        expected = frozenset(v for v in self.vertices if masks[v] & ~core)
-        if self.boundary != expected:
+        if mask_of(self.boundary) != _boundary(g, core):
             raise ValueError("boundary is not the outward-neighbor set")
-        if not _is_k_connected(masks, core, self.k_target):
+        if not _is_k_connected(g.adjacency_masks(), core, self.k_target):
             raise ValueError(f"induced subgraph is not {self.k_target}-connected")
-        if miss := self._size_miss():
+        if miss := _size_miss(len(self.vertices), len(self.boundary), self.k_target):
             raise ValueError(miss)
 
-    def _size_miss(self) -> str | None:
-        """The missed bound on order (above 4k^2) or boundary (2k^2), or None."""
-        bound = 4 * self.k_target**2
-        if len(self.vertices) <= bound:
-            return f"subgraph order {len(self.vertices)} not above {bound}"
-        if len(self.boundary) > bound // 2:
-            return f"boundary size {len(self.boundary)} exceeds {bound // 2}"
-        return None
+    def _mask(self, g: Graph) -> int:
+        """The vertex mask, once every vertex is known to lie in g."""
+        if not self.vertices <= frozenset(g.vertices()):
+            raise ValueError("subgraph vertices out of range")
+        return mask_of(self.vertices)
+
+
+def _boundary(g: Graph, core: int) -> int:
+    """Mask of the core vertices with a neighbour outside the core mask."""
+    masks = g.adjacency_masks()
+    outside = 0
+    for v in _bits(g.full_mask() & ~core):
+        outside |= masks[v]
+    return core & outside
+
+
+def _size_miss(order: int, boundary: int, k_target: int) -> str | None:
+    """The missed bound on order (above 4k^2) or boundary (2k^2), or None."""
+    bound = 4 * k_target**2
+    if order <= bound:
+        return f"subgraph order {order} not above {bound}"
+    if boundary > bound // 2:
+        return f"boundary size {boundary} exceeds {bound // 2}"
+    return None
 
 
 def _certify(g: Graph, kind: str, removed: int, k: int) -> RemovalCertificate | None:
@@ -309,11 +324,17 @@ def extract_connected_subgraph(g: Graph, k_target: int) -> HCSubgraph:
     Each postcondition is checked once, and `HCSubgraph.validate` is not
     re-run; it stays the from-scratch check for callers.  Connectivity is
     the loop's last cut: None from `_vertex_cut` on more than
-    4*k_target^2 >= k_target vertices is `_is_k_connected`.  The order
-    above 4*k_target^2 and the boundary of at most 2*k_target^2 go through
-    validate's own size check.  A miss raises ExtractionFailed, never a
-    silent wrong answer.
+    4*k_target^2 >= k_target vertices is `_is_k_connected`.  The boundary
+    and the bounds on order (above 4*k_target^2) and boundary (at most
+    2*k_target^2) come from validate's own `_boundary` and `_size_miss`.
+    A miss raises ExtractionFailed, never a silent wrong answer.
     """
+    core, boundary = _extract(g, k_target)
+    return HCSubgraph(frozenset(_bits(core)), frozenset(_bits(boundary)), k_target)
+
+
+def _extract(g: Graph, k_target: int) -> tuple[int, int]:
+    """extract_connected_subgraph's core and boundary, as vertex masks."""
     if k_target < 1:
         raise ValueError("k_target must be at least 1")
     bound = 4 * k_target**2
@@ -331,16 +352,10 @@ def extract_connected_subgraph(g: Graph, k_target: int) -> HCSubgraph:
             candidate &= ~drop
         if not candidate:
             raise ExtractionFailed("candidate set peeled away entirely")
-    # a core vertex is on the boundary iff some outside vertex is its neighbour
-    outside = 0
-    for v in _bits(g.full_mask() & ~candidate):
-        outside |= masks[v]
-    core = HCSubgraph(
-        frozenset(_bits(candidate)), frozenset(_bits(candidate & outside)), k_target
-    )
-    if miss := core._size_miss():
+    boundary = _boundary(g, candidate)
+    if miss := _size_miss(candidate.bit_count(), boundary.bit_count(), k_target):
         raise ExtractionFailed(miss)
-    return core
+    return candidate, boundary
 
 
 def removable_tree_via_thomassen(
@@ -351,15 +366,15 @@ def removable_tree_via_thomassen(
     Extracts a (k+m)-connected subgraph whose interior keeps full ambient
     degrees, takes the first image of `_tree_images` inside the interior,
     and certifies its deletion.  The precondition, minimum degree above
-    4(k+m)^2, is checked by `extract_connected_subgraph`.  Under it the
-    certificate must verify; a verified failure is not an ordinary error
-    but a theorem-violation event, raised as TheoremViolation with full
+    4(k+m)^2, is checked by the extraction.  Under it the certificate must
+    verify; a verified failure is not an ordinary error but a
+    theorem-violation event, raised as TheoremViolation with full
     reproduction data.  ExtractionFailed propagates to the caller; nothing
     here falls back to `find_removable_tree`.
     """
     _require_k_edge_connected(g, k)
-    core = extract_connected_subgraph(g, k + tree.order)
-    image = next(_tree_images(g, tree, mask_of(core.interior())), None)
+    core, boundary = _extract(g, k + tree.order)
+    image = next(_tree_images(g, tree, core & ~boundary), None)
     if image is None:
         # interior degrees exceed 2*(k+m)^2 >= m, so this cannot happen
         raise InternalCheckError(
@@ -375,8 +390,8 @@ def removable_tree_via_thomassen(
                 "k": k,
                 "tree": tree.spec_string(),
                 "removed": tuple(_bits(image)),
-                "core": tuple(sorted(core.vertices)),
-                "boundary": tuple(sorted(core.boundary)),
+                "core": tuple(_bits(core)),
+                "boundary": tuple(_bits(boundary)),
             },
         )
     return cert
@@ -441,6 +456,7 @@ def decompose_cut(
     tset = frozenset(tprime)
     if k < 1:
         raise ValueError("k must be at least 1")
+    core_mask = core._mask(g)
     if not tset <= core.interior():
         raise ValueError("tprime must lie in the core interior")
     if cut.value > k - 1:
@@ -466,7 +482,7 @@ def decompose_cut(
     h1 = side & h
     h2 = complement & h
     k_target = k + len(tset)
-    connected_enough = _is_k_connected(masks, mask_of(h), k_target)
+    connected_enough = _is_k_connected(masks, core_mask, k_target)
     large = len(h) > 4 * k_target**2
     cut_ends_small = len(d1) <= k - 1 and len(d2) <= k - 1
 

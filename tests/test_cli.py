@@ -34,6 +34,11 @@ def test_analyze_malformed_file(tmp_path, capsys):
     code, _, err = run(["analyze", str(path)], capsys)
     assert code == 2
     assert "line 3" in err and "line 2" in err
+    # so is a header order past the cap, before anything is allocated
+    path.write_text("1000000000000 0\n")
+    code, _, err = run(["analyze", str(path)], capsys)
+    assert code == 2
+    assert "line 1" in err
 
 
 def test_find_removable(tmp_path, capsys):

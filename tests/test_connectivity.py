@@ -78,6 +78,15 @@ def test_cut_sides_partition():
     assert edge_connectivity(star)[1] == EdgeCut(frozenset({(0, 1)}), (0, 2), (1,))
 
 
+def test_cut_validation_names_a_negative_vertex():
+    """A cut side holding a negative vertex names it as out of range."""
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="vertex -1 out of range"):
+        EdgeCut(frozenset(), (-1,), (0,)).validate(g)
+    with pytest.raises(ValueError, match="partition"):
+        EdgeCut(frozenset(), (3,), (0, 1, 2)).validate(g)
+
+
 def test_local_edge_connectivity():
     g = two_cliques_bridged(4, 2)
     assert local_edge_connectivity(g, 0, 7) == 2

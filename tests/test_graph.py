@@ -144,6 +144,14 @@ def test_boundary_edge_count():
     assert boundary_edge_count(g, [0, 1], [4]) == 0
     with pytest.raises(ValueError):
         boundary_edge_count(g, [0, 1], [1, 2])
+    # a vertex below the range is out of range, as one above it is, not a
+    # negative shift in building its mask
+    with pytest.raises(ValueError, match="vertex out of range"):
+        boundary_edge_count(g, [5], [0])
+    with pytest.raises(ValueError, match="vertex -1 out of range"):
+        boundary_edge_count(g, [-1], [0])
+    with pytest.raises(ValueError, match="vertex -2 out of range"):
+        mask_of((0, -2))
 
 
 def test_degree_sum_is_twice_edge_count():

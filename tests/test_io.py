@@ -4,7 +4,7 @@ import pytest
 
 from kedge.errors import GraphFormatError
 from kedge.generators import complete, petersen_graph
-from kedge.graph import Graph
+from kedge.graph import MAX_ORDER, Graph
 from kedge.io import (
     graph_payload,
     load_graph,
@@ -36,6 +36,13 @@ def test_edge_list_errors_carry_line_numbers():
         parse_edge_list("")
     with pytest.raises(GraphFormatError):
         parse_edge_list("3 2\n0 1\n")  # header promises two edges
+    # a header order past the cap fails on its line, before any allocation
+    with pytest.raises(GraphFormatError, match=f"order 1000000000000 exceeds {MAX_ORDER}") as exc:
+        parse_edge_list("# huge\n1000000000000 0\n")
+    assert exc.value.line == 2
+    with pytest.raises(GraphFormatError, match="exceeds"):
+        parse_edge_list(f"{MAX_ORDER + 1} 0\n")
+    assert parse_edge_list(f"{MAX_ORDER} 0\n").n == MAX_ORDER
 
 
 def test_edge_list_rejects_a_repeated_edge():

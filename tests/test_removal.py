@@ -588,6 +588,14 @@ def test_decompose_cut_preconditions():
         )
         with pytest.raises(ValueError):
             decompose_cut(g, core, (5,), named, 2)
+    # a core reaching above the range or below 0 fails validate's range
+    # check here too, before any kernel indexes it
+    for vertices in (frozenset(range(45)), frozenset(range(-1, 38))):
+        outside = HCSubgraph(vertices, frozenset({0}), 3)
+        with pytest.raises(ValueError, match="subgraph vertices out of range"):
+            outside.validate(g)
+        with pytest.raises(ValueError, match="subgraph vertices out of range"):
+            decompose_cut(g, outside, (5,), cut, 2)
     bogus = EdgeCut(
         edges=frozenset({(0, 38)}),
         side_a=(38,),
