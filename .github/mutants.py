@@ -166,6 +166,13 @@ MUTANTS = [
         "if False:",
         "tests/test_fragments.py::test_overlap_rejects_foreign_fragments",
     ),
+    # Graph.mask, the one range check on a caller's vertex ids, has two ends
+    (
+        "graph.py",
+        "if not 0 <= v < self._n:",
+        "if not v < self._n:",
+        "tests/test_graph.py::test_every_entry_checks_caller_vertex_ids_with_one_message",
+    ),
     # the string branch of _bits reads the binary string lowest bit first
     (
         "graph.py",

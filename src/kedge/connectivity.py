@@ -155,7 +155,7 @@ class EdgeCut:
         """Check that the sides partition the vertex mask `alive` (default:
         all of g), both nonempty, and that the edges are g's edges between
         them, each pair in either order."""
-        a, b = mask_of(self.side_a), mask_of(self.side_b)
+        a, b = g.mask(self.side_a), g.mask(self.side_b)
         alive = g.full_mask() if alive is None else alive
         if a & b or a | b != alive or not a or not b:
             raise ValueError("cut sides must partition the vertex set, both nonempty")
@@ -297,8 +297,7 @@ def local_edge_connectivity(g: Graph, s: int, t: int, cap: float = float("inf"))
     """
     if s == t:
         raise ValueError("endpoints must differ")
-    if not (g.has_vertex(s) and g.has_vertex(t)):
-        raise ValueError("endpoint out of range")
+    g.mask((s, t))
     if not cap >= 0 or isfinite(cap) and cap % 1:
         raise ValueError(f"cap must be a nonnegative integer or infinite, got {cap}")
     masks = g.adjacency_masks()

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .connectivity import _edge_value, _host_sides, is_k_edge_connected
+from .connectivity import EdgeCut, _edge_value, _host_sides, is_k_edge_connected
 from .errors import InternalCheckError, TheoremViolation
 from .graph import (
     Graph,
@@ -87,16 +87,8 @@ def _checked_fragment(
     host = f.graph
     if len(set(f.deleted)) != len(f.deleted):
         raise ValueError("deleted vertices repeat")
-    for v in f.deleted:
-        if not host.has_vertex(v):
-            raise ValueError(f"deleted vertex {v} not in graph")
-    if not f.side or not f.complement:
-        raise ValueError("side and complement must both be nonempty")
-    if f.side & f.complement:
-        raise ValueError("side and complement overlap")
-    alive = host.full_mask() & ~mask_of(f.deleted)
-    if (f.side | f.complement) != frozenset(_bits(alive)):
-        raise ValueError("side and complement must partition the host vertices")
+    alive = host.full_mask() & ~host.mask(f.deleted)
+    EdgeCut(f.cut_edges, tuple(f.side), tuple(f.complement)).validate(host, alive)
     kprime, sides = _host_sides(host, alive)
     if kprime != f.host_kprime:
         raise ValueError(
@@ -104,8 +96,6 @@ def _checked_fragment(
             f" (actual {kprime})"
         )
     side = mask_of(f.side)
-    if _edges_between(host, side, alive & ~side) != f.cut_edges:
-        raise ValueError("cut_edges is not the side/complement boundary")
     if len(f.cut_edges) != kprime:
         raise ValueError("cut is not a minimum edge-cut of the host")
     if host != g or set(f.deleted) != set(e):

@@ -21,6 +21,8 @@ from .rng import SplitMix64, derive_seed
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
+    if n > MAX_ORDER:
+        raise ValueError(f"complete graph order {n} exceeds {MAX_ORDER}")
     return Graph(n, itertools.combinations(range(n), 2))
 
 
@@ -255,8 +257,8 @@ class GenSpec:
 
     `model` is either a generator name ("with_hypotheses",
     "hamiltonian_stack") or a named-instance tag; named instances ignore
-    the numeric fields.  `params` holds model-specific extras as sorted
-    (key, value) pairs so the spec stays hashable.
+    the numeric fields.  `params` holds the extras the model reads (see
+    `_PARAMS`) as sorted (key, value) pairs so the spec stays hashable.
     """
 
     model: str
@@ -270,12 +272,20 @@ class GenSpec:
         object.__setattr__(self, "params", tuple(sorted(self.params)))
 
 
+# the params keys each model reads; every other model reads none
+_PARAMS = {"hamiltonian_stack": ("t", "extra_edge_prob"), "gnp": ("p",)}
+
+
 def generate(spec: GenSpec) -> Graph:
-    """Run the generator a GenSpec describes."""
+    """Run the generator a GenSpec describes; a params key its model does
+    not read is an error, not a silent default."""
     if spec.n > MAX_ORDER:
         raise ValueError(f"n must be at most {MAX_ORDER}, got {spec.n}")
+    p = dict(spec.params)
+    for key in p:
+        if key not in _PARAMS.get(spec.model, ()):
+            raise ValueError(f"model {spec.model!r} reads no parameter {key!r}")
     if spec.model == "hamiltonian_stack":
-        p = dict(spec.params)
         t = float(p.get("t", max(1, (spec.k + 1) // 2)))
         if not t.is_integer():
             raise ValueError(f"t must be a whole number of cycles, got {t}")
@@ -284,6 +294,5 @@ def generate(spec: GenSpec) -> Graph:
     if spec.model == "with_hypotheses":
         return gen_with_hypotheses(spec.n, spec.k, spec.delta_min, spec.seed)
     if spec.model == "gnp":
-        p = float(dict(spec.params).get("p", 0.5))
-        return random_graph(spec.n, p, spec.seed)
+        return random_graph(spec.n, float(p.get("p", 0.5)), spec.seed)
     return named_instance(spec.model)

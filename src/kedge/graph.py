@@ -38,13 +38,11 @@ def _bits(mask: int) -> list[int]:
 
 
 def mask_of(vertices: Iterable[int]) -> int:
-    """Bitmask of vertex ids; a negative id is reported as out of range."""
+    """Bitmask of vertex ids the package already trusts, unchecked; a
+    caller's ids go through Graph.mask instead."""
     m = 0
     for v in vertices:
-        try:
-            m |= 1 << v
-        except ValueError:
-            raise ValueError(f"vertex {v} out of range") from None
+        m |= 1 << v
     return m
 
 
@@ -93,19 +91,25 @@ class Graph:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self._masks) // 2
 
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self._n:
-            raise ValueError(f"vertex {v} out of range for n={self._n}")
+    def mask(self, vertices: Iterable[int]) -> int:
+        """Bitmask of a caller's vertex ids, each checked to lie in 0..n-1:
+        the package's one range check on vertex ids it is given."""
+        m = 0
+        for v in vertices:
+            if not 0 <= v < self._n:
+                raise ValueError(f"vertex {v} out of range for n={self._n}")
+            m |= 1 << v
+        return m
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
+        self.mask((v,))
         return tuple(_bits(self._masks[v]))
 
     def adjacency_masks(self) -> tuple[int, ...]:
         return self._masks
 
     def degree(self, v: int) -> int:
-        self._check_vertex(v)
+        self.mask((v,))
         return self._masks[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
@@ -119,9 +123,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self._n > v >= 0 and bool(self._masks[u] >> v & 1)
 
-    def has_vertex(self, v: int) -> bool:
-        return 0 <= v < self._n
-
     def full_mask(self) -> int:
         return (1 << self._n) - 1
 
@@ -130,9 +131,7 @@ class Graph:
 
         New labels follow the sorted order of `keep`.
         """
-        kept = sorted(set(keep))
-        for v in kept:
-            self._check_vertex(v)
+        kept = _bits(self.mask(keep))
         index = {old: new for new, old in enumerate(kept)}
         edges = [
             (index[u], index[v])
@@ -143,12 +142,10 @@ class Graph:
 
     def delete_vertices(self, remove: Iterable[int]) -> tuple[Graph, dict[int, int]]:
         """Graph minus a vertex set (not all of it), plus the old->new index map."""
-        gone = set(remove)
-        for v in gone:
-            self._check_vertex(v)
-        if len(gone) == self._n:
+        rest = self.full_mask() & ~self.mask(remove)
+        if not rest:
             raise ValueError("cannot delete every vertex")
-        return self.induced_subgraph(v for v in range(self._n) if v not in gone)
+        return self.induced_subgraph(_bits(rest))
 
     def component_within(self, mask: int) -> int:
         """Component of the mask's lowest vertex in the subgraph induced on it.
@@ -239,10 +236,8 @@ def boundary_edge_count(g: Graph, first: Iterable[int], second: Iterable[int]) -
     The sets must be disjoint; counting within overlapping sets is ambiguous,
     so that is an error rather than a guess.
     """
-    a = mask_of(first)
-    b = mask_of(second)
+    a = g.mask(first)
+    b = g.mask(second)
     if a & b:
         raise ValueError("boundary_edge_count needs disjoint vertex sets")
-    if (a | b) & ~g.full_mask():
-        raise ValueError("vertex out of range")
     return _boundary_count(g.adjacency_masks(), a, b)

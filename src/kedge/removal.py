@@ -73,7 +73,7 @@ class HCSubgraph:
         return self.vertices - self.boundary
 
     def validate(self, g: Graph) -> None:
-        core = self._mask(g)
+        core = g.mask(self.vertices)
         if not self.boundary <= self.vertices:
             raise ValueError("boundary must lie inside the subgraph")
         if mask_of(self.boundary) != _boundary(g, core):
@@ -82,12 +82,6 @@ class HCSubgraph:
             raise ValueError(f"induced subgraph is not {self.k_target}-connected")
         if miss := _size_miss(len(self.vertices), len(self.boundary), self.k_target):
             raise ValueError(miss)
-
-    def _mask(self, g: Graph) -> int:
-        """The vertex mask, once every vertex is known to lie in g."""
-        if not self.vertices <= frozenset(g.vertices()):
-            raise ValueError("subgraph vertices out of range")
-        return mask_of(self.vertices)
 
 
 def _boundary(g: Graph, core: int) -> int:
@@ -399,11 +393,7 @@ def removable_tree_via_thomassen(
 
 def residual_min_cut(g: Graph, removed: Iterable[int]) -> EdgeCut:
     """A minimum edge-cut of g minus a vertex set, in ambient labels."""
-    gone = set(removed)
-    for v in gone:
-        if not g.has_vertex(v):
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    alive = g.full_mask() & ~mask_of(gone)
+    alive = g.full_mask() & ~g.mask(removed)
     if alive.bit_count() < 2:
         raise ValueError("edge connectivity needs at least two vertices")
     return _edge_cut(g, alive)[1]
@@ -456,14 +446,11 @@ def decompose_cut(
     tset = frozenset(tprime)
     if k < 1:
         raise ValueError("k must be at least 1")
-    core_mask = core._mask(g)
+    core_mask = g.mask(core.vertices)
     if not tset <= core.interior():
         raise ValueError("tprime must lie in the core interior")
     if cut.value > k - 1:
         raise ValueError(f"cut value {cut.value} is not below {k}")
-    for v in tset:
-        if not g.has_vertex(v):
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
     masks = g.adjacency_masks()
     alive = g.full_mask() & ~mask_of(tset)
     cut.validate(g, alive)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .graph import Graph, _bits
+from .graph import MAX_ORDER, Graph, _bits
 from . import io as graph_io
 
 
@@ -93,21 +93,30 @@ class TreeSpec:
         return "prufer:" + ",".join(str(x) for x in seq)
 
 
+def _cap_order(kind: str, order: int) -> None:
+    """Reject a tree order above MAX_ORDER before its parent array is built."""
+    if order > MAX_ORDER:
+        raise ValueError(f"{kind} tree order {order} exceeds {MAX_ORDER}")
+
+
 def path_tree(m: int) -> TreeSpec:
     if m < 1:
         raise ValueError(f"path order must be positive, got {m}")
+    _cap_order("path", m)
     return TreeSpec((-1,) + tuple(range(m - 1)), name=f"path:{m}")
 
 
 def star_tree(m: int) -> TreeSpec:
     if m < 1:
         raise ValueError(f"star order must be positive, got {m}")
+    _cap_order("star", m)
     return TreeSpec((-1,) + (0,) * (m - 1), name=f"star:{m}")
 
 
 def spider_tree(legs: list[int]) -> TreeSpec:
     if not legs or any(l < 1 for l in legs):
         raise ValueError("spider legs must be positive lengths")
+    _cap_order("spider", 1 + sum(legs))
     parents = [-1]
     for leg in legs:
         attach = 0
@@ -121,6 +130,7 @@ def spider_tree(legs: list[int]) -> TreeSpec:
 def caterpillar_tree(leaf_counts: list[int]) -> TreeSpec:
     if not leaf_counts or any(c < 0 for c in leaf_counts):
         raise ValueError("caterpillar needs nonnegative leaf counts, one per spine vertex")
+    _cap_order("caterpillar", len(leaf_counts) + sum(leaf_counts))
     parents = [-1] + list(range(len(leaf_counts) - 1))
     for spine, count in enumerate(leaf_counts):
         parents.extend([spine] * count)
@@ -131,6 +141,7 @@ def caterpillar_tree(leaf_counts: list[int]) -> TreeSpec:
 def prufer_decode(seq: list[int]) -> TreeSpec:
     """Tree for a Pruefer sequence over labels 0..m-1, m = len(seq)+2."""
     m = len(seq) + 2
+    _cap_order("prufer", m)
     if any(not 0 <= x < m for x in seq):
         raise ValueError(f"sequence entries must lie in [0, {m}) for order {m}")
     degree = [1] * m

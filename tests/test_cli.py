@@ -5,6 +5,7 @@ import pytest
 import kedge.harness as harness
 from kedge.cli import main
 from kedge.generators import complete, petersen_graph
+from kedge.graph import MAX_ORDER
 from kedge.io import save_graph, write_edge_list
 
 
@@ -199,6 +200,15 @@ TREE_CONFIG = VALID_CONFIG | {"statement": "tree", "m_values": [2]}
         # one draw reaches this order, which no generator could allocate
         pytest.param(VALID_CONFIG | {"n_range": [8, 2**64 - 1]}, id="huge-order"),
         pytest.param(VALID_CONFIG | {"delta_min": 2**64 - 1}, id="huge-delta_min"),
+        pytest.param(
+            TREE_CONFIG | {"m_values": [], "trees": [f"path:{MAX_ORDER + 1}"]}, id="huge-tree"
+        ),
+        # a params key the model does not read would run on the default
+        pytest.param(
+            VALID_CONFIG
+            | {"model": "hamiltonian_stack", "params": {"t": 1, "extra_edge_porb": 0.2}},
+            id="misspelled-param",
+        ),
     ],
 )
 def test_verify_rejects_a_malformed_config(tmp_path, capsys, config):
@@ -219,6 +229,23 @@ def test_gen_rejects_a_huge_order(capsys):
     ):
         code, _, err = run(["gen", *args], capsys)
         assert code == 2 and err.startswith("error:")
+
+
+def test_huge_tree_or_tightness_order_is_usage_error(tmp_path, capsys):
+    """A tree spec or a tightness host above the order cap exits 2 before
+    anything of that order is built."""
+    path = tmp_path / "k4.txt"
+    save_graph(complete(4), path)
+    over = MAX_ORDER + 1
+    for args in (
+        ["find-removable", "--k", "1", "--tree", f"path:{over}", str(path)],
+        ["verify", "--statement", "tree", "--k", "1", "--tree", f"spider:{over - 1}",
+         "--trials", "1", "--seed", "1"],
+        ["verify", "--statement", "tightness", "--k", str(over - 3), "--m", "3",
+         "--trials", "1", "--seed", "1"],
+    ):
+        code, _, err = run(args, capsys)
+        assert code == 2 and f"exceeds {MAX_ORDER}" in err
 
 
 def test_verify_usage_errors(capsys):

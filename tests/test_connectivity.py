@@ -79,12 +79,15 @@ def test_cut_sides_partition():
 
 
 def test_cut_validation_names_a_negative_vertex():
-    """A cut side holding a negative vertex names it as out of range."""
+    """A cut side holding a vertex below or above the range names it, before
+    the partition is checked."""
     g = path_graph(3)
-    with pytest.raises(ValueError, match="vertex -1 out of range"):
+    with pytest.raises(ValueError, match="vertex -1 out of range for n=3"):
         EdgeCut(frozenset(), (-1,), (0,)).validate(g)
-    with pytest.raises(ValueError, match="partition"):
+    with pytest.raises(ValueError, match="vertex 3 out of range for n=3"):
         EdgeCut(frozenset(), (3,), (0, 1, 2)).validate(g)
+    with pytest.raises(ValueError, match="partition"):
+        EdgeCut(frozenset(), (0,), (1,)).validate(g)
 
 
 def test_local_edge_connectivity():

@@ -88,9 +88,9 @@ def test_fragment_validate_rejects_tampering():
     cases = [
         (replace(f, host_kprime=f.host_kprime + 1), "stored host connectivity"),
         (replace(f, deleted=(0, 0)), "repeat"),
-        (replace(f, deleted=(0, 6)), "not in graph"),
+        (replace(f, deleted=(0, 6)), "vertex 6 out of range for n=6"),
         (replace(f, side=frozenset()), "nonempty"),
-        (replace(f, side={2, 3}), "overlap"),
+        (replace(f, side={2, 3}), "partition"),
         (replace(f, complement={3, 4}), "partition"),
         (replace(f, cut_edges=f.cut_edges - {(2, 3)}), "boundary"),
         (replace(f, cut_edges=f.cut_edges | {(3, 4)}), "boundary"),

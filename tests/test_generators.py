@@ -23,6 +23,7 @@ from kedge.generators import (
     two_cliques_bridged,
 )
 from kedge import generators
+from kedge.graph import MAX_ORDER
 from kedge.io import write_edge_list, write_graph6
 from kedge.rng import (
     _GOLDEN,
@@ -361,6 +362,34 @@ def test_genspec_rejects_a_fractional_cycle_count():
         spec = GenSpec(model="hamiltonian_stack", n=9, seed=4, params=(("t", t),))
         with pytest.raises(ValueError, match="whole number"):
             generate(spec)
+
+
+def test_genspec_rejects_a_params_key_its_model_does_not_read():
+    """A misspelled or foreign params key is named, not run on a default."""
+    for spec, key in (
+        (GenSpec(model="gnp", n=10, seed=3, params=(("prob", 0.9),)), "prob"),
+        (
+            GenSpec(
+                model="hamiltonian_stack",
+                n=9,
+                seed=4,
+                params=(("t", 2.0), ("extra_edge_porb", 0.2)),
+            ),
+            "extra_edge_porb",
+        ),
+        (GenSpec(model="with_hypotheses", n=10, k=2, delta_min=4, params=(("p", 0.5),)), "p"),
+        (GenSpec(model="petersen", params=(("t", 1.0),)), "t"),
+    ):
+        with pytest.raises(ValueError, match=f"reads no parameter {key!r}"):
+            generate(spec)
+
+
+def test_complete_caps_its_order():
+    """complete, which the tightness statement builds on k + m vertices,
+    rejects an order above MAX_ORDER before it allocates anything."""
+    assert complete(MAX_ORDER).n == MAX_ORDER
+    with pytest.raises(ValueError, match=f"exceeds {MAX_ORDER}"):
+        complete(MAX_ORDER + 1)
 
 
 def test_graph_enumeration():

@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+from kedge.connectivity import EdgeCut, local_edge_connectivity
+from kedge.fragments import Fragment
+from kedge.generators import complete
 from kedge.graph import (
     Graph,
     _bits,
@@ -10,6 +13,7 @@ from kedge.graph import (
     mask_of,
     normalize_edge,
 )
+from kedge.removal import HCSubgraph, decompose_cut, residual_min_cut
 
 from conftest import seeded_random_graphs
 
@@ -138,6 +142,36 @@ def test_normalize_edge():
             normalize_edge(g, e)
 
 
+def test_every_entry_checks_caller_vertex_ids_with_one_message():
+    """Each public entry that takes vertex ids from its caller rejects an id
+    below the range and one above it, with Graph.mask's one message."""
+    g = complete(5)
+    cut = EdgeCut(frozenset(), (0,), (1, 2, 3, 4))
+    entries = {
+        "neighbors": lambda v: g.neighbors(v),
+        "degree": lambda v: g.degree(v),
+        "induced_subgraph": lambda v: g.induced_subgraph([0, v]),
+        "delete_vertices": lambda v: g.delete_vertices([v]),
+        "boundary_edge_count": lambda v: boundary_edge_count(g, [0], [1, v]),
+        "EdgeCut.validate": lambda v: EdgeCut(frozenset(), (v,), (0,)).validate(g),
+        "HCSubgraph.validate": lambda v: HCSubgraph(frozenset({0, v}), frozenset(), 1).validate(g),
+        "decompose_cut": lambda v: decompose_cut(
+            g, HCSubgraph(frozenset({0, v}), frozenset(), 1), (), cut, 1
+        ),
+        "residual_min_cut": lambda v: residual_min_cut(g, [v]),
+        "Fragment.validate": lambda v: Fragment(g, (0, v), {1}, {2, 3, 4}, set(), 3).validate(),
+        "local_edge_connectivity": lambda v: local_edge_connectivity(g, 0, v),
+    }
+    for name, call in entries.items():
+        for v in (-1, 5):
+            try:
+                call(v)
+            except ValueError as exc:
+                assert str(exc) == f"vertex {v} out of range for n=5", name
+            else:
+                pytest.fail(f"{name} took vertex {v}")
+
+
 def test_boundary_edge_count():
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
     assert boundary_edge_count(g, [0, 1], [2, 3]) == 2
@@ -146,12 +180,12 @@ def test_boundary_edge_count():
         boundary_edge_count(g, [0, 1], [1, 2])
     # a vertex below the range is out of range, as one above it is, not a
     # negative shift in building its mask
-    with pytest.raises(ValueError, match="vertex out of range"):
+    with pytest.raises(ValueError, match="vertex 5 out of range for n=5"):
         boundary_edge_count(g, [5], [0])
-    with pytest.raises(ValueError, match="vertex -1 out of range"):
+    with pytest.raises(ValueError, match="vertex -1 out of range for n=5"):
         boundary_edge_count(g, [-1], [0])
-    with pytest.raises(ValueError, match="vertex -2 out of range"):
-        mask_of((0, -2))
+    with pytest.raises(ValueError, match="vertex -2 out of range for n=5"):
+        boundary_edge_count(g, [3], [0, -2])
 
 
 def test_degree_sum_is_twice_edge_count():

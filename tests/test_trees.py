@@ -9,7 +9,7 @@ import hashlib
 
 import pytest
 
-from kedge.graph import Graph
+from kedge.graph import MAX_ORDER, Graph
 from kedge.rng import SplitMix64
 
 from conftest import reordered
@@ -137,6 +137,27 @@ def test_parse_tree_spec_grammar():
     for bad in ("path:0", "nope:3", "prufer:x", "path:", "spider:"):
         with pytest.raises(ValueError):
             parse_tree_spec(bad)
+
+
+def test_tree_builders_cap_the_order():
+    """Every builder rejects an order above MAX_ORDER before it builds a
+    parent array, through the grammar too, and takes MAX_ORDER itself."""
+    over = MAX_ORDER + 1
+    for build, arg, spec in (
+        (path_tree, over, f"path:{over}"),
+        (star_tree, over, f"star:{over}"),
+        (spider_tree, [1, over - 2], f"spider:1,{over - 2}"),
+        (caterpillar_tree, [0, over - 2], f"caterpillar:0,{over - 2}"),
+        (prufer_decode, [0] * (over - 2), "prufer:" + ",".join(["0"] * (over - 2))),
+    ):
+        for attempt in (lambda: build(arg), lambda: parse_tree_spec(spec)):
+            with pytest.raises(ValueError, match=f"tree order {over} exceeds {MAX_ORDER}"):
+                attempt()
+    assert path_tree(MAX_ORDER).order == MAX_ORDER
+    assert star_tree(MAX_ORDER).order == MAX_ORDER
+    assert spider_tree([1, MAX_ORDER - 2]).order == MAX_ORDER
+    assert caterpillar_tree([0, MAX_ORDER - 2]).order == MAX_ORDER
+    assert prufer_decode([0] * (MAX_ORDER - 2)).order == MAX_ORDER
 
 
 def test_parse_tree_spec_file(tmp_path):
