@@ -33,7 +33,9 @@ Vertex connectivity likewise has one kernel, _vertex_cut, on the same
 masks.  It grows unit flows by shortest augmenting paths on the implicit
 split-vertex graph (_augment) and uses Even's bound (SIAM J. Comput.
 1975): a minimum cut of size c misses one of any c+1 vertices, so only the
-first c+1 alive vertices need serve as sources.  Two non-adjacent vertices
+first c+1 alive vertices need serve as sources.  The bound starts at the
+caller's k and no degree is read; vertex_connectivity, whose question has
+no k, starts it at the minimum degree plus one.  Two non-adjacent vertices
 with c common neighbours have c internally disjoint paths of length two, so
 a pair sharing as many neighbours as the bound needs no flow; on dense
 inputs no pair does.  vertex_connectivity, vertex_cut_below,
@@ -76,7 +78,8 @@ def _edge_value(
     union-find merges pairs with lambda >= best: x and an unscanned y once
     r(y) >= best, as lambda(x, y) >= r(y), and the last two scanned, whose
     cut of the phase is in best.  The side is the OR of the scanned members
-    at the last step that lowered best, None if no step did.
+    at the last step that lowered best, None if no step did.  A zero cut ends
+    the orderings, as no later phase can lower best or move the side.
     """
     def find(v: int) -> int:
         while leader[v] != v:
@@ -103,7 +106,7 @@ def _edge_value(
     out = nb[:]
     side = None
     changed: list[int] = []
-    while len(ids) > 1 and best >= stop:
+    while len(ids) > 1 and best >= max(stop, 1):
         for x in changed:
             around = 0
             for u in _bits(members[x]):
@@ -456,22 +459,23 @@ def _vertex_cut(masks: Sequence[int], alive: int, k: int) -> int | None:
 
     The cut is a mask, the empty cut 0 when that graph is disconnected;
     None means connectivity at least k, as always for a clique or at most
-    one vertex.  Sources s run over the alive vertices in ascending order,
-    each against every alive non-neighbour t, by _augment's shortest
-    augmenting paths.  A cut below c misses one of the first c sources
-    (Even's bound), so with c the smallest cut found so far, or the starting
-    bound below, the scan stops after c sources.  A pair with at least c
-    common neighbours has that many internally disjoint s-t paths of length
-    two, so its flow would reach c and change nothing: it is skipped.  The
-    cut comes from the first (s, t) pair reaching the minimum.
+    one vertex.  Sources s come off `alive` lowest bit first, each against
+    every alive non-neighbour t, by _augment's shortest augmenting paths.  A
+    cut below c misses one of the first c sources (Even's bound), so with c
+    the smallest cut found so far, at first the caller's k, the scan stops
+    after c sources.  A pair with at least c common neighbours has that many
+    internally disjoint s-t paths of length two, so its flow would reach c
+    and change nothing: it is skipped.  The cut comes from the first (s, t)
+    pair reaching the minimum, the side of its flow nearest s, which no
+    larger k moves: that pair lies among the first minimum + 1 sources, and
+    no pair before it is skipped or capped at the minimum.  So no degree is
+    read to lower the start.
     """
-    verts = _bits(alive)
-    min_degree = min([(masks[v] & alive).bit_count() for v in verts], default=0)
-    # a non-clique has a cut of at most min(min_degree, n - 2) vertices
-    best, cut = min(k, min_degree + 1, len(verts) - 1), None
-    for i, s in enumerate(verts):
-        if i >= best:
-            break
+    best, cut, rest, i = k, None, alive, 0
+    while rest and i < best:
+        s = (rest & -rest).bit_length() - 1
+        rest ^= 1 << s
+        i += 1
         for t in _bits(alive & ~masks[s] & ~(1 << s)):
             if (masks[s] & masks[t] & alive).bit_count() >= best:
                 continue
@@ -488,7 +492,7 @@ def vertex_connectivity(g: Graph) -> int:
     """Minimum vertices whose removal disconnects or trivializes the graph."""
     if g.n == 0:
         raise ValueError("vertex connectivity of the empty graph is undefined")
-    cut = _vertex_cut(g.adjacency_masks(), g.full_mask(), g.n)
+    cut = _vertex_cut(g.adjacency_masks(), g.full_mask(), g.min_degree() + 1)
     return g.n - 1 if cut is None else cut.bit_count()
 
 
