@@ -42,6 +42,13 @@ MUTANTS = [
         "pass",
         "tests/test_connectivity.py::test_edge_value_matches_scanner_on_every_small_graph",
     ),
+    # a zero cut ends the orderings
+    (
+        "connectivity.py",
+        "best >= max(stop, 1):",
+        "best >= stop:",
+        "tests/test_connectivity.py::test_edge_value_stops_at_a_zero_cut",
+    ),
     # the MA merge rule: merge x and y only once r(y) reaches best
     (
         "connectivity.py",
@@ -52,8 +59,15 @@ MUTANTS = [
     # Even's bound: a cut below c misses one of the first c sources
     (
         "connectivity.py",
-        "if i >= best:",
-        "if i >= best - 1:",
+        "while rest and i < best:",
+        "while rest and i < best - 1:",
+        "tests/test_connectivity.py::test_vertex_connectivity_matches_definition",
+    ),
+    # vertex_connectivity's bound: a non-clique has a cut of at most delta
+    (
+        "connectivity.py",
+        "g.min_degree() + 1)",
+        "g.min_degree())",
         "tests/test_connectivity.py::test_vertex_connectivity_matches_definition",
     ),
     # the common-neighbour skip: c common neighbours give c disjoint paths

@@ -35,11 +35,12 @@ split-vertex graph (_augment) and uses Even's bound (SIAM J. Comput.
 1975): a minimum cut of size c misses one of any c+1 vertices, so only the
 first c+1 alive vertices need serve as sources.  The bound starts at the
 caller's k and no degree is read; vertex_connectivity, whose question has
-no k, starts it at the minimum degree plus one.  Two non-adjacent vertices
-with c common neighbours have c internally disjoint paths of length two, so
-a pair sharing as many neighbours as the bound needs no flow; on dense
-inputs no pair does.  vertex_connectivity, vertex_cut_below,
-is_k_connected, the dense-core extraction and its validation all ask it.
+no k, starts it at the minimum degree plus one, as a non-clique has a cut
+of at most its minimum degree.  Two non-adjacent vertices with c common
+neighbours have c internally disjoint paths of length two, so a pair
+sharing as many neighbours as the bound needs no flow; on dense inputs no
+pair does.  vertex_connectivity, vertex_cut_below, is_k_connected, the
+dense-core extraction and its validation all ask it.
 """
 
 from __future__ import annotations

@@ -452,6 +452,65 @@ def test_augment_paths_and_cut_certify_each_other():
     assert into == {1: 0, 7: 1, 8: 7, 5: 0, 6: 5, 3: 6}
 
 
+def _vertex_cut_with_degree_pass(masks, alive, k):
+    """_vertex_cut with the bound started at min(k, min degree + 1, n - 1)
+    after decoding every alive vertex: the same sources, skips and flows."""
+    verts = _bits(alive)
+    min_degree = min([(masks[v] & alive).bit_count() for v in verts], default=0)
+    best, cut = min(k, min_degree + 1, len(verts) - 1), None
+    for i, s in enumerate(verts):
+        if i >= best:
+            break
+        for t in _bits(alive & ~masks[s] & ~(1 << s)):
+            if (masks[s] & masks[t] & alive).bit_count() >= best:
+                continue
+            into = {}
+            for _ in range(best):
+                found = connectivity._augment(masks, alive, s, t, into)
+                if found is not None:
+                    cut, best = found, found.bit_count()
+                    break
+    return cut
+
+
+def test_vertex_cut_is_the_one_a_degree_pass_gives():
+    """The extraction keeps the cut, so pin which one comes back: starting
+    the bound at k instead of the minimum degree + 1 moves no cut, on every
+    alive mask of every graph with n <= 5 and on seeded graphs with n = 7-30,
+    for k = 1..n."""
+    cases = []
+    for g in all_labeled_graphs(5):
+        cases += [(g, alive) for alive in range(1, 1 << g.n)]
+    rng = SplitMix64(29)
+    for i in range(60):
+        g = random_graph(7 + rng.randrange(24), 0.2 + i % 8 / 10, i)
+        cases += [(g, g.full_mask()), (g, g.full_mask() & ~rng.randrange(1 << g.n) | 1)]
+    cuts = set()
+    for g, alive in cases:
+        masks = g.adjacency_masks()
+        for k in range(1, g.n + 1):
+            cut = connectivity._vertex_cut(masks, alive, k)
+            assert cut == _vertex_cut_with_degree_pass(masks, alive, k)
+            cuts.add(None if cut is None else cut.bit_count())
+    assert {None, 0, 1, 2, 3, 4} <= cuts
+
+
+def test_vertex_connectivity_runs_flows_up_to_the_minimum_degree(monkeypatch):
+    """vertex_connectivity has no k and starts the bound at the minimum
+    degree + 1: K_{5,40} takes 6 _augment calls, 5 paths and the cut.
+    Started at n, the bound would take 47."""
+    calls = []
+    augment = connectivity._augment
+
+    def counting(*args):
+        calls.append(args)
+        return augment(*args)
+
+    monkeypatch.setattr(connectivity, "_augment", counting)
+    assert vertex_connectivity(complete_bipartite(5, 40)) == 5
+    assert len(calls) == 6
+
+
 def test_vertex_connectivity_matches_networkx():
     """A third route for kappa, beyond the definition's reach: networkx's
     node_connectivity on seeded graphs with n = 17-60; below kappa + 1 no cut,
@@ -605,6 +664,30 @@ def test_edge_value_on_every_labeling_of_bridged_triangles():
     for perm in itertools.permutations(range(6)):
         h = Graph(6, [(perm[u], perm[v]) for u, v in g.edges()])
         check_edge_value(h.adjacency_masks(), h.full_mask(), 1)
+
+
+def test_edge_value_stops_at_a_zero_cut(monkeypatch):
+    """No phase after a zero cut can lower best or move the side, so none
+    runs: an edgeless host decodes its alive mask once and runs no ordering,
+    and a perfect matching runs one ordering, a decode per scanned vertex.
+    Running on to the last phase took 45,746 and 12,221 decodes."""
+    calls = []
+    bits = connectivity._bits
+
+    def counting(mask):
+        calls.append(mask)
+        return bits(mask)
+
+    monkeypatch.setattr(connectivity, "_bits", counting)
+    n = 300
+    matching = Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+    for g, want, decodes in ((Graph(n), (0, None), 1), (matching, (0, 3), n + 1)):
+        calls.clear()
+        assert _edge_value(g.adjacency_masks(), g.full_mask(), n, 0) == want
+        assert len(calls) == decodes
+    calls.clear()
+    kprime, cut = edge_connectivity(Graph(n))
+    assert kprime == 0 and cut.side_a == (0,) and len(calls) < 5
 
 
 def _edge_connectivity_by_flows(g, alive):
