@@ -11,9 +11,21 @@ too.  The overlap scan in fragments takes the value as well, to cross-check
 each fragment host's bipartition scan by a route that scans no bipartition.
 Dense inputs need no ordering: once the minimum degree is at least half the
 order, lambda equals it (Chartrand, SIAM J. Appl. Math. 1966), so no cut
-lies below it.  The oracle, edge_connectivity_bruteforce, scans every
-bipartition and runs no ordering; it is compared with the kernel and must
-never be merged with it.
+lies below it.  Most small sparser hosts need none either, by a far-pair
+path bound.  If lambda < delta, each side of a minimum cut has at least
+delta + 1 vertices and at most lambda of them touch the cut, so each side
+holds a vertex with no neighbour across (the lemma behind Plesnik's
+diameter-2 theorem; Hellwig & Volkmann, Discrete Math. 2008).  Those two
+are a far pair: a and b at distance 3 or more.  Every path from N[a] to
+N[b] crosses the cut, so lambda is at least the count of edge-disjoint
+ones: the edges between N[a] and N[b], plus, through each vertex w outside
+both, the smaller of w's neighbour counts in them.  When every far pair
+counts at least best, no cut lies below best.  The bound runs on at most
+EXHAUSTIVE_LIMIT alive vertices, where it is a few hundred mask steps; its
+pair scan is quadratic in the order and can fail late, and on sparse hosts
+of a few hundred vertices it cost several times the orderings.  The
+oracle, edge_connectivity_bruteforce, scans every bipartition and runs no
+ordering; it is compared with the kernel and must never be merged with it.
 
 Every bipartition scan in the package runs through one flow-free scanner,
 _scan_bipartitions.  It walks the sides in Gray-code order on adjacency
@@ -66,10 +78,21 @@ def _edge_value(
     a value below stop; 0 when `alive` is disconnected.  Also a side reaching it.
 
     One pass reads every degree and returns the first degree below stop, in
-    ascending id order, which lambda cannot exceed; best is then clamped to
-    the minimum degree.  When that is at least half the order (rounded
-    down), lambda equals it (Chartrand, SIAM J. Appl. Math. 1966): (best,
-    None).  The neighbourhoods are read only when that test fails.
+    ascending id order, which lambda cannot exceed; the lowest vertex is read
+    before the alive mask is decoded.  best is then clamped to the minimum
+    degree.  When that is at least half the order (rounded down), lambda
+    equals it (Chartrand, SIAM J. Appl. Math. 1966): (best, None).  The
+    neighbourhoods are read only when that test fails.
+
+    On at most EXHAUSTIVE_LIMIT alive vertices the far-pair bound comes
+    next (_far_pairs_reach): (best, None) when every pair at distance 3 or
+    more has best edge-disjoint paths between its closed neighbourhoods.
+    It is exact: below delta, each side of a minimum cut holds a vertex with
+    no neighbour across, those two are a far pair, and each path counted
+    for them crosses the cut.  So no cut lies below best, and the orderings
+    would return side None too.  Above the limit the pair scan, quadratic
+    in the order, can fail late and costs more than the orderings on sparse
+    hosts, so it is not tried.
 
     Supervertices are member masks, their degrees and outside neighbourhoods
     out[x] recomputed once per contraction; owner[u] holds u.  Each
@@ -87,6 +110,10 @@ def _edge_value(
             leader[v] = v = leader[leader[v]]
         return v
 
+    # the lowest vertex first: a large host missing stop there is not decoded
+    d = (masks[(alive & -alive).bit_length() - 1] & alive).bit_count()
+    if d < stop:
+        return d, None
     ids = _bits(alive)
     low = len(ids)
     for v in ids:
@@ -100,6 +127,8 @@ def _edge_value(
         return best, None
     # slots of dead ids are never read
     nb = [m & alive for m in masks[: alive.bit_length()]]
+    if len(ids) <= EXHAUSTIVE_LIMIT and _far_pairs_reach(nb, ids, alive, best):
+        return best, None
     deg = list(map(int.bit_count, nb))
     members = [1 << v for v in range(len(nb))]
     owner = list(range(len(nb)))
@@ -141,6 +170,28 @@ def _edge_value(
         for r in changed:
             members[r] = groups[r]
     return best, side
+
+
+def _far_pairs_reach(nb: Sequence[int], ids: Sequence[int], alive: int, best: int) -> bool:
+    """Whether every pair a, b of `ids` at distance 3 or more has at least
+    best edge-disjoint paths between N[a] and N[b] in the graph of the alive
+    neighbourhoods nb: the edges between them, and through each vertex w
+    outside both the smaller of w's neighbour counts in N[a] and in N[b]."""
+    for a in ids:
+        ball = 1 << a
+        for _ in range(2):
+            for u in _bits(ball):
+                ball |= nb[u]
+        near = nb[a] | 1 << a
+        for b in _bits(alive & ~ball & -(2 << a)):
+            far = nb[b] | 1 << b
+            paths = sum((nb[u] & near).bit_count() for u in _bits(far))
+            # a vertex w beyond the ball has no neighbour in N[a]
+            for w in _bits(ball & ~near & ~far):
+                paths += min((nb[w] & near).bit_count(), (nb[w] & far).bit_count())
+            if paths < best:
+                return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -298,8 +298,9 @@ def scan_overlap_cases(g: Graph) -> OverlapScanStats:
     overlap hypotheses, and runs the full check on each.  Fragments stay
     side and complement masks throughout.  Each host is checked once,
     against a route that scans no bipartition: its connectivity must equal
-    the maximum-adjacency kernel's value, and every side's boundary,
-    recounted from the adjacency masks, must equal it; a mismatch raises
+    the value kernel's, which the far-pair path bound or the
+    maximum-adjacency orderings give, and every side's boundary, recounted
+    from the adjacency masks, must equal it; a mismatch raises
     InternalCheckError.  Any conclusion failure surfaces as the checker's
     TheoremViolation.
     """
@@ -315,8 +316,8 @@ def scan_overlap_cases(g: Graph) -> OverlapScanStats:
         # disconnected host at its first isolated vertex or after one ordering
         if _edge_value(masks, alive, alive.bit_count(), 1)[0] != kprime:
             raise InternalCheckError(
-                f"host of edge {edge}: bipartition scan gives {kprime}, the"
-                " maximum-adjacency kernel disagrees"
+                f"host of edge {edge}: bipartition scan gives {kprime}, the value"
+                " kernel (far-pair bound or maximum-adjacency orderings) disagrees"
             )
         frags = [(side, alive & ~side) for side in sides]
         if any(_boundary_count(masks, side, rest) != kprime for side, rest in frags):
