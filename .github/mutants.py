@@ -35,6 +35,13 @@ MUTANTS = [
         "if d <= stop:",
         "tests/test_connectivity.py::test_edge_value_matches_scanner_on_every_small_graph",
     ),
+    # so does its read of the lowest vertex before the alive mask is decoded
+    (
+        "connectivity.py",
+        "if first < stop:",
+        "if first <= stop:",
+        "tests/test_connectivity.py::test_edge_value_matches_scanner_on_every_small_graph",
+    ),
     # best is clamped to the minimum degree before Chartrand's shortcut
     (
         "connectivity.py",
@@ -48,6 +55,34 @@ MUTANTS = [
         "best >= max(stop, 1):",
         "best >= stop:",
         "tests/test_connectivity.py::test_edge_value_stops_at_a_zero_cut",
+    ),
+    # the far-pair bound: every far pair needs best paths, not best - 1
+    (
+        "connectivity.py",
+        "if paths < best:",
+        "if paths < best - 1:",
+        "tests/test_connectivity.py::test_far_pair_bound_matches_the_oracle",
+    ),
+    # a vertex w outside N[a] and N[b] carries its smaller neighbour count
+    (
+        "connectivity.py",
+        "paths += min(",
+        "paths += max(",
+        "tests/test_connectivity.py::test_far_pair_bound_matches_the_oracle",
+    ),
+    # a far pair lies outside the ball of radius 2, so pairs at distance 3 count
+    (
+        "connectivity.py",
+        "for _ in range(2):",
+        "for _ in range(3):",
+        "tests/test_connectivity.py::test_far_pair_bound_matches_the_oracle",
+    ),
+    # the bound runs on at most EXHAUSTIVE_LIMIT alive vertices
+    (
+        "connectivity.py",
+        "if len(ids) <= EXHAUSTIVE_LIMIT and _far_pairs_reach(",
+        "if _far_pairs_reach(",
+        "tests/test_connectivity.py::test_far_pair_bound_never_runs_above_sixteen_vertices",
     ),
     # the MA merge rule: merge x and y only once r(y) reaches best
     (

@@ -21,9 +21,9 @@ N[b] crosses the cut, so lambda is at least the count of edge-disjoint
 ones: the edges between N[a] and N[b], plus, through each vertex w outside
 both, the smaller of w's neighbour counts in them.  When every far pair
 counts at least best, no cut lies below best.  The bound runs on at most
-EXHAUSTIVE_LIMIT alive vertices, where it is a few hundred mask steps; its
-pair scan is quadratic in the order and can fail late, and on sparse hosts
-of a few hundred vertices it cost several times the orderings.  The
+EXHAUSTIVE_LIMIT alive vertices.  Above that its pair scan can fail late
+or not at all: where lambda = delta it passes every pair, cubic in the
+order, and cost up to 250 times the orderings on 300 vertices.  The
 oracle, edge_connectivity_bruteforce, scans every bipartition and runs no
 ordering; it is compared with the kernel and must never be merged with it.
 
@@ -90,9 +90,9 @@ def _edge_value(
     It is exact: below delta, each side of a minimum cut holds a vertex with
     no neighbour across, those two are a far pair, and each path counted
     for them crosses the cut.  So no cut lies below best, and the orderings
-    would return side None too.  Above the limit the pair scan, quadratic
-    in the order, can fail late and costs more than the orderings on sparse
-    hosts, so it is not tried.
+    would return side None too.  Above the limit it is not tried: the pair
+    scan can fail late or pass every pair, and then costs far more than
+    the orderings.
 
     Supervertices are member masks, their degrees and outside neighbourhoods
     out[x] recomputed once per contraction; owner[u] holds u.  Each
@@ -111,9 +111,9 @@ def _edge_value(
         return v
 
     # the lowest vertex first: a large host missing stop there is not decoded
-    d = (masks[(alive & -alive).bit_length() - 1] & alive).bit_count()
-    if d < stop:
-        return d, None
+    first = (masks[(alive & -alive).bit_length() - 1] & alive).bit_count()
+    if first < stop:
+        return first, None
     ids = _bits(alive)
     low = len(ids)
     for v in ids:

@@ -737,3 +737,106 @@ def test_edge_value_matches_flow_beyond_the_oracle():
     assert {0, 1, 2, 3, 4, 5} <= values
     # every dense alive mask is at or above Chartrand's bound
     assert settled >= 20
+
+
+def _relabeled(g, rng):
+    """g under a seeded random relabeling (Fisher-Yates on randrange)."""
+    perm = list(range(g.n))
+    for i in range(g.n - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _cliques_joined_through_w():
+    """Two K_5 joined only through vertex 10, with 4 neighbours in the first
+    and 1 in the second: lambda 1, delta 4.  The far pair of vertex 4 and
+    the second clique counts min(4, 1) = 1 path through 10; a neighbour of
+    10 and the second clique count its one edge across."""
+    edges = list(itertools.combinations(range(5), 2))
+    edges += [(5 + i, 5 + j) for i, j in itertools.combinations(range(5), 2)]
+    edges += [(10, v) for v in (0, 1, 2, 3, 5)]
+    return Graph(11, edges)
+
+
+def _far_pair_hosts():
+    """(graph, alive) pairs of 6 to 16 alive vertices, some with lambda < delta."""
+    rng = SplitMix64(3030)
+    for q in (4, 5, 6):
+        for b in range(q - 1):
+            for _ in range(4):
+                g = _relabeled(two_cliques_bridged(q, b), rng)
+                yield g, g.full_mask()
+    g = _cliques_joined_through_w()
+    yield g, g.full_mask()
+    for seed in range(2):
+        for n in range(8, 17):
+            g = gen_with_hypotheses(n, 2, 3, 100 * seed + n)
+            for r in range(4):
+                for removed in itertools.combinations(range(n), r):
+                    yield g, g.full_mask() & ~mask_of(removed)
+
+
+def test_far_pair_bound_matches_the_oracle(monkeypatch):
+    """Where Chartrand's test fails on at most 16 vertices, the far-pair
+    bound runs: when it answers, lambda reaches best and the orderings
+    would have returned no side either; when lambda < delta it never
+    answers, and the orderings find the cut.  Value and witness side
+    against the scanner, counts of the bound's answers pinned."""
+    answers = []
+    reach = connectivity._far_pairs_reach
+
+    def recording(*args):
+        answers.append(reach(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(connectivity, "_far_pairs_reach", recording)
+    reached = below = answered = 0
+    for g, alive in _far_pair_hosts():
+        masks = g.adjacency_masks()
+        degree = min((masks[v] & alive).bit_count() for v in _bits(alive))
+        want, sides = _scan_bipartitions(masks, alive)
+        answers.clear()
+        assert _edge_value(masks, alive, degree, 0) == _edge_value_by_reference(
+            masks, alive, degree, 0
+        )
+        if not answers:
+            continue
+        reached += 1
+        below += want < degree
+        answered += answers[0]
+        assert not answers[0] or want == degree
+        kprime, cut = _edge_cut(g, alive)
+        assert kprime == want and mask_of(cut.side_a) in sides
+    assert (reached, below, answered) == (6134, 196, 2632)
+
+
+def test_far_pair_bound_never_runs_above_sixteen_vertices(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("far-pair bound above EXHAUSTIVE_LIMIT vertices")
+
+    monkeypatch.setattr(connectivity, "_far_pairs_reach", refuse)
+    sparse = random_graph(40, 0.1, 4)
+    assert sparse.min_degree() >= 1
+    for g in (cycle_graph(17), two_cliques_bridged(9, 2), sparse):
+        kprime, cut = edge_connectivity(g)
+        assert kprime == cut.value == _edge_connectivity_by_flows(g, g.full_mask())
+
+
+def test_edge_value_decodes_nothing_when_the_first_vertex_misses_stop(monkeypatch):
+    """The lowest alive vertex's degree is read before the alive mask is
+    decoded, so a large host whose first vertex misses stop costs no decode."""
+    calls = []
+    bits = connectivity._bits
+
+    def counting(mask):
+        calls.append(mask)
+        return bits(mask)
+
+    monkeypatch.setattr(connectivity, "_bits", counting)
+    g = complete(120)
+    alive = g.full_mask() & ~mask_of((0, 50, 119))
+    assert _edge_value(g.adjacency_masks(), alive, 117, 118) == (116, None)
+    assert calls == []
+    assert _edge_value(g.adjacency_masks(), alive, 116, 116) == (116, None)
+    assert len(calls) == 1
