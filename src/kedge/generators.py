@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .connectivity import is_k_edge_connected
 from .errors import GenerationError, InternalCheckError
-from .graph import MAX_ORDER, Graph, _bits
+from .graph import MAX_ORDER, Graph
 from .rng import SplitMix64, derive_seed
 
 
@@ -109,25 +109,15 @@ def _cycle_stack(n: int, t: int, rng: SplitMix64) -> list[int]:
     redrawn, up to 200 times."""
     adj = [0] * n
     for placed in range(t):
-        for _ in range(200):
-            order = rng.cycle(n, adj)
-            if order is not None:
-                break
-        else:
-            raise GenerationError(
-                f"could not place cycle {placed + 1} of {t} after 200 tries"
-            )
+        order = rng.cycle(n, adj, 200)
+        if order is None:
+            raise GenerationError(f"could not place cycle {placed + 1} of {t} after 200 tries")
         u = order[-1]
         for v in order:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             u = v
     return adj
-
-
-def _graph_of(adj: list[int]) -> Graph:
-    n = len(adj)
-    return Graph(n, [(u, w) for u in range(n) for w in _bits(adj[u] >> u + 1 << u + 1)])
 
 
 def gen_hamiltonian_stack(
@@ -156,7 +146,7 @@ def gen_hamiltonian_stack(
             if not adj[u] >> v & 1 and rng.random() < extra_edge_prob:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-    g = _graph_of(adj)
+    g = Graph._of_masks(adj)
     if not is_k_edge_connected(g, 2 * t):
         raise InternalCheckError(
             "hamiltonian stack failed its structural connectivity guarantee"
@@ -191,7 +181,7 @@ def _augmented_attempt(n: int, k: int, delta_min: int, seed: int) -> Graph | Non
             w = (rest & -rest).bit_length() - 1
             adj[v] |= 1 << w
             adj[w] |= 1 << v
-    return _graph_of(adj)
+    return Graph._of_masks(adj)
 
 
 def gen_with_hypotheses(n: int, k: int, delta_min: int, seed: int) -> Graph:

@@ -73,6 +73,14 @@ class Graph:
         self._n = n
         self._masks = tuple(masks)
 
+    @classmethod
+    def _of_masks(cls, masks: Sequence[int]) -> Graph:
+        """The graph on these adjacency masks, unchecked: the caller promises
+        they are symmetric (bit v of masks[u] is bit u of masks[v]) and loop-free."""
+        g = cls.__new__(cls)
+        g._n, g._masks = len(masks), tuple(masks)
+        return g
+
     @property
     def n(self) -> int:
         return self._n

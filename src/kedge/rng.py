@@ -6,6 +6,11 @@ mix function, the same one java.util.SplittableRandom uses) rather than from
 random.Random, whose helper methods are not pinned across Python versions.
 All derived quantities (ranges, cycle orders, coin flips) are defined here on
 top of the raw 64-bit stream.
+
+The state is a Weyl sequence (s + r * gamma after r draws from s), so a lost
+cycle try's unread draws at bounds i, i - 1, ..., 2 are jumped in one step
+unless the one at bound b lands on a rejected state r of b: s + (i + 1 - b) *
+gamma = r, or s / gamma + i + 1 = r / gamma + b (mod 2^64), one table lookup.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _M1_INV = pow(_M1, -1, 1 << 64)
 _M2_INV = pow(_M2, -1, 1 << 64)
-# the largest randrange bound whose rejected states are tabled; above it a
-# skipped draw is still mixed, so no table grows with the cycle length
+_GOLDEN_INV = pow(_GOLDEN, -1, 1 << 64)
+# the largest bound whose rejected states are tabled; unread draws above it are mixed
 _TABLED_BOUND = 64
 
 
@@ -56,6 +61,13 @@ def _rejected_states(b: int) -> frozenset[int]:
     return frozenset(_unmix64(y) for y in range(_limit(b), 1 << 64))
 
 
+@functools.cache
+def _jump_table() -> dict[int, int]:
+    """r / gamma + b (mod 2^64) -> the least such b, over the 849 tabled rejected states."""
+    bounds = range(_TABLED_BOUND, 1, -1)
+    return {(r * _GOLDEN_INV + b) & _MASK64: b for b in bounds for r in _rejected_states(b)}
+
+
 class SplitMix64:
     """SplitMix64 stream: state += golden gamma, output = mix64(state)."""
 
@@ -86,50 +98,50 @@ class SplitMix64:
         """Float in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) / (1 << 53)
 
-    def cycle(self, n: int, avoid: list[int]) -> list[int] | None:
-        """A uniform order of range(n) read as a Hamiltonian cycle, or None
-        when one of its edges is in the adjacency masks `avoid`.
+    def cycle(self, n: int, avoid: list[int], tries: int) -> list[int] | None:
+        """A uniform order of range(n) read as a Hamiltonian cycle none of
+        whose edges is in the adjacency masks `avoid`: the first of up to
+        `tries` tries that shares no edge, or None when each one does.
 
-        The draws are exactly those of a Fisher-Yates shuffle of
+        A try's draws are exactly those of a Fisher-Yates shuffle of
         list(range(n)) from the back, randrange(i + 1) for i = n-1 ... 1,
         with the step, mix, rejection test and swap inline.  Edge
         (order[i], order[i+1]) is tested once both ends are final, and
         (order[0], order[1]) and the wrap edge last.  After the first
-        shared edge the try is lost, so its remaining draws only advance
-        the state: a draw at a tabled bound is rejected exactly when its
-        state is in _rejected_states, and needs no mix.  Either way the
-        stream ends where the whole shuffle's would.
+        shared edge the try is lost: its draws left are jumped (see the
+        module docstring) once all are at tabled bounds and none is
+        rejected.  The stream ends where the whole shuffles' would.
         """
-        order = list(range(n))
+        if n < 3 or len(avoid) != n or tries < 1:
+            got = f"n={n}, {len(avoid)} masks, tries={tries}"
+            raise ValueError(f"cycle needs n >= 3, n masks and tries >= 1, got {got}")
+        limits = [_limit(b) for b in range(1, n + 1)]
+        jump = _jump_table()
         state = self._state
-        shared = False
-        for i in range(n - 1, 0, -1):
-            b = i + 1
-            if shared and b <= _TABLED_BOUND:
-                rejected = _rejected_states(b)
-                state = (state + _GOLDEN) & _MASK64
-                # an `if` would do: no tabled bound has two rejected states
-                # one gamma apart, so no two rejections come in a row
-                while state in rejected:
+        for _ in range(tries):
+            order = list(range(n))
+            shared = False
+            for i in range(n - 1, 0, -1):
+                while True:
                     state = (state + _GOLDEN) & _MASK64
-                continue
-            limit = _limit(b)
-            while True:
-                state = (state + _GOLDEN) & _MASK64
-                z = ((state ^ (state >> 30)) * _M1) & _MASK64
-                z = ((z ^ (z >> 27)) * _M2) & _MASK64
-                z ^= z >> 31
-                if z < limit:
-                    break
-            if shared:
-                continue
-            j = z % b
-            order[i], order[j] = order[j], order[i]
-            shared = i < n - 1 and avoid[order[i]] >> order[i + 1] & 1
+                    z = ((state ^ (state >> 30)) * _M1) & _MASK64
+                    z = ((z ^ (z >> 27)) * _M2) & _MASK64
+                    z ^= z >> 31
+                    if z < limits[i]:
+                        break
+                if not shared:
+                    j = z % (i + 1)
+                    order[i], order[j] = order[j], order[i]
+                    shared = i < n - 1 and avoid[order[i]] >> order[i + 1] & 1
+                if shared and i <= _TABLED_BOUND:
+                    if jump.get((state * _GOLDEN_INV + i + 1) & _MASK64, n) > i:
+                        state = (state + (i - 1) * _GOLDEN) & _MASK64
+                        break
+            if not (shared or avoid[order[0]] >> order[1] & 1 or avoid[order[-1]] >> order[0] & 1):
+                self._state = state
+                return order
         self._state = state
-        if shared or avoid[order[0]] >> order[1] & 1 or avoid[order[-1]] >> order[0] & 1:
-            return None
-        return order
+        return None
 
 
 def derive_seed(master: int, *indices: int) -> int:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from kedge.connectivity import (
@@ -27,8 +29,10 @@ from kedge.graph import MAX_ORDER
 from kedge.io import write_edge_list, write_graph6
 from kedge.rng import (
     _GOLDEN,
+    _GOLDEN_INV,
     _MASK64,
     SplitMix64,
+    _jump_table,
     _limit,
     _mix64,
     _rejected_states,
@@ -190,21 +194,30 @@ def _reference_cycle(rng, n, avoid):
     return order
 
 
-def _assert_cycle_matches_reference(seed, n, avoid):
+def _assert_cycle_matches_reference(seed, n, avoid, tries=1):
+    """cycle(n, avoid, tries) against a loop of whole-shuffle tries: the
+    same order or None, and the stream left in the same state."""
     rng, ref = SplitMix64(seed), SplitMix64(seed)
-    got = rng.cycle(n, avoid)
-    assert got == _reference_cycle(ref, n, avoid), (seed, n)
-    assert rng.next_u64() == ref.next_u64(), (seed, n)  # the stream ends alike
+    got = rng.cycle(n, avoid, tries)
+    for _ in range(tries):
+        want = _reference_cycle(ref, n, avoid)
+        if want is not None:
+            break
+    assert got == want, (seed, n, tries)
+    assert rng.next_u64() == ref.next_u64(), (seed, n, tries)  # the stream ends alike
     return got
 
 
 def test_cycle_skips_rejected_draws_like_the_whole_shuffle():
     """Random seeds almost never draw a rejected value, so these seeds are
-    built to: state seed + j * golden is the preimage of a draw at or above
-    the limit of bound b = n - j + 1, so draw j is rejected.  On K_n masks the first shared
-    edge shows after draw 2, so j <= 2 rejects before it and j >= 3 after
-    it, where the draw is skipped unmixed (or mixed, above bound 64); with
-    empty masks the rejected draw sits inside an accepted try."""
+    built to: state seed + d * golden is the preimage of a draw at or above
+    the limit of the bound of draw d, so that draw is rejected.  On K_n
+    masks every try is lost and takes n - 1 draws, so d = (t - 1)(n - 1) + j
+    puts the rejection at draw j of try t.  The first shared edge shows
+    after draw 2, so j <= 2 rejects before it and j >= 3 inside the draws
+    that a jump would skip: at n = 7, 12 and 40 all of them are tabled, and
+    at n = 70 draws at bounds 70..65 are mixed before the jump.  With empty
+    masks the rejected draw sits inside the first try, which is accepted."""
     for n in (7, 12, 40, 70):
         full = (1 << n) - 1
         complete_masks = [full ^ 1 << v for v in range(n)]
@@ -213,24 +226,51 @@ def test_cycle_skips_rejected_draws_like_the_whole_shuffle():
             if b & (b - 1) == 0:
                 continue  # a power of two rejects nothing
             for y in sorted({_limit(b), _MASK64}):
+                for t in (1, 2, 3):
+                    seed = (_unmix64(y) - ((t - 1) * (n - 1) + j) * _GOLDEN) & _MASK64
+                    assert _assert_cycle_matches_reference(seed, n, complete_masks, 3) is None
                 seed = (_unmix64(y) - j * _GOLDEN) & _MASK64
-                assert _assert_cycle_matches_reference(seed, n, complete_masks) is None
                 assert _assert_cycle_matches_reference(seed, n, [0] * n) is not None
 
 
 def test_cycle_matches_the_whole_shuffle_on_drawn_masks():
     rng = SplitMix64(99)
-    accepted = 0
+    accepted = later = 0
     for _ in range(300):
         n = 5 + rng.randrange(20)
         avoid = [0] * n
-        for _ in range(rng.randrange(3)):
+        for _ in range(rng.randrange(4)):
             order = _reference_cycle(rng, n, [0] * n)
             for i in range(n):
                 avoid[order[i]] |= 1 << order[i - 1]
                 avoid[order[i - 1]] |= 1 << order[i]
-        accepted += _assert_cycle_matches_reference(rng.next_u64(), n, avoid) is not None
-    assert 0 < accepted < 300
+        seed, tries = rng.next_u64(), 1 + rng.randrange(30)
+        got = _assert_cycle_matches_reference(seed, n, avoid, tries)
+        accepted += got is not None
+        later += got is not None and SplitMix64(seed).cycle(n, avoid, 1) is None
+    assert 0 < later < accepted < 300  # some accepted tries follow a lost one
+
+
+def test_jump_table_holds_each_rejected_state_at_its_least_bound():
+    table = _jump_table()
+    assert len(table) == 849
+    for b in range(2, 65):
+        for r in _rejected_states(b):
+            assert 2 <= table[(r * _GOLDEN_INV + b) & _MASK64] <= b, (b, r)
+
+
+def test_cycle_checks_its_arguments():
+    rng = SplitMix64(1)
+    for n, avoid, tries, named in (
+        (0, [], 1, "n=0"),
+        (1, [0], 1, "n=1"),
+        (2, [0, 0], 1, "n=2"),
+        (5, [0] * 4, 1, "4 masks"),
+        (5, [0] * 5, 0, "tries=0"),
+    ):
+        with pytest.raises(ValueError, match=named):
+            rng.cycle(n, avoid, tries)
+    assert rng._state == 1  # nothing was drawn
 
 
 # graph6 strings the generators drew before their loops were tightened; they
@@ -284,6 +324,23 @@ def test_generator_golden_outputs(monkeypatch):
     assert len(attempts) == 64
     with pytest.raises(GenerationError, match="cycle 3 of 3 after 200 tries"):
         gen_hamiltonian_stack(7, 3, 0.0, 1)
+
+
+# orders above graph6's 62, so pinned by the sha256 of the edge list: each
+# lost try mixes its draws at bounds above 64 before the rest are jumped
+GOLDEN_EDGE_LIST_SHA256 = {
+    (gen_hamiltonian_stack, (70, 3, 0.1, 5)):
+        "fa7706955db7d10daf1c82baab2631271e9f6003f110449274829069219d79b3",
+    # 91 tries across its packings
+    (gen_with_hypotheses, (68, 5, 7, 1)):
+        "866eca680f29bfb31f40f936d3cf0f435ef8040b2970008262b9a8296ffcabc6",
+}
+
+
+def test_generator_golden_outputs_above_graph6_orders():
+    for (gen, args), digest in GOLDEN_EDGE_LIST_SHA256.items():
+        text = write_edge_list(gen(*args))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, args
 
 
 def test_gen_with_hypotheses_checks_each_promise_once(monkeypatch):

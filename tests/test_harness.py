@@ -150,6 +150,16 @@ def test_tree_campaign_report_is_pinned():
     assert digest == "5c2fa86652d23efdbe54d22a8ed93a02f0e9b685da98d3a9c9f226eb29a9487f"
 
 
+def test_replay_config_report_is_pinned():
+    """CI's three-cycle replay config (tree, k = 5, m = 3, 10 trials, seed
+    42), pinned across versions where CI compares two runs of one."""
+    report = run_campaign(CampaignConfig("tree", (5,), 10, 42, m_values=(3,))).to_dict()
+    for trial in report["trials"]:
+        trial.pop("wall_time")
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == "f2ae39afd0811d25b2ae9011a43e47dbf7b6427e39db52eea51d82066351073c"
+
+
 def test_report_json_round_trip(tmp_path):
     cfg = small_config(trials=2)
     res = run_campaign(cfg)
