@@ -301,6 +301,16 @@ GOLDEN_HAMILTONIAN_STACK = {
     (15, 2, 0.3, 21): "NNRPAcxRDFekEfpB|[?",
 }
 
+# orders above graph6's 62, so pinned by the sha256 of the edge list: each
+# lost try mixes its draws at bounds above 64 before the rest are jumped
+GOLDEN_EDGE_LIST_SHA256 = {
+    (gen_hamiltonian_stack, (70, 3, 0.1, 5)):
+        "fa7706955db7d10daf1c82baab2631271e9f6003f110449274829069219d79b3",
+    # 91 tries across its packings
+    (gen_with_hypotheses, (68, 5, 7, 1)):
+        "866eca680f29bfb31f40f936d3cf0f435ef8040b2970008262b9a8296ffcabc6",
+}
+
 
 def test_generator_golden_outputs(monkeypatch):
     attempts = []
@@ -317,6 +327,8 @@ def test_generator_golden_outputs(monkeypatch):
         assert len(attempts) == tries, args
     for args, code in GOLDEN_HAMILTONIAN_STACK.items():
         assert write_graph6(gen_hamiltonian_stack(*args)) == code, args
+    for (gen, args), digest in GOLDEN_EDGE_LIST_SHA256.items():
+        assert hashlib.sha256(write_edge_list(gen(*args)).encode()).hexdigest() == digest, args
     # every one of the 64 packings fails, and so does every stack's third cycle
     attempts.clear()
     with pytest.raises(GenerationError, match="after 64 attempts"):
@@ -324,23 +336,6 @@ def test_generator_golden_outputs(monkeypatch):
     assert len(attempts) == 64
     with pytest.raises(GenerationError, match="cycle 3 of 3 after 200 tries"):
         gen_hamiltonian_stack(7, 3, 0.0, 1)
-
-
-# orders above graph6's 62, so pinned by the sha256 of the edge list: each
-# lost try mixes its draws at bounds above 64 before the rest are jumped
-GOLDEN_EDGE_LIST_SHA256 = {
-    (gen_hamiltonian_stack, (70, 3, 0.1, 5)):
-        "fa7706955db7d10daf1c82baab2631271e9f6003f110449274829069219d79b3",
-    # 91 tries across its packings
-    (gen_with_hypotheses, (68, 5, 7, 1)):
-        "866eca680f29bfb31f40f936d3cf0f435ef8040b2970008262b9a8296ffcabc6",
-}
-
-
-def test_generator_golden_outputs_above_graph6_orders():
-    for (gen, args), digest in GOLDEN_EDGE_LIST_SHA256.items():
-        text = write_edge_list(gen(*args))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, args
 
 
 def test_gen_with_hypotheses_checks_each_promise_once(monkeypatch):

@@ -140,23 +140,24 @@ def test_replay_determinism():
     assert a.summary == b.summary
 
 
+def _report_digest(config):
+    report = run_campaign(config).to_dict()
+    for trial in report["trials"]:
+        trial.pop("wall_time")
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
 def test_tree_campaign_report_is_pinned():
     """The k = 5 cells pack three cycles per graph, the generator's hardest
     draws; a report digest pins them across versions, not just two runs."""
-    report = run_campaign(CampaignConfig("tree", (4, 5), 3, 1, m_values=(3, 4))).to_dict()
-    for trial in report["trials"]:
-        trial.pop("wall_time")
-    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    digest = _report_digest(CampaignConfig("tree", (4, 5), 3, 1, m_values=(3, 4)))
     assert digest == "5c2fa86652d23efdbe54d22a8ed93a02f0e9b685da98d3a9c9f226eb29a9487f"
 
 
 def test_replay_config_report_is_pinned():
     """CI's three-cycle replay config (tree, k = 5, m = 3, 10 trials, seed
     42), pinned across versions where CI compares two runs of one."""
-    report = run_campaign(CampaignConfig("tree", (5,), 10, 42, m_values=(3,))).to_dict()
-    for trial in report["trials"]:
-        trial.pop("wall_time")
-    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    digest = _report_digest(CampaignConfig("tree", (5,), 10, 42, m_values=(3,)))
     assert digest == "f2ae39afd0811d25b2ae9011a43e47dbf7b6427e39db52eea51d82066351073c"
 
 
