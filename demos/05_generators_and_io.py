@@ -11,7 +11,6 @@ import os
 import tempfile
 
 from kedge import (
-    GenSpec,
     all_connected_graphs,
     enumerate_trees,
     gen_hamiltonian_stack,
@@ -33,9 +32,8 @@ print("stack: n =", g.n, "edges =", g.edge_count, "(2 tours, 18 edges)")
 g = gen_with_hypotheses(n=12, k=3, delta_min=5, seed=9)
 print("hypotheses: min degree", g.min_degree(), ">= 5")
 
-# the same through the declarative spec used by campaign configs
-spec = GenSpec(model="with_hypotheses", n=12, k=3, delta_min=5, seed=9)
-print("spec dispatch reproduces it:", generate(spec) == g)
+# the same by model name, as campaign configs and `kedge gen` ask for it
+print("generate by name reproduces it:", generate("with_hypotheses", 12, 3, 5, 9) == g)
 
 # named instances for quick experiments
 print("petersen edges:", named_instance("petersen").edge_count)

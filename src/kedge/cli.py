@@ -11,12 +11,12 @@ import argparse
 import json
 import sys
 
+from .connectivity import connectivity_report
 from .errors import InternalCheckError, KedgeError, TheoremViolation
-from .generators import GenSpec, generate
+from .generators import generate
 from .harness import (
     STATEMENTS,
     CampaignConfig,
-    analyze,
     counterexample_search,
     run_campaign,
     write_report,
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(args) -> int:
-    rep = analyze(args.file, args.format)
+    rep = connectivity_report(load_graph(args.file, args.format))
     print(f"vertices: {rep.n}")
     print(f"edges: {rep.edge_count}")
     print(f"min degree: {rep.min_degree}")
@@ -124,10 +124,7 @@ def cmd_find_removable(args) -> int:
 
 def cmd_gen(args) -> int:
     delta = args.delta if args.delta is not None else args.k
-    spec = GenSpec(
-        model=args.model, n=args.n, k=args.k, delta_min=delta, seed=args.seed
-    )
-    g = generate(spec)
+    g = generate(args.model, args.n, args.k, delta, args.seed)
     if args.out:
         fmt = "graph6" if str(args.out).endswith(".g6") else "edgelist"
         save_graph(g, args.out, fmt)
@@ -148,8 +145,6 @@ def _config_from_args(args) -> CampaignConfig:
     for name in ("k", "trials", "seed"):
         if getattr(args, name) is None:
             raise ValueError(f"--{name} is required with --statement")
-    if args.m is not None and args.tree is not None:
-        raise ValueError("--m and --tree are mutually exclusive")
     return CampaignConfig(
         statement=args.statement.replace("-", "_"),
         k_values=(args.k,),

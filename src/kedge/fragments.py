@@ -31,6 +31,7 @@ from .graph import (
     mask_of,
     normalize_edge,
 )
+from .io import graph_payload
 
 
 @dataclass(frozen=True)
@@ -272,8 +273,7 @@ def _overlap_verdict(
     else:
         failure = "disjoint complements but f's complement is not smaller than f1's side"
     payload = {
-        "n": g.n,
-        "edges": g.edges(),
+        "graph": graph_payload(g),
         "e": e,
         "e1": e1,
         "f_side": tuple(_bits(fs)),
@@ -385,8 +385,6 @@ def minimal_fragment_descent(
     unchanged.
     """
     e0 = normalize_edge(g, e0)
-    if k < 1:
-        raise ValueError("threshold must be at least 1")
     if not is_k_edge_connected(g, k):
         raise ValueError(f"graph is not {k}-edge-connected")
     if g.min_degree() < k + 2:
@@ -464,8 +462,7 @@ def verify_descent_conclusion(
                     "a fragment avoiding the chosen edge still meets the"
                     " minimal fragment",
                     {
-                        "n": g.n,
-                        "edges": g.edges(),
+                        "graph": graph_payload(g),
                         "chosen_edge": e1,
                         "minimal_side": tuple(_bits(minimal)),
                         "offending_edge": edge,

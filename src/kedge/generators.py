@@ -1,15 +1,14 @@
 """Seeded generators and named instances for experiment graphs.
 
-Every generator checks each claim (edge connectivity, minimum degree)
-once, raising InternalCheckError on a miss, and is a pure function of its
-seed, so runs reproduce exactly.  Enumeration helpers for small labeled
-graphs live here as well.
+`generate(model, ...)` runs any of them by name.  Every generator checks
+each claim (edge connectivity, minimum degree) once, raising
+InternalCheckError on a miss, and is a pure function of its seed, so runs
+reproduce exactly.  Enumeration helpers for small graphs live here too.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 from .connectivity import is_k_edge_connected
@@ -63,12 +62,6 @@ def two_cliques_bridged(q: int, b: int) -> Graph:
     return Graph(2 * q, edges)
 
 
-def _tightness_instance(k: int, m: int) -> Graph:
-    if k < 1 or m < 1:
-        raise ValueError("tightness parameters must be positive")
-    return complete(k + m)
-
-
 # tag name: (parameter count, the order the tag asks for, builder)
 _NAMED = {
     "complete": (1, lambda n: n, complete),
@@ -76,7 +69,6 @@ _NAMED = {
     "cycle": (1, lambda n: n, cycle_graph),
     "petersen": (0, lambda: 10, petersen_graph),
     "two_cliques_bridged": (2, lambda q, b: 2 * q, two_cliques_bridged),
-    "tightness": (2, lambda k, m: k + m, _tightness_instance),
 }
 
 
@@ -84,9 +76,8 @@ def named_instance(tag: str) -> Graph:
     """Build a deterministically labeled graph from a textual tag.
 
     Tags: complete:n, complete_bipartite:a,b, cycle:n, petersen,
-    two_cliques_bridged:q,b, tightness:k,m (the complete graph on k+m
-    vertices).  An order above MAX_ORDER is rejected before anything is
-    built.
+    two_cliques_bridged:q,b.  An order above MAX_ORDER is rejected before
+    anything is built.
     """
     name, _, arg = tag.partition(":")
     try:
@@ -241,48 +232,37 @@ def all_connected_graphs(n: int) -> Iterator[Graph]:
             yield g
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """Generator invocation as plain data, for configs.
-
-    `model` is either a generator name ("with_hypotheses",
-    "hamiltonian_stack") or a named-instance tag; named instances ignore
-    the numeric fields.  `params` holds the extras the model reads (see
-    `_PARAMS`) as sorted (key, value) pairs so the spec stays hashable.
-    """
-
-    model: str
-    n: int = 0
-    k: int = 1
-    delta_min: int = 0
-    seed: int = 0
-    params: tuple[tuple[str, float], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", tuple(sorted(self.params)))
-
-
 # the params keys each model reads; every other model reads none
 _PARAMS = {"hamiltonian_stack": ("t", "extra_edge_prob"), "gnp": ("p",)}
 
 
-def generate(spec: GenSpec) -> Graph:
-    """Run the generator a GenSpec describes; a params key its model does
-    not read is an error, not a silent default."""
-    if spec.n > MAX_ORDER:
-        raise ValueError(f"n must be at most {MAX_ORDER}, got {spec.n}")
-    p = dict(spec.params)
-    for key in p:
-        if key not in _PARAMS.get(spec.model, ()):
-            raise ValueError(f"model {spec.model!r} reads no parameter {key!r}")
-    if spec.model == "hamiltonian_stack":
-        t = float(p.get("t", max(1, (spec.k + 1) // 2)))
+def _check_params(model: str, params: tuple[tuple[str, float], ...]) -> None:
+    """A params key the model does not read is an error, not a silent default."""
+    for key, _ in params:
+        if key not in _PARAMS.get(model, ()):
+            raise ValueError(f"model {model!r} reads no parameter {key!r}")
+
+
+def generate(
+    model: str, n: int = 0, k: int = 1, delta_min: int = 0, seed: int = 0,
+    params: tuple[tuple[str, float], ...] = (),
+) -> Graph:
+    """Run the generator `model` names: "with_hypotheses", "hamiltonian_stack"
+    and "gnp" are seeded models; any other model is a named-instance tag,
+    which ignores the numeric arguments.  `params` holds the extras the
+    model reads as (key, value) pairs (see `_PARAMS`)."""
+    if n > MAX_ORDER:
+        raise ValueError(f"n must be at most {MAX_ORDER}, got {n}")
+    _check_params(model, params)
+    p = dict(params)
+    if model == "hamiltonian_stack":
+        t = float(p.get("t", max(1, (k + 1) // 2)))
         if not t.is_integer():
             raise ValueError(f"t must be a whole number of cycles, got {t}")
         prob = float(p.get("extra_edge_prob", 0.0))
-        return gen_hamiltonian_stack(spec.n, int(t), prob, spec.seed)
-    if spec.model == "with_hypotheses":
-        return gen_with_hypotheses(spec.n, spec.k, spec.delta_min, spec.seed)
-    if spec.model == "gnp":
-        return random_graph(spec.n, float(p.get("p", 0.5)), spec.seed)
-    return named_instance(spec.model)
+        return gen_hamiltonian_stack(n, int(t), prob, seed)
+    if model == "with_hypotheses":
+        return gen_with_hypotheses(n, k, delta_min, seed)
+    if model == "gnp":
+        return random_graph(n, float(p.get("p", 0.5)), seed)
+    return named_instance(model)

@@ -28,17 +28,15 @@ from functools import cached_property
 
 from .connectivity import (
     EXHAUSTIVE_LIMIT,
-    ConnectivityReport,
     _edge_value,
-    connectivity_report,
     edge_connectivity,
     edge_connectivity_bruteforce,
     is_k_edge_connected,
 )
 from .errors import GenerationError, InternalCheckError
-from .generators import GenSpec, complete, generate
+from .generators import _check_params, complete, generate
 from .graph import MAX_ORDER, Graph
-from .io import graph_payload, load_graph
+from .io import graph_payload
 from .removal import (
     RemovalCertificate,
     find_removable_edge,
@@ -119,7 +117,7 @@ class CampaignConfig:
     degree floor in `STATEMENTS` and can be overridden with `delta_min`.
     Configs come from JSON files, so field types are checked: counts, seeds
     and delta_min must be ints (not bools), trees and model strings, and
-    params values numbers.
+    params values numbers; a params key the model does not read is an error.
     Orders are capped at `graph.MAX_ORDER`: it bounds n_range's high
     end, and delta_min stays below it, since the order must exceed delta_min.
     """
@@ -153,6 +151,7 @@ class CampaignConfig:
             if not ok:
                 raise ValueError(f"{name} has the wrong type: {getattr(self, name)!r}")
         object.__setattr__(self, "params", tuple(sorted(self.params)))
+        _check_params(self.model, self.params)
         if self.statement not in STATEMENTS:
             raise ValueError(f"unknown statement {self.statement!r}")
         if not self.k_values:
@@ -297,16 +296,10 @@ def _draw_graph(
     """
     lo, hi = n_range
     n = lo + SplitMix64(seed).randrange(hi - lo + 1)
-    spec = GenSpec(
-        model=model,
-        n=max(n, delta + 1, min_order),
-        k=k,
-        delta_min=delta,
-        seed=derive_seed(seed, 1),
-        params=params,
-    )
     try:
-        return generate(spec)
+        return generate(
+            model, max(n, delta + 1, min_order), k, delta, derive_seed(seed, 1), params
+        )
     except GenerationError:
         return None
 
@@ -491,11 +484,6 @@ def verify_tightness(k: int, m: int) -> TightnessReport:
         rows=tuple(rows),
         passed=ok,
     )
-
-
-def analyze(path: str | os.PathLike, fmt: str | None = None) -> ConnectivityReport:
-    """Connectivity report for a graph file (edge list or graph6)."""
-    return connectivity_report(load_graph(path, fmt))
 
 
 @dataclass(frozen=True)

@@ -142,8 +142,6 @@ def _first_certified(
 
 
 def _require_k_edge_connected(g: Graph, k: int) -> None:
-    if k < 1:
-        raise ValueError("k must be at least 1")
     if not is_k_edge_connected(g, k):
         raise ValueError(f"graph is not {k}-edge-connected")
 

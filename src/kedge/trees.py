@@ -47,9 +47,6 @@ class TreeSpec:
     def degrees(self) -> list[int]:
         return [len(a) for a in self.adjacency()]
 
-    def to_graph(self) -> Graph:
-        return Graph(self.order, self.edges())
-
     @cached_property
     def rooted_codes(self) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
         """Every vertex's rooted code, from one pass up and one pass down.

@@ -209,6 +209,11 @@ TREE_CONFIG = VALID_CONFIG | {"statement": "tree", "m_values": [2]}
             | {"model": "hamiltonian_stack", "params": {"t": 1, "extra_edge_porb": 0.2}},
             id="misspelled-param",
         ),
+        # so would one in a config whose trials never call a generator
+        pytest.param(
+            TREE_CONFIG | {"statement": "tightness", "m_values": [3], "params": {"zz": 1}},
+            id="tightness-param",
+        ),
     ],
 )
 def test_verify_rejects_a_malformed_config(tmp_path, capsys, config):

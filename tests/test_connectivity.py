@@ -23,6 +23,7 @@ from kedge.connectivity import (
     vertex_cut_below,
 )
 from kedge.generators import (
+    all_graphs,
     complete,
     complete_bipartite,
     cycle_graph,
@@ -127,11 +128,12 @@ def test_is_k_edge_connected_at_one_is_the_value_kernel():
     """The k = 1 decision by mask BFS agrees with the value kernel on every
     labeled graph of 2 to 6 vertices."""
     graphs = connected = 0
-    for g in all_labeled_graphs(6):
-        want = _edge_value(g.adjacency_masks(), g.full_mask(), 1, 1)[0] >= 1
-        assert is_k_edge_connected(g, 1) == want
-        graphs += 1
-        connected += want
+    for n in range(2, 7):
+        for g in all_graphs(n):
+            want = _edge_value(g.adjacency_masks(), g.full_mask(), 1, 1)[0] >= 1
+            assert is_k_edge_connected(g, 1) == want
+            graphs += 1
+            connected += want
     assert graphs == 33866 and connected == 1 + 4 + 38 + 728 + 26704
 
 
@@ -232,14 +234,6 @@ def test_enumerate_min_edge_cuts_rejects_what_has_no_cut_to_list():
         enumerate_min_edge_cuts(Graph(1))
 
 
-def all_labeled_graphs(n_max):
-    """Every graph on 0..n-1 for 2 <= n <= n_max, in edge-subset order."""
-    for n in range(2, n_max + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        for bits in range(1 << len(pairs)):
-            yield Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
-
-
 def _min_cuts_by_definition(g):
     """Oracle value and minimum cuts from the definitions, side by side.
 
@@ -264,7 +258,7 @@ def _min_cuts_by_definition(g):
 
 
 def test_bipartition_scanner_matches_definition():
-    graphs = list(all_labeled_graphs(5))
+    graphs = [g for n in range(2, 6) for g in all_graphs(n)]
     graphs += seeded_random_graphs(40, 7, 12, seed=53)
     graphs += seeded_random_graphs(20, 7, 12, seed=59, p=0.3)
     for g in graphs:
@@ -317,11 +311,12 @@ def test_scanner_matches_reference_walk():
             (i & -i).bit_length() - 1 for i in range(1, 1 << c)
         ]
     scans = connected = 0
-    for g in all_labeled_graphs(5):
-        for alive in range(1, 1 << g.n):
-            if alive.bit_count() >= 2:
-                connected += _check_scan(g, alive)
-                scans += 1
+    for n in range(2, 6):
+        for g in all_graphs(n):
+            for alive in range(1, 1 << g.n):
+                if alive.bit_count() >= 2:
+                    connected += _check_scan(g, alive)
+                    scans += 1
     assert (scans, connected) == (27362, 14383)
     rng = SplitMix64(71)
     for g in seeded_random_graphs(30, 6, 12, seed=73):
@@ -368,7 +363,7 @@ def _vertex_connectivity_by_definition(g):
 
 
 def test_vertex_connectivity_matches_definition(monkeypatch):
-    graphs = list(all_labeled_graphs(5))
+    graphs = [g for n in range(2, 6) for g in all_graphs(n)]
     graphs += seeded_random_graphs(60, 6, 12, seed=61)
     graphs += seeded_random_graphs(30, 6, 12, seed=67, p=0.8)
     # dense: some non-adjacent pairs share k neighbours or more and need no flow
@@ -479,8 +474,9 @@ def test_vertex_cut_is_the_one_a_degree_pass_gives():
     alive mask of every graph with n <= 5 and on seeded graphs with n = 7-30,
     for k = 1..n."""
     cases = []
-    for g in all_labeled_graphs(5):
-        cases += [(g, alive) for alive in range(1, 1 << g.n)]
+    for n in range(2, 6):
+        for g in all_graphs(n):
+            cases += [(g, alive) for alive in range(1, 1 << g.n)]
     rng = SplitMix64(29)
     for i in range(60):
         g = random_graph(7 + rng.randrange(24), 0.2 + i % 8 / 10, i)
@@ -643,16 +639,17 @@ def check_edge_value(masks, alive, want):
 
 def test_edge_value_matches_scanner_on_every_small_graph():
     checked = disconnected = 0
-    for g in all_labeled_graphs(5):
-        masks = g.adjacency_masks()
-        for alive in range(1, 1 << g.n):
-            if alive.bit_count() >= 2:
-                want, sides = _scan_bipartitions(masks, alive)
-                check_edge_value(masks, alive, want)
-                kprime, cut = _edge_cut(g, alive)
-                assert kprime == want and mask_of(cut.side_a) in sides
-                checked += 1
-                disconnected += want == 0
+    for n in range(2, 6):
+        for g in all_graphs(n):
+            masks = g.adjacency_masks()
+            for alive in range(1, 1 << g.n):
+                if alive.bit_count() >= 2:
+                    want, sides = _scan_bipartitions(masks, alive)
+                    check_edge_value(masks, alive, want)
+                    kprime, cut = _edge_cut(g, alive)
+                    assert kprime == want and mask_of(cut.side_a) in sides
+                    checked += 1
+                    disconnected += want == 0
     assert checked == 27362 and disconnected > 10000
 
 

@@ -1,6 +1,5 @@
 """Fragment construction, the overlap dichotomy, and minimal-fragment descent."""
 
-import itertools
 import sys
 from dataclasses import replace
 
@@ -20,18 +19,11 @@ from kedge.fragments import (
     scan_overlap_cases,
     verify_descent_conclusion,
 )
-from kedge.generators import complete, cycle_graph, two_cliques_bridged
+from kedge.generators import all_connected_graphs, complete, cycle_graph, two_cliques_bridged
 from kedge.graph import Graph, _bits, _edges_between, mask_of
+from kedge.io import graph_payload
 
 from conftest import seeded_random_graphs
-
-
-def all_connected_graphs_on(n):
-    pairs = list(itertools.combinations(range(n), 2))
-    for bits in range(1 << len(pairs)):
-        g = Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
-        if g.is_connected():
-            yield g
 
 
 def test_fragments_of_disconnected_host():
@@ -225,8 +217,7 @@ def test_overlap_violation_carries_payload():
             f.host_kprime,
         )
     assert info.value.payload == {
-        "n": 6,
-        "edges": g.edges(),
+        "graph": graph_payload(g),
         "e": (0, 1),
         "e1": (2, 3),
         "f_side": (4,),
@@ -279,7 +270,7 @@ def test_no_configurations_below_six_vertices():
     """Orders 4 and 5 admit no hypothesis-satisfying edge/fragment pairs."""
     graphs = configs = 0
     for n in (4, 5):
-        for g in all_connected_graphs_on(n):
+        for g in all_connected_graphs(n):
             st = scan_overlap_cases(g)
             graphs += 1
             configs += st.configurations
@@ -318,7 +309,7 @@ def reference_overlap_stats(g):
 
 
 def test_scan_overlap_matches_reference():
-    graphs = [g for i, g in enumerate(all_connected_graphs_on(6)) if i % 50 == 0]
+    graphs = [g for i, g in enumerate(all_connected_graphs(6)) if i % 50 == 0]
     graphs += [
         complete(6),
         Graph(6, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2)]),

@@ -10,7 +10,6 @@ from kedge.connectivity import (
 from kedge.errors import GenerationError, InternalCheckError
 from kedge.generators import (
     ENUM_GRAPH_LIMIT,
-    GenSpec,
     all_connected_graphs,
     all_graphs,
     complete,
@@ -60,8 +59,7 @@ def test_named_instance_tags():
     assert named_instance("cycle:6") == cycle_graph(6)
     assert named_instance("petersen") == petersen_graph()
     assert named_instance("two_cliques_bridged:5,2") == two_cliques_bridged(5, 2)
-    assert named_instance("tightness:2,3") == complete(5)
-    for bad in ("petersen:3", "complete", "complete:a", "unknown:1"):
+    for bad in ("petersen:3", "complete", "complete:a", "unknown:1", "tightness:2,3"):
         with pytest.raises(ValueError):
             named_instance(bad)
 
@@ -395,33 +393,29 @@ def test_gen_with_hypotheses_meets_its_promises_or_gives_up():
     assert gave_up > 0  # packing t cycles with 2t = n - 1 seldom succeeds
 
 
-def test_genspec_round_trip_and_dispatch():
-    spec = GenSpec(model="with_hypotheses", n=10, k=2, delta_min=4, seed=7)
-    assert generate(spec) == gen_with_hypotheses(10, 2, 4, 7)
-    stack = GenSpec(
-        model="hamiltonian_stack", n=9, k=4, seed=4, params=(("t", 2.0),)
-    )
-    assert generate(stack) == gen_hamiltonian_stack(9, 2, 0.0, 4)
-    gnp = GenSpec(model="gnp", n=10, seed=3, params=(("p", 0.4),))
-    assert generate(gnp) == random_graph(10, 0.4, 3)
-    assert generate(GenSpec(model="petersen")) == petersen_graph()
+def test_generate_dispatches_by_model():
+    assert generate("with_hypotheses", 10, 2, 4, 7) == gen_with_hypotheses(10, 2, 4, 7)
+    stack = generate("hamiltonian_stack", 9, 4, seed=4, params=(("t", 2.0),))
+    assert stack == gen_hamiltonian_stack(9, 2, 0.0, 4)
+    gnp = generate("gnp", 10, seed=3, params=(("p", 0.4),))
+    assert gnp == random_graph(10, 0.4, 3)
+    assert generate("petersen") == petersen_graph()
     with pytest.raises(ValueError):
-        generate(GenSpec(model="no_such_model", n=5))
+        generate("no_such_model", 5)
 
 
-def test_genspec_rejects_a_fractional_cycle_count():
+def test_generate_rejects_a_fractional_cycle_count():
     for t in (2.7, 0.5, float("inf"), float("nan")):
-        spec = GenSpec(model="hamiltonian_stack", n=9, seed=4, params=(("t", t),))
         with pytest.raises(ValueError, match="whole number"):
-            generate(spec)
+            generate("hamiltonian_stack", 9, seed=4, params=(("t", t),))
 
 
-def test_genspec_rejects_a_params_key_its_model_does_not_read():
+def test_generate_rejects_a_params_key_its_model_does_not_read():
     """A misspelled or foreign params key is named, not run on a default."""
-    for spec, key in (
-        (GenSpec(model="gnp", n=10, seed=3, params=(("prob", 0.9),)), "prob"),
+    for kwargs, key in (
+        (dict(model="gnp", n=10, seed=3, params=(("prob", 0.9),)), "prob"),
         (
-            GenSpec(
+            dict(
                 model="hamiltonian_stack",
                 n=9,
                 seed=4,
@@ -429,11 +423,11 @@ def test_genspec_rejects_a_params_key_its_model_does_not_read():
             ),
             "extra_edge_porb",
         ),
-        (GenSpec(model="with_hypotheses", n=10, k=2, delta_min=4, params=(("p", 0.5),)), "p"),
-        (GenSpec(model="petersen", params=(("t", 1.0),)), "t"),
+        (dict(model="with_hypotheses", n=10, k=2, delta_min=4, params=(("p", 0.5),)), "p"),
+        (dict(model="petersen", params=(("t", 1.0),)), "t"),
     ):
         with pytest.raises(ValueError, match=f"reads no parameter {key!r}"):
-            generate(spec)
+            generate(**kwargs)
 
 
 def test_complete_caps_its_order():

@@ -12,14 +12,14 @@ from kedge.harness import (
     CounterexampleReport,
     TightnessReport,
     TrialReport,
-    analyze,
     counterexample_search,
     run_campaign,
     verify_tightness,
     write_report,
 )
+from kedge.connectivity import connectivity_report
 from kedge.generators import petersen_graph
-from kedge.io import parse_graph6, save_graph
+from kedge.io import load_graph, parse_graph6, save_graph
 from kedge.rng import derive_seed
 from kedge.trees import enumerate_trees
 
@@ -303,7 +303,7 @@ def test_verify_tightness_preconditions():
 def test_analyze(tmp_path):
     path = tmp_path / "pet.g6"
     save_graph(petersen_graph(), path, "graph6")
-    rep = analyze(path)
+    rep = connectivity_report(load_graph(path))
     assert rep.edge_connectivity == 3 and rep.n == 10
 
 
@@ -443,6 +443,7 @@ def test_reports_serialize_to_plain_data():
             n_range=(9, 12),
             m_values=m_values,
             trees=trees,
+            model="gnp",
             delta_min=6,
             params=(("p", 0.5),),
         )
@@ -454,7 +455,7 @@ def test_reports_serialize_to_plain_data():
             "n_range": [9, 12],
             "m_values": list(m_values),
             "trees": list(trees),
-            "model": "with_hypotheses",
+            "model": "gnp",
             "delta_min": 6,
             "params": {"p": 0.5},
         }

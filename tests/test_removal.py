@@ -17,6 +17,7 @@ from kedge.generators import (
     two_cliques_bridged,
 )
 from kedge.errors import ExtractionFailed, InternalCheckError, TheoremViolation
+from kedge.fragments import fragments_of, minimal_fragment_descent
 from kedge.graph import Graph, mask_of
 from kedge.removal import (
     HCSubgraph,
@@ -87,6 +88,21 @@ def test_finders_require_connectivity():
         find_removable_vertex(cycle_graph(5), 3)
     with pytest.raises(ValueError):
         find_removable_edge(Graph(4, [(0, 1), (2, 3)]), 1)
+
+
+def test_k_below_one_is_rejected_at_every_finder():
+    """The connectivity check each finder starts with rejects k = 0."""
+    g = complete(6)
+    f0 = fragments_of(g, (0, 1), 5)[0]
+    for call in (
+        lambda: find_removable_vertex(g, 0),
+        lambda: find_removable_edge(g, 0),
+        lambda: find_removable_tree(g, 0, path_tree(2)),
+        lambda: removable_tree_via_thomassen(g, 0, path_tree(2)),
+        lambda: minimal_fragment_descent(g, 0, (0, 1), f0),
+    ):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            call()
 
 
 def test_tree_finder_known_instances():

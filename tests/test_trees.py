@@ -75,7 +75,7 @@ def test_tree_spec_basics():
     assert t.order == 4
     assert t.edges() == [(0, 1), (1, 2), (2, 3)]
     assert t.degrees() == [1, 2, 2, 1]
-    g = t.to_graph()
+    g = Graph(t.order, t.edges())
     assert g.n == 4 and g.edge_count == 3
 
 
