@@ -208,12 +208,19 @@ MUTANTS = [
         "outside |= 0",
         "tests/test_removal.py::test_extract_connected_subgraph",
     ),
-    # a checked fragment must belong to the graph and edge it is used with
+    # the two fragments of an overlap check belong to one graph
     (
         "fragments.py",
-        "if host != g or set(f.deleted) != set(e):",
+        "if f1.graph != g:",
         "if False:",
         "tests/test_fragments.py::test_overlap_rejects_foreign_fragments",
+    ),
+    # a fragment's deleted pair is read as an edge of its graph
+    (
+        "fragments.py",
+        ", normalize_edge(g, f1.deleted)",
+        ", f1.deleted",
+        "tests/test_fragments.py::test_fragment_calls_reject_a_deleted_pair_that_is_not_an_edge",
     ),
     # Graph.mask, the one range check on a caller's vertex ids, has two ends
     (

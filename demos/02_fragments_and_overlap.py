@@ -32,7 +32,7 @@ for f in fragments_of(g, (0, 1), 2):
 g6 = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
 f = next(fr for fr in fragments_of(g6, (0, 1), 4) if fr.side == frozenset({4}))
 f1 = next(fr for fr in fragments_of(g6, (2, 3), 4) if fr.side == frozenset({0, 1, 4}))
-res = check_fragment_overlap(g6, (0, 1), (2, 3), f, f1)
+res = check_fragment_overlap(f, f1)
 print("K6 overlap verdict:", res.verdict.name)
 print("  boundary splits evenly:", res.d_intersection_remainder, "=", res.d_remainder_complement)
 
@@ -41,7 +41,7 @@ print("  boundary splits evenly:", res.d_intersection_remainder, "=", res.d_rema
 g = Graph(6, [(0, 1), (0, 2), (0, 5), (1, 4), (2, 3)])
 f = next(fr for fr in fragments_of(g, (0, 5), 2) if fr.side == frozenset({2, 3}))
 f1 = next(fr for fr in fragments_of(g, (1, 4), 2) if fr.side == frozenset({0, 2, 5}))
-res = check_fragment_overlap(g, (0, 5), (1, 4), f, f1)
+res = check_fragment_overlap(f, f1)
 assert res.verdict is OverlapVerdict.SMALL_COMPLEMENT
 print("sparse graph verdict:", res.verdict.name, "- complement order", len(f1.complement))
 
@@ -53,12 +53,12 @@ print("K6 scan:", stats.configurations, "configurations,",
 # descend to a minimal fragment and audit its disjointness property
 g = two_cliques_bridged(5, 2)
 f0 = fragments_of(g, (0, 1), 2)[0]
-res = minimal_fragment_descent(g, 2, (0, 1), f0)
-print("minimal fragment side", sorted(res.fragment.side), "from edge", res.edge)
-audit = verify_descent_conclusion(g, 2, res)
+res = minimal_fragment_descent(f0, 2)
+print("minimal fragment side", sorted(res.fragment.side), "from edge", res.fragment.deleted)
+audit = verify_descent_conclusion(res, 2)
 print("audit:", audit.fragments_checked, "fragments checked,",
       audit.disjoint_confirmed, "confirmed disjoint, min side degree", audit.min_side_degree)
 
 # cut-degree lower bounds for every vertex of a fragment side
-bounds = fragment_degree_bounds(g, res.edge, res.fragment, 2)
+bounds = fragment_degree_bounds(res.fragment, 2)
 print("degree bounds hold:", bounds.all_hold)

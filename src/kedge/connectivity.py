@@ -86,13 +86,9 @@ def _edge_value(
 
     On at most EXHAUSTIVE_LIMIT alive vertices the far-pair bound comes
     next (_far_pairs_reach): (best, None) when every pair at distance 3 or
-    more has best edge-disjoint paths between its closed neighbourhoods.
-    It is exact: below delta, each side of a minimum cut holds a vertex with
-    no neighbour across, those two are a far pair, and each path counted
-    for them crosses the cut.  So no cut lies below best, and the orderings
-    would return side None too.  Above the limit it is not tried: the pair
-    scan can fail late or pass every pair, and then costs far more than
-    the orderings.
+    more has best edge-disjoint paths between its closed neighbourhoods,
+    as the orderings would return.  The module docstring proves the bound
+    and says why it is not tried above the limit.
 
     Supervertices are member masks, their degrees and outside neighbourhoods
     out[x] recomputed once per contraction; owner[u] holds u.  Each

@@ -75,16 +75,12 @@ class Fragment:
         host is scanned once, by _host_sides.  The sides of a cut of the host's
         positive connectivity are connected (see _host_sides): no check.
         """
-        # a record always belongs to its own graph and deleted pair
-        _checked_fragment(self.graph, self.deleted, self, "fragment", "deleted")
+        _checked_fragment(self)
 
 
-def _checked_fragment(
-    g: Graph, e: tuple[int, ...], f: Fragment, f_name: str, e_name: str
-) -> tuple[int, int, list[int]]:
-    """Validate f from scratch, then check it is a fragment of g minus the
-    vertices of e.  Returns f's side and complement masks and _host_sides's
-    side masks of the host."""
+def _checked_fragment(f: Fragment) -> tuple[int, int, list[int]]:
+    """Validate f from scratch.  Returns f's side and complement masks and
+    _host_sides's side masks of its host."""
     host = f.graph
     if len(set(f.deleted)) != len(f.deleted):
         raise ValueError("deleted vertices repeat")
@@ -99,10 +95,6 @@ def _checked_fragment(
     side = mask_of(f.side)
     if len(f.cut_edges) != kprime:
         raise ValueError("cut is not a minimum edge-cut of the host")
-    if host != g or set(f.deleted) != set(e):
-        raise ValueError(
-            f"{f_name} is not a fragment of g minus the endpoints of {e_name}"
-        )
     return side, alive & ~side, sides
 
 
@@ -179,20 +171,14 @@ def _unmet(reason: str) -> OverlapResult:
     return OverlapResult(OverlapVerdict.HYPOTHESES_UNMET, reason=reason)
 
 
-def check_fragment_overlap(
-    g: Graph,
-    e: tuple[int, int],
-    e1: tuple[int, int],
-    f: Fragment,
-    f1: Fragment,
-) -> OverlapResult:
+def check_fragment_overlap(f: Fragment, f1: Fragment) -> OverlapResult:
     """Check the overlap dichotomy for fragments of two edge deletions.
 
-    `f` must be a fragment of g minus the endpoints of `e`, and `f1` of g
-    minus the endpoints of `e1`; anything else is a ValueError.  The
-    hypotheses are: the edges share no endpoint, `e` lies inside f1's side,
-    `e1` lies inside f's complement, and the two sides intersect.  If any
-    fails, the verdict is HYPOTHESES_UNMET with a reason.
+    `f` is a fragment of g minus the endpoints of an edge `e`, and `f1` of
+    the same g minus those of an edge `e1`; anything else is a ValueError.
+    The hypotheses are: the edges share no endpoint, `e` lies inside f1's
+    side, `e1` lies inside f's complement, and the two sides intersect.  If
+    any fails, the verdict is HYPOTHESES_UNMET with a reason.
 
     When the hypotheses hold, exactly one of two conclusions must:
 
@@ -204,11 +190,12 @@ def check_fragment_overlap(
 
     A failed conclusion raises TheoremViolation.
     """
-    e = normalize_edge(g, e)
-    e1 = normalize_edge(g, e1)
-    # f's host is the first host once f is known to be a fragment of it
-    fs, fc, host_sides = _checked_fragment(g, e, f, "f", "e")
-    f1s, f1c, _ = _checked_fragment(g, e1, f1, "f1", "e1")
+    g = f.graph
+    if f1.graph != g:
+        raise ValueError("f and f1 are fragments of different graphs")
+    e, e1 = normalize_edge(g, f.deleted), normalize_edge(g, f1.deleted)
+    fs, fc, host_sides = _checked_fragment(f)
+    f1s, f1c, _ = _checked_fragment(f1)
     return _overlap_verdict(g, e, e1, fs, fc, f1s, f1c, frozenset(host_sides), f.host_kprime)
 
 
@@ -360,36 +347,35 @@ def scan_overlap_cases(g: Graph) -> OverlapScanStats:
 
 @dataclass(frozen=True)
 class DescentResult:
-    """Smallest fragment confined to a region, with the edge that spawned it."""
+    """Smallest fragment confined to a region; its deleted pair is the edge
+    that spawned it."""
 
-    edge: tuple[int, int]
     fragment: Fragment
     region: frozenset[int]
 
 
-def minimal_fragment_descent(
-    g: Graph, k: int, e0: tuple[int, int], f0: Fragment
-) -> DescentResult:
+def minimal_fragment_descent(f0: Fragment, k: int) -> DescentResult:
     """Find a smallest fragment inside f0's side plus the endpoints of e0.
 
-    The graph must be k-edge-connected with minimum degree at least k+2,
-    and deleting e0's endpoints must drop the connectivity below k (f0 is
-    one of the resulting fragments).  The search region is side(f0) plus
-    both endpoints of e0.  Every edge induced by the region whose endpoint
-    deletion is still deficient contributes all fragments whose side stays
-    inside the region; the smallest one wins.  Ties break toward the
-    lexicographically least sorted side, then the least edge.
+    f0 is a fragment of g minus the endpoints of the edge e0.  The graph
+    must be k-edge-connected with minimum degree at least k+2, and deleting
+    e0's endpoints must drop the connectivity below k.  The search region
+    is side(f0) plus both endpoints of e0.  Every edge induced by the region
+    whose endpoint deletion is still deficient contributes all fragments
+    whose side stays inside the region; the smallest one wins.  Ties break
+    toward the lexicographically least sorted side, then the least edge.
 
     The seed fragment itself belongs to the family, so the result is never
     larger than f0; when f0 is already minimal the descent returns it
     unchanged.
     """
-    e0 = normalize_edge(g, e0)
+    g = f0.graph
+    e0 = normalize_edge(g, f0.deleted)
     if not is_k_edge_connected(g, k):
         raise ValueError(f"graph is not {k}-edge-connected")
     if g.min_degree() < k + 2:
         raise ValueError(f"minimum degree must be at least {k + 2}")
-    seed, _, _ = _checked_fragment(g, e0, f0, "f0", "e0")
+    seed, _, _ = _checked_fragment(f0)
     if f0.host_kprime >= k:
         raise ValueError(
             "deleting e0's endpoints does not drop the connectivity below"
@@ -407,7 +393,7 @@ def minimal_fragment_descent(
         raise InternalCheckError("seed fragment vanished from its own family")
     _, _, edge, side, alive, kprime = min(family)
     fragment = _fragment(g, edge, alive, side, kprime)
-    return DescentResult(edge, fragment, frozenset(_bits(region)))
+    return DescentResult(fragment, frozenset(_bits(region)))
 
 
 @dataclass(frozen=True)
@@ -427,9 +413,7 @@ class DescentConclusionReport:
     min_side_degree: int
 
 
-def verify_descent_conclusion(
-    g: Graph, k: int, result: DescentResult
-) -> DescentConclusionReport:
+def verify_descent_conclusion(result: DescentResult, k: int) -> DescentConclusionReport:
     """Confirm no later fragment avoiding the chosen edge meets the minimal one.
 
     For every edge inside the minimal fragment's side whose endpoint
@@ -439,9 +423,10 @@ def verify_descent_conclusion(
     lies in the fragment's side, the case is out of scope; if the fragment
     splits the chosen edge's endpoints, the case is recorded separately.
     """
-    e1 = normalize_edge(g, result.edge)
     f1 = result.fragment
-    minimal, _, _ = _checked_fragment(g, e1, f1, "result.fragment", "result.edge")
+    g = f1.graph
+    e1 = normalize_edge(g, f1.deleted)
+    minimal, _, _ = _checked_fragment(f1)
     e1m = mask_of(e1)
     edges_checked = 0
     fragments_checked = 0
@@ -499,9 +484,7 @@ class FragmentDegreeReport:
     all_hold: bool
 
 
-def fragment_degree_bounds(
-    g: Graph, e1: tuple[int, int], f1: Fragment, k: int
-) -> FragmentDegreeReport:
+def fragment_degree_bounds(f1: Fragment, k: int) -> FragmentDegreeReport:
     """Per-vertex neighbor counts across a fragment's cut, with lower bounds.
 
     Requires minimum degree at least k+2 in the ambient graph.  Each vertex
@@ -510,8 +493,9 @@ def fragment_degree_bounds(
     neighbors in the complement; a vertex with no complement neighbors must
     have at least k inside.  Both checks are reported per vertex.
     """
-    e1 = normalize_edge(g, e1)
-    side, complement, _ = _checked_fragment(g, e1, f1, "f1", "e1")
+    g = f1.graph
+    e1 = normalize_edge(g, f1.deleted)
+    side, complement, _ = _checked_fragment(f1)
     if g.min_degree() < k + 2:
         raise ValueError(f"minimum degree must be at least {k + 2}")
     masks = g.adjacency_masks()

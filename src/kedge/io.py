@@ -70,10 +70,10 @@ GRAPH6_MAX_N = 62
 
 def parse_graph6(text: str) -> Graph:
     s = text.strip()
-    if not s:
-        raise GraphFormatError("empty graph6 string")
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
+    if not s:
+        raise GraphFormatError("empty graph6 string")
     data = [ord(c) - 63 for c in s]
     if any(not 0 <= x <= 63 for x in data):
         raise GraphFormatError(f"invalid graph6 character in {s!r}")

@@ -214,10 +214,10 @@ def test_07_overlap_dichotomy_exhaustive_to_order_six():
 def test_08_minimal_fragment_descent_on_bridged_cliques():
     g = two_cliques_bridged(5, 2)
     f0 = fragments_of(g, (0, 1), 2)[0]
-    res = minimal_fragment_descent(g, 2, (0, 1), f0)
+    res = minimal_fragment_descent(f0, 2)
     assert len(res.fragment.side) == 3
     assert sorted(res.fragment.side) == [0, 2, 3]
-    report = verify_descent_conclusion(g, 2, res)
+    report = verify_descent_conclusion(res, 2)
     assert report.fragments_checked == 4
     assert report.disjoint_confirmed == 2
     assert report.split_endpoint_cases == ()

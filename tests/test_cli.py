@@ -40,6 +40,10 @@ def test_analyze_malformed_file(tmp_path, capsys):
     code, _, err = run(["analyze", str(path)], capsys)
     assert code == 2
     assert "line 1" in err
+    # a graph6 file holding only the optional header holds no graph
+    path.write_text(">>graph6<<\n")
+    code, _, err = run(["analyze", str(path)], capsys)
+    assert code == 2 and err.startswith("error:")
 
 
 def test_find_removable(tmp_path, capsys):

@@ -9,6 +9,7 @@ from kedge.connectivity import EXHAUSTIVE_LIMIT, edge_connectivity_bruteforce
 from kedge import connectivity
 from kedge.errors import InternalCheckError, TheoremViolation
 from kedge.fragments import (
+    DescentResult,
     Fragment,
     OverlapVerdict,
     _overlap_verdict,
@@ -92,6 +93,24 @@ def test_fragment_validate_rejects_tampering():
     for wrong, message in cases:
         with pytest.raises(ValueError, match=message):
             wrong.validate()
+
+
+def test_fragment_calls_reject_a_deleted_pair_that_is_not_an_edge():
+    """A record whose deleted pair is no edge passes validate, which checks
+    only the cut, but every call that reads the pair as an edge raises."""
+    g = cycle_graph(6)
+    bad = Fragment(g, (0, 2), {1}, {3, 4, 5}, frozenset(), 0)
+    bad.validate()
+    f = fragments_of(g, (3, 4), 2)[0]
+    for call in (
+        lambda: check_fragment_overlap(f, bad),
+        lambda: check_fragment_overlap(bad, f),
+        lambda: minimal_fragment_descent(bad, 1),
+        lambda: verify_descent_conclusion(DescentResult(bad, frozenset(range(3))), 1),
+        lambda: fragment_degree_bounds(bad, 1),
+    ):
+        with pytest.raises(ValueError, match="not an edge"):
+            call()
 
 
 def _is_fragment_by_definition(f, lambdas):
@@ -182,7 +201,7 @@ def test_overlap_check_scans_two_hosts(monkeypatch):
     f = next(x for x in fragments_of(g, (0, 1), 4) if x.side == {4})
     f1 = next(x for x in fragments_of(g, (2, 3), 4) if x.side == {0, 1, 4})
     hosts.clear()
-    check_fragment_overlap(g, (0, 1), (2, 3), f, f1)
+    check_fragment_overlap(f, f1)
     assert hosts == [mask_of([2, 3, 4, 5]), mask_of([0, 1, 4, 5])]
 
 
@@ -192,7 +211,7 @@ def test_overlap_alpha_on_k6():
     g = complete(6)
     f = next(x for x in fragments_of(g, (0, 1), 4) if x.side == {4})
     f1 = next(x for x in fragments_of(g, (2, 3), 4) if x.side == {0, 1, 4})
-    r = check_fragment_overlap(g, (0, 1), (2, 3), f, f1)
+    r = check_fragment_overlap(f, f1)
     assert r.verdict is OverlapVerdict.INTERSECTION_FRAGMENT
     assert r.intersection == {4}
     assert r.d_intersection_remainder == r.d_remainder_complement == 0
@@ -229,7 +248,7 @@ def test_overlap_alpha_zero_cut_host():
     g = Graph(6, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2)])
     f = next(x for x in fragments_of(g, (0, 3), 9) if x.side == {4})
     f1 = next(x for x in fragments_of(g, (1, 2), 9) if x.side == {0, 3, 4})
-    r = check_fragment_overlap(g, (0, 3), (1, 2), f, f1)
+    r = check_fragment_overlap(f, f1)
     assert r.verdict is OverlapVerdict.INTERSECTION_FRAGMENT
     assert r.d_intersection_outward == 0 == r.host_kprime
 
@@ -238,7 +257,7 @@ def test_overlap_beta_case():
     g = Graph(6, [(0, 1), (0, 2), (0, 5), (1, 4), (2, 3)])
     f = next(x for x in fragments_of(g, (0, 5), 9) if x.side == {2, 3})
     f1 = next(x for x in fragments_of(g, (1, 4), 9) if x.side == {0, 2, 5})
-    r = check_fragment_overlap(g, (0, 5), (1, 4), f, f1)
+    r = check_fragment_overlap(f, f1)
     assert r.verdict is OverlapVerdict.SMALL_COMPLEMENT
     assert len(f.complement) < len(f1.side)
 
@@ -248,12 +267,12 @@ def test_overlap_hypotheses_unmet():
     frags = fragments_of(g, (0, 1), 4)
     f = next(x for x in frags if x.side == {4})
     # adjacent edges are rejected
-    r = check_fragment_overlap(g, (0, 1), (1, 2), f, fragments_of(g, (1, 2), 4)[0])
+    r = check_fragment_overlap(f, fragments_of(g, (1, 2), 4)[0])
     assert r.verdict is OverlapVerdict.HYPOTHESES_UNMET
     assert r.reason
     # disjoint sides are rejected
     f5 = next(x for x in fragments_of(g, (2, 3), 4) if x.side == {5})
-    r = check_fragment_overlap(g, (0, 1), (2, 3), f, f5)
+    r = check_fragment_overlap(f, f5)
     assert r.verdict is OverlapVerdict.HYPOTHESES_UNMET
 
 
@@ -262,8 +281,8 @@ def test_overlap_rejects_foreign_fragments():
     h = complete(7)
     f = fragments_of(g, (0, 1), 4)[0]
     fh = fragments_of(h, (2, 3), 5)[0]
-    with pytest.raises(ValueError):
-        check_fragment_overlap(g, (0, 1), (2, 3), f, fh)
+    with pytest.raises(ValueError, match="different graphs"):
+        check_fragment_overlap(f, fh)
 
 
 def test_no_configurations_below_six_vertices():
@@ -302,7 +321,7 @@ def reference_overlap_stats(g):
                 for f1 in hosts[e1]:
                     if set(e1) <= f.complement and set(e) <= f1.side and f.side & f1.side:
                         configs += 1
-                        verdict = check_fragment_overlap(g, e, e1, f, f1).verdict
+                        verdict = check_fragment_overlap(f, f1).verdict
                         alpha += verdict is OverlapVerdict.INTERSECTION_FRAGMENT
                         beta += verdict is OverlapVerdict.SMALL_COMPLEMENT
     return pairs, configs, alpha, beta
@@ -351,45 +370,40 @@ def test_scan_overlap_catches_a_scanner_fault(monkeypatch):
 def test_descent_on_bridged_cliques():
     g = two_cliques_bridged(5, 2)
     f0 = fragments_of(g, (0, 1), 2)[0]
-    res = minimal_fragment_descent(g, 2, (0, 1), f0)
-    assert res.edge == (1, 4)
+    res = minimal_fragment_descent(f0, 2)
+    assert res.fragment.deleted == (1, 4)
     assert sorted(res.fragment.side) == [0, 2, 3]
     assert res.region == frozenset(range(5))
     res.fragment.validate()
     # descending from the answer reproduces it
-    again = minimal_fragment_descent(g, 2, res.edge, res.fragment)
-    assert again.edge == res.edge and again.fragment == res.fragment
+    again = minimal_fragment_descent(res.fragment, 2)
+    assert again.fragment == res.fragment
 
 
 def test_descent_conclusion_report():
     g = two_cliques_bridged(5, 2)
     f0 = fragments_of(g, (0, 1), 2)[0]
-    res = minimal_fragment_descent(g, 2, (0, 1), f0)
-    rep = verify_descent_conclusion(g, 2, res)
+    res = minimal_fragment_descent(f0, 2)
+    rep = verify_descent_conclusion(res, 2)
     assert rep.edges_checked == 2
     assert rep.fragments_checked == 4
     assert rep.disjoint_confirmed == 2
     assert rep.split_endpoint_cases == ()
     assert rep.min_side_degree == 2
-    # a result belongs to the graph it was computed on
-    with pytest.raises(ValueError, match="not a fragment"):
-        verify_descent_conclusion(complete(10), 2, res)
 
 
 def test_descent_preconditions():
     g = two_cliques_bridged(5, 2)
     f0 = fragments_of(g, (0, 1), 2)[0]
     with pytest.raises(ValueError):
-        minimal_fragment_descent(g, 3, (0, 1), f0)  # graph is not 3-edge-connected
-    with pytest.raises(ValueError):
-        minimal_fragment_descent(cycle_graph(6), 1, (0, 1), f0)  # wrong host
+        minimal_fragment_descent(f0, 3)  # graph is not 3-edge-connected
 
 
 def test_fragment_degree_bounds():
     g = two_cliques_bridged(5, 2)
     f0 = fragments_of(g, (0, 1), 2)[0]
-    res = minimal_fragment_descent(g, 2, (0, 1), f0)
-    rep = fragment_degree_bounds(g, res.edge, res.fragment, 2)
+    res = minimal_fragment_descent(f0, 2)
+    rep = fragment_degree_bounds(res.fragment, 2)
     assert rep.all_hold
     assert rep.side_order == 3
     assert len(rep.rows) == 3

@@ -88,6 +88,8 @@ def test_graph6_rejects_garbage():
     with pytest.raises(GraphFormatError):
         parse_graph6("")
     with pytest.raises(GraphFormatError):
+        parse_graph6(">>graph6<<")
+    with pytest.raises(GraphFormatError):
         parse_graph6("C\x19")
 
 

@@ -99,7 +99,7 @@ def test_k_below_one_is_rejected_at_every_finder():
         lambda: find_removable_edge(g, 0),
         lambda: find_removable_tree(g, 0, path_tree(2)),
         lambda: removable_tree_via_thomassen(g, 0, path_tree(2)),
-        lambda: minimal_fragment_descent(g, 0, (0, 1), f0),
+        lambda: minimal_fragment_descent(f0, 0),
     ):
         with pytest.raises(ValueError, match="k must be at least 1"):
             call()
