@@ -63,18 +63,25 @@ MUTANTS = [
         "if paths < best - 1:",
         "tests/test_connectivity.py::test_far_pair_bound_matches_the_oracle",
     ),
-    # a vertex w outside N[a] and N[b] carries its smaller neighbour count
+    # a ring vertex w outside N[b] carries its smaller neighbour count
     (
         "connectivity.py",
-        "paths += min(",
-        "paths += max(",
+        "else min(to_a,",
+        "else max(to_a,",
         "tests/test_connectivity.py::test_far_pair_bound_matches_the_oracle",
     ),
-    # a far pair lies outside the ball of radius 2, so pairs at distance 3 count
+    # the ring leaves out N(a), whose edges into N[b] the ring's N[b] part counts
     (
         "connectivity.py",
-        "for _ in range(2):",
-        "for _ in range(3):",
+        "_bits(ball & ~near)]",
+        "_bits(ball & ~(1 << a))]",
+        "tests/test_connectivity.py::test_far_pair_bound_matches_the_oracle",
+    ),
+    # a pair stops counting only once its paths reach best
+    (
+        "connectivity.py",
+        "if paths >= best:",
+        "if paths >= best - 1:",
         "tests/test_connectivity.py::test_far_pair_bound_matches_the_oracle",
     ),
     # the bound runs on at most EXHAUSTIVE_LIMIT alive vertices
@@ -133,18 +140,25 @@ MUTANTS = [
         'row.to_bytes(width, "little")',
         "tests/test_connectivity.py::test_scanner_matches_reference_walk",
     ),
-    # the row scan takes hosts of 11 alive vertices or more, no fewer
+    # the row scan takes hosts of 8 alive vertices or more, no fewer
     (
         "connectivity.py",
-        "_ROWS_FROM = 11",
-        "_ROWS_FROM = 12",
-        "tests/test_connectivity.py::test_scan_walks_in_rows_from_eleven_vertices",
+        "_ROWS_FROM = 8",
+        "_ROWS_FROM = 9",
+        "tests/test_connectivity.py::test_scan_walks_in_rows_from_eight_vertices",
     ),
     (
         "connectivity.py",
-        "_ROWS_FROM = 11",
-        "_ROWS_FROM = 10",
-        "tests/test_connectivity.py::test_scan_walks_in_rows_from_eleven_vertices",
+        "_ROWS_FROM = 8",
+        "_ROWS_FROM = 7",
+        "tests/test_connectivity.py::test_scan_walks_in_rows_from_eight_vertices",
+    ),
+    # and carries up to 8 of the lowest others in a row of byte fields
+    (
+        "connectivity.py",
+        "a = min(c, _ROW_BITS)",
+        "a = min(c, _ROW_BITS - 1)",
+        "tests/test_connectivity.py::test_scan_walks_in_rows_from_eight_vertices",
     ),
     # _certify's oracle cross-check
     (
@@ -264,6 +278,13 @@ MUTANTS = [
         "state = (state + (i - 1) * _GOLDEN) & _MASK64",
         "state = (state + i * _GOLDEN) & _MASK64",
         "tests/test_generators.py::test_cycle_skips_rejected_draws_like_the_whole_shuffle",
+    ),
+    # the packer's sentinel after the last place is in no mask
+    (
+        "rng.py",
+        "places = list(range(n + 1))",
+        "places = list(range(n)) + [0]",
+        "tests/test_generators.py::test_cycle_matches_the_whole_shuffle_on_drawn_masks",
     ),
     # the tree statement is open exactly for k >= 4, m >= 3
     (

@@ -64,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--param", metavar="KEY=VALUE", action="append", default=[])
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
@@ -124,7 +125,11 @@ def cmd_find_removable(args) -> int:
 
 def cmd_gen(args) -> int:
     delta = args.delta if args.delta is not None else args.k
-    g = generate(args.model, args.n, args.k, delta, args.seed)
+    pairs = [text.partition("=") for text in args.param]
+    if not all(eq for _, eq, _ in pairs):
+        raise ValueError("--param takes KEY=VALUE")
+    params = tuple((key, float(value)) for key, _, value in pairs)
+    g = generate(args.model, args.n, args.k, delta, args.seed, params)
     if args.out:
         fmt = "graph6" if str(args.out).endswith(".g6") else "edgelist"
         save_graph(g, args.out, fmt)

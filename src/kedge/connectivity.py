@@ -19,8 +19,12 @@ diameter-2 theorem; Hellwig & Volkmann, Discrete Math. 2008).  Those two
 are a far pair: a and b at distance 3 or more.  Every path from N[a] to
 N[b] crosses the cut, so lambda is at least the count of edge-disjoint
 ones: the edges between N[a] and N[b], plus, through each vertex w outside
-both, the smaller of w's neighbour counts in them.  When every far pair
-counts at least best, no cut lies below best.  The bound runs on at most
+both, the smaller of w's neighbour counts in them.  Both are counted on
+the ring of a, the vertices at distance exactly 2 from it, as no other
+vertex outside N[a] has a neighbour in it: a ring vertex w in N[b] adds
+its count in N[a], any other the smaller of its two counts, and a pair
+stops once it reaches best.  When every far pair counts at least best, no
+cut lies below best.  The bound runs on at most
 EXHAUSTIVE_LIMIT alive vertices.  Above that its pair scan can fail late
 or not at all: where lambda = delta it passes every pair, cubic in the
 order, and cost up to 250 times the orderings on 300 vertices.  The
@@ -30,13 +34,9 @@ ordering; it is compared with the kernel and must never be merged with it.
 Every bipartition scan in the package runs through one flow-free scanner,
 _scan_bipartitions.  It walks the sides in Gray-code order on adjacency
 masks restricted to an alive-vertex mask, so a host with deleted vertices
-is scanned in place.  Hosts of up to 10 alive vertices are walked one side
-a step.  From 11 on, the walk moves only the top 7 vertices and carries
-the subsets of the others as byte fields of one integer, so one addition
-updates up to 256 boundaries; a byte holds every boundary, as none on at
-most EXHAUSTIVE_LIMIT = 16 vertices exceeds 8 * 8 = 64.  Both visit the
-same sides in the same order; the size decides, as rows scan slower on
-small hosts.  Minimum cuts have one exhaustive routine on it,
+is scanned in place; on larger hosts it carries the sides of the lowest
+vertices as byte rows (its docstring gives the split).  Minimum cuts have
+one exhaustive routine on it,
 _host_sides: the connectivity on a vertex mask and the sorted sides of every
 minimum cut.  enumerate_min_edge_cuts and the fragment calculus read it;
 it and the oracle share the one bound check on the scanned order.
@@ -65,10 +65,10 @@ from typing import Sequence
 from .graph import Graph, _bits, _edges_between, mask_of
 
 EXHAUSTIVE_LIMIT = 16
-# the bipartition scan runs in rows from this many alive vertices, walking
-# only the top _WALKED of them (see _scan_bipartitions)
-_ROWS_FROM = 11
-_WALKED = 7
+# the bipartition scan runs in rows from this many alive vertices, carrying
+# up to _ROW_BITS of the lowest others in each row (see _scan_bipartitions)
+_ROWS_FROM = 8
+_ROW_BITS = 8
 
 
 def _edge_value(
@@ -171,20 +171,21 @@ def _edge_value(
 def _far_pairs_reach(nb: Sequence[int], ids: Sequence[int], alive: int, best: int) -> bool:
     """Whether every pair a, b of `ids` at distance 3 or more has at least
     best edge-disjoint paths between N[a] and N[b] in the graph of the alive
-    neighbourhoods nb: the edges between them, and through each vertex w
-    outside both the smaller of w's neighbour counts in N[a] and in N[b]."""
+    neighbourhoods nb, counted on the ring of a (see the module docstring)."""
     for a in ids:
-        ball = 1 << a
-        for _ in range(2):
-            for u in _bits(ball):
-                ball |= nb[u]
-        near = nb[a] | 1 << a
-        for b in _bits(alive & ~ball & -(2 << a)):
+        near = ball = nb[a] | 1 << a
+        for u in _bits(nb[a]):
+            ball |= nb[u]
+        if not (fars := alive & ~ball & -(2 << a)):
+            continue
+        ring = [(w, (nb[w] & near).bit_count()) for w in _bits(ball & ~near)]
+        for b in _bits(fars):
             far = nb[b] | 1 << b
-            paths = sum((nb[u] & near).bit_count() for u in _bits(far))
-            # a vertex w beyond the ball has no neighbour in N[a]
-            for w in _bits(ball & ~near & ~far):
-                paths += min((nb[w] & near).bit_count(), (nb[w] & far).bit_count())
+            paths = 0
+            for w, to_a in ring:
+                if paths >= best:
+                    break
+                paths += to_a if far >> w & 1 else min(to_a, (nb[w] & far).bit_count())
             if paths < best:
                 return False
     return True
@@ -266,19 +267,22 @@ def _scan_bipartitions(masks: Sequence[int], alive: int) -> tuple[int, list[int]
     neighbours outside the side minus those inside it.  Sides come back as
     masks in visiting order.  `alive` needs at least two vertices.
 
-    From _ROWS_FROM alive vertices on, the walk moves only the top _WALKED
-    others.  The a = c - _WALKED lowest others ride in a row: one integer
-    with a byte field per subset of them, field p for the a-bit Gray code
-    p ^ (p >> 1).  Moving walked vertex v changes every field by deg(v)
-    minus twice v's neighbours in the side; the lowest vertex and the walked
-    ones count alike in every field, and each low neighbour adds its 0/1
-    row.  The first row is built from the same 0/1 rows.  A row is exact
-    while every field's final value fits a byte, and a boundary on at most
-    EXHAUSTIVE_LIMIT = 16 vertices is at most 8 * 8 = 64.  The c-bit walk
-    runs the low codes upwards in even rows and downwards in odd ones, so
-    odd rows are read big-endian and the joined bytes are the boundaries in
-    visiting order.  The side `alive`, code all ones, is visited at index
-    (2 << c) // 3 and marked 255.  Smaller hosts scan faster one side a step.
+    From _ROWS_FROM (8) alive vertices on, the lowest a = min(c, 8) others
+    ride in a row (8 is _ROW_BITS) and the walk moves only the other c - a:
+    up to 9 alive vertices one row holds every side.  A row is one integer with
+    a byte field per subset of the low others, field p for the a-bit Gray
+    code p ^ (p >> 1), so it holds up to 256 sides.  Moving walked vertex v
+    changes every field by deg(v) minus twice v's neighbours in the side;
+    the lowest vertex and the walked ones count alike in every field, and
+    each low neighbour adds its 0/1 row.  The first row is built from the
+    same 0/1 rows.  A row is exact while every field's final value fits a
+    byte, and a boundary on at most EXHAUSTIVE_LIMIT = 16 vertices is at
+    most 8 * 8 = 64.  The c-bit walk runs the low codes upwards in even rows
+    and downwards in odd ones, so odd rows are read big-endian and the
+    joined bytes are the boundaries in visiting order.  The side `alive`,
+    code all ones, is visited at index (2 << c) // 3 and marked 255.  Both
+    routes visit the same sides in the same order; below 8 alive vertices
+    the plain walk is faster than building a row.
     """
     root = alive & -alive
     others = _bits(alive & ~root)
@@ -301,7 +305,7 @@ def _scan_bipartitions(masks: Sequence[int], alive: int) -> tuple[int, list[int]
                     sides = []
                 sides.append(side)
         return best, sides
-    a = c - _WALKED
+    a = min(c, _ROW_BITS)
     ones, pattern = _row_patterns(a)
     # the first row: sum of degrees minus twice the edges inside each side
     row = boundary * ones
@@ -314,7 +318,7 @@ def _scan_bipartitions(masks: Sequence[int], alive: int) -> tuple[int, list[int]
     steps = [degs[j] * ones - 2 * sum(pattern[b] for b in range(a) if nbs[j] & flips[b])
              for j in range(a, c)]
     rows = [row]
-    for j in _gray_flips(_WALKED):
+    for j in _gray_flips(c - a):
         side ^= flips[a + j]
         step = steps[j] - 2 * (nbs[a + j] & side).bit_count() * ones
         row += step if side & flips[a + j] else -step

@@ -107,9 +107,10 @@ class SplitMix64:
         list(range(n)) from the back, randrange(i + 1) for i = n-1 ... 1,
         with the step, mix, rejection test and swap inline.  Edge
         (order[i], order[i+1]) is tested once both ends are final, and
-        (order[0], order[1]) and the wrap edge last.  After the first
-        shared edge the try is lost: its draws left are jumped (see the
-        module docstring) once all are at tabled bounds and none is
+        (order[0], order[1]) and the wrap edge last; the sentinel order[n] =
+        n is in no mask, so the first draw's test is always false.  After
+        the first shared edge the try is lost: its draws left are jumped
+        (see the module docstring) once all are at tabled bounds and none is
         rejected.  The stream ends where the whole shuffles' would.
         """
         if n < 3 or len(avoid) != n or tries < 1:
@@ -118,8 +119,9 @@ class SplitMix64:
         limits = [_limit(b) for b in range(1, n + 1)]
         jump = _jump_table()
         state = self._state
+        places = list(range(n + 1))
         for _ in range(tries):
-            order = list(range(n))
+            order = places[:]
             shared = False
             for i in range(n - 1, 0, -1):
                 while True:
@@ -132,14 +134,14 @@ class SplitMix64:
                 if not shared:
                     j = z % (i + 1)
                     order[i], order[j] = order[j], order[i]
-                    shared = i < n - 1 and avoid[order[i]] >> order[i + 1] & 1
+                    shared = avoid[order[i]] >> order[i + 1] & 1
                 if shared and i <= _TABLED_BOUND:
                     if jump.get((state * _GOLDEN_INV + i + 1) & _MASK64, n) > i:
                         state = (state + (i - 1) * _GOLDEN) & _MASK64
                         break
-            if not (shared or avoid[order[0]] >> order[1] & 1 or avoid[order[-1]] >> order[0] & 1):
+            if not (shared or avoid[order[0]] >> order[1] & 1 or avoid[order[n - 1]] >> order[0] & 1):
                 self._state = state
-                return order
+                return order[:n]
         self._state = state
         return None
 

@@ -8,6 +8,7 @@ edge-list files.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -136,7 +137,8 @@ def caterpillar_tree(leaf_counts: list[int]) -> TreeSpec:
 
 
 def prufer_decode(seq: list[int]) -> TreeSpec:
-    """Tree for a Pruefer sequence over labels 0..m-1, m = len(seq)+2."""
+    """Tree for a Pruefer sequence over labels 0..m-1, m = len(seq)+2,
+    relabelled as tree_from_graph would."""
     m = len(seq) + 2
     _cap_order("prufer", m)
     if any(not 0 <= x < m for x in seq):
@@ -144,45 +146,55 @@ def prufer_decode(seq: list[int]) -> TreeSpec:
     degree = [1] * m
     for x in seq:
         degree[x] += 1
-    edges = []
-    import heapq
-
+    masks = [0] * m
     leaves = [v for v in range(m) if degree[v] == 1]
     heapq.heapify(leaves)
-    for x in seq:
+    # m - 1 is never the smallest of two leaves, so it is one of the last two
+    for x in seq + [m - 1]:
         leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
+        masks[leaf] |= 1 << x
+        masks[x] |= 1 << leaf
         degree[x] -= 1
         if degree[x] == 1:
             heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return tree_from_graph(Graph(m, edges))
+    return TreeSpec(tuple(_bfs_parents(masks)))
 
 
 def prufer_encode(tree: TreeSpec) -> list[int]:
-    """Pruefer sequence of the tree under its own labeling."""
+    """Pruefer sequence of the tree under its own labeling.  Each vertex keeps
+    the XOR of its neighbours left, so a leaf's XOR is its one neighbour."""
     m = tree.order
     if m < 2:
         raise ValueError("encoding needs at least two vertices")
-    import heapq
-
-    adj = [set(a) for a in tree.adjacency()]
-    degree = [len(a) for a in adj]
+    around = [0, *tree.parents[1:]]
+    degree = [0] + [1] * (m - 1)
+    for v in range(1, m):
+        around[tree.parents[v]] ^= v
+        degree[tree.parents[v]] += 1
     leaves = [v for v in range(m) if degree[v] == 1]
     heapq.heapify(leaves)
     out = []
     for _ in range(m - 2):
         leaf = heapq.heappop(leaves)
-        neighbor = next(iter(adj[leaf]))
+        neighbor = around[leaf]
         out.append(neighbor)
-        adj[neighbor].discard(leaf)
-        adj[leaf].clear()
+        around[neighbor] ^= leaf
         degree[neighbor] -= 1
         if degree[neighbor] == 1:
             heapq.heappush(leaves, neighbor)
     return out
+
+
+def _bfs_parents(masks: list[int]) -> list[int]:
+    """The parent array of the vertices reached from vertex 0 over adjacency
+    masks, labelled in breadth-first order, neighbours ascending."""
+    parents, queue, seen = [-1], [0], 1
+    for i, u in enumerate(queue):
+        for w in _bits(masks[u] & ~seen):
+            seen |= 1 << w
+            parents.append(i)
+            queue.append(w)
+    return parents
 
 
 def tree_from_graph(g: Graph) -> TreeSpec:
@@ -193,17 +205,9 @@ def tree_from_graph(g: Graph) -> TreeSpec:
     """
     if g.n == 0:
         raise ValueError("a tree has at least one vertex")
-    if g.edge_count != g.n - 1 or not g.is_connected():
+    parents = _bfs_parents(g.adjacency_masks()) if g.edge_count == g.n - 1 else []
+    if len(parents) != g.n:
         raise ValueError(f"not a tree: n={g.n}, m={g.edge_count}")
-    relabel = {0: 0}
-    parents = [-1] * g.n
-    queue = [0]
-    for u in queue:
-        for w in _bits(g.adjacency_masks()[u]):
-            if w not in relabel:
-                relabel[w] = len(relabel)
-                parents[relabel[w]] = relabel[u]
-                queue.append(w)
     return TreeSpec(tuple(parents))
 
 

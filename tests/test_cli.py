@@ -87,6 +87,23 @@ def test_gen_to_stdout(capsys):
     assert out == write_edge_list(petersen_graph())
 
 
+def test_gen_passes_model_params(capsys):
+    """--param KEY=VALUE reaches the generator's params, repeatably; a key
+    the model does not read, or a malformed pair, exits 2."""
+    from kedge.generators import gen_hamiltonian_stack, random_graph
+
+    code, out, _ = run(["gen", "--model", "gnp", "--n", "12", "--seed", "3",
+                        "--param", "p=0.2"], capsys)
+    assert code == 0 and out == write_edge_list(random_graph(12, 0.2, 3))
+    code, out, _ = run(["gen", "--model", "hamiltonian_stack", "--n", "14", "--seed", "3",
+                        "--param", "t=2", "--param", "extra_edge_prob=0.1"], capsys)
+    assert code == 0 and out == write_edge_list(gen_hamiltonian_stack(14, 2, 0.1, 3))
+    for bad in (["--model", "gnp", "--param", "q=0.2"], ["--model", "petersen", "--param", "p=1"],
+                ["--model", "gnp", "--param", "p"], ["--model", "gnp", "--param", "p=x"]):
+        code, _, err = run(["gen", "--n", "12", *bad], capsys)
+        assert code == 2 and err.startswith("error:")
+
+
 def test_gen_infeasible_is_usage_error(capsys):
     code, _, err = run(
         ["gen", "--model", "with_hypotheses", "--n", "4", "--k", "5",

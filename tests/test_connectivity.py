@@ -325,29 +325,30 @@ def test_scanner_matches_reference_walk():
         alives.append(full & rng.next_u64() | 3)
         for alive in alives:
             _check_scan(g, alive)
-    # the scan runs in byte rows from 11 alive vertices: K_16 fills balanced
+    # the scan runs in byte rows from 8 alive vertices: K_16 fills balanced
     # fields with 64, the largest boundary; a perfect matching gives value 0
-    # and 127 sides; holes in `alive`, vertex 0 among them, leave 11-15
-    # alive vertices
+    # and 127 sides; holes in `alive`, vertex 0 among them, leave every
+    # alive size from 8 to 16, each on two graphs
     matching = Graph(16, [(v, v + 1) for v in range(0, 16, 2)])
     for g in (complete(16), complete_bipartite(8, 8), matching):
         assert _check_scan(g, g.full_mask()) == (g is not matching)
     assert _scan_bipartitions(matching.adjacency_masks(), matching.full_mask())[0] == 0
     assert len(_scan_bipartitions(matching.adjacency_masks(), matching.full_mask())[1]) == 127
-    for i, g in enumerate(seeded_random_graphs(6, 16, 16, seed=79, p=0.6)):
-        holes = {7 * j % 16 for j in range(i)}
+    for i, g in enumerate(seeded_random_graphs(18, 16, 16, seed=79, p=0.6)):
+        holes = {7 * j % 16 for j in range(i // 2)}
+        assert (g.full_mask() & ~mask_of(holes)).bit_count() == 16 - i // 2
         _check_scan(g, g.full_mask() & ~mask_of(holes))
 
 
-def test_scan_walks_in_rows_from_eleven_vertices(monkeypatch):
-    """Hosts of up to 10 alive vertices walk every other vertex; larger ones
-    walk the top 7 and carry the rest in rows."""
+def test_scan_walks_in_rows_from_eight_vertices(monkeypatch):
+    """Hosts of up to 7 alive vertices walk every other vertex; larger ones
+    carry the lowest 8 others, or all of them, in rows and walk the rest."""
     walks = []
     real = connectivity._gray_flips
     monkeypatch.setattr(connectivity, "_gray_flips", lambda c: walks.append(c) or real(c))
     for n in range(2, EXHAUSTIVE_LIMIT + 1):
         _scan_bipartitions(complete(n).adjacency_masks(), complete(n).full_mask())
-    assert walks == list(range(1, 10)) + [7] * 6
+    assert walks == list(range(1, 7)) + [0, 0, 1, 2, 3, 4, 5, 6, 7]
 
 
 def _vertex_connectivity_by_definition(g):

@@ -117,6 +117,69 @@ def test_prufer_encode_known():
     assert prufer_encode(star_tree(5)) == [0, 0, 0]
 
 
+def _relabel_by_reference(g: Graph) -> TreeSpec:
+    """tree_from_graph's breadth-first labelling, written on a relabel map."""
+    relabel = {0: 0}
+    parents = [-1] * g.n
+    queue = [0]
+    for u in queue:
+        for w in sorted(g.neighbors(u)):
+            if w not in relabel:
+                relabel[w] = len(relabel)
+                parents[relabel[w]] = relabel[u]
+                queue.append(w)
+    return TreeSpec(tuple(parents))
+
+
+def _prufer_decode_by_reference(seq: list[int]) -> TreeSpec:
+    """Decode through a Graph: join each entry in turn to the smallest vertex
+    neither removed nor still to come, the last two left to each other, then
+    relabel."""
+    m = len(seq) + 2
+    removed, edges = [], []
+    for i, x in enumerate(seq):
+        leaf = min(v for v in range(m) if v not in removed and v not in seq[i:])
+        removed.append(leaf)
+        edges.append((leaf, x))
+    u, v = [w for w in range(m) if w not in removed]
+    return _relabel_by_reference(Graph(m, edges + [(u, v)]))
+
+
+def _prufer_encode_by_reference(tree: TreeSpec) -> list[int]:
+    """Encode on a Graph: strip the smallest leaf m - 2 times, recording its neighbour."""
+    g = Graph(tree.order, tree.edges())
+    adj = {v: set(g.neighbors(v)) for v in range(g.n)}
+    out = []
+    for _ in range(tree.order - 2):
+        leaf = min(v for v in adj if len(adj[v]) == 1)
+        (neighbor,) = adj.pop(leaf)
+        adj[neighbor].discard(leaf)
+        out.append(neighbor)
+    return out
+
+
+def test_prufer_codes_match_graph_references():
+    """Decode on every Pruefer sequence of order 2-7 and encode on every
+    tree of order 2-10, under its enumerated and three random labellings,
+    against the Graph-based references; tree_from_graph too."""
+    rng = SplitMix64(41)
+    for m in range(2, 8):
+        for code_int in range(m ** (m - 2)):
+            seq = [code_int // m ** i % m for i in range(m - 2)]
+            tree = prufer_decode(seq)
+            assert tree == _prufer_decode_by_reference(seq)
+            assert prufer_encode(tree) == _prufer_encode_by_reference(tree)
+    for m in range(2, ENUMERATION_LIMIT + 1):
+        for shape in enumerate_trees(m):
+            for tree in [shape] + [reordered(shape, rng) for _ in range(3)]:
+                assert prufer_encode(tree) == _prufer_encode_by_reference(tree)
+                perm = [rng.randrange(m - i) for i in range(m)]
+                labels = list(range(m))
+                labels = [labels.pop(j) for j in perm]
+                g = Graph(m, [(labels[u], labels[v]) for u, v in tree.edges()])
+                assert tree_from_graph(g) == _relabel_by_reference(g)
+
+
 def test_tree_from_graph():
     g = Graph(4, [(1, 3), (0, 3), (2, 0)])
     t = tree_from_graph(g)
