@@ -264,26 +264,47 @@ MUTANTS = [
         "return _MASK64 - _MASK64 % b + 1 if b & (b - 1) else 1 << 64",
         "tests/test_generators.py::test_randrange_rejects_the_partial_block",
     ),
-    # a lost try jumps only when none of its draws left is rejected, the
-    # next one at bound i included
+    # a window is clear only when its last draw is not on a rejected state
     (
         "rng.py",
-        "_MASK64, n) > i:",
-        "_MASK64, n) >= i:",
+        "return ahead > at + count",
+        "return ahead >= at + count",
         "tests/test_generators.py::test_cycle_skips_rejected_draws_like_the_whole_shuffle",
     ),
-    # and jumps the i - 1 draws left at bounds i ... 2, not one more
+    # a window that wraps past 2^64 goes on from position 0
     (
         "rng.py",
-        "state = (state + (i - 1) * _GOLDEN) & _MASK64",
-        "state = (state + i * _GOLDEN) & _MASK64",
+        "else positions[0] + (1 << 64)",
+        "else 1 << 128",
+        "tests/test_generators.py::test_cycle_skips_rejected_draws_like_the_whole_shuffle",
+    ),
+    # in a clear window, try c + 1 starts (c + 1) * (n - 1) draws in
+    (
+        "rng.py",
+        "(start + (c + 1) * step * _GOLDEN)",
+        "(start + c * step * _GOLDEN)",
+        "tests/test_generators.py::test_cycle_matches_the_whole_shuffle_on_drawn_masks",
+    ),
+    # only orders up to 64, whose bounds are all tabled, take the clear window
+    (
+        "rng.py",
+        "if n <= _TABLED_BOUND and _clear(",
+        "if n <= _TABLED_BOUND + 1 and _clear(",
+        "tests/test_generators.py::test_cycle_skips_rejected_draws_like_the_whole_shuffle",
+    ),
+    # a lost try drawn one at a time jumps the i - 1 draws left at bounds
+    # i ... 2, not one more
+    (
+        "rng.py",
+        "(self._state + (i - 1) * _GOLDEN)",
+        "(self._state + i * _GOLDEN)",
         "tests/test_generators.py::test_cycle_skips_rejected_draws_like_the_whole_shuffle",
     ),
     # the packer's sentinel after the last place is in no mask
     (
         "rng.py",
-        "places = list(range(n + 1))",
-        "places = list(range(n)) + [0]",
+        "list(range(n + 1)), n - 1",
+        "list(range(n)) + [0], n - 1",
         "tests/test_generators.py::test_cycle_matches_the_whole_shuffle_on_drawn_masks",
     ),
     # the tree statement is open exactly for k >= 4, m >= 3

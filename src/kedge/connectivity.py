@@ -174,6 +174,8 @@ def _far_pairs_reach(nb: Sequence[int], ids: Sequence[int], alive: int, best: in
     neighbourhoods nb, counted on the ring of a (see the module docstring)."""
     for a in ids:
         near = ball = nb[a] | 1 << a
+        if not alive & ~near & -(2 << a):
+            continue  # no higher vertex lies outside N[a], so none outside the ball
         for u in _bits(nb[a]):
             ball |= nb[u]
         if not (fars := alive & ~ball & -(2 << a)):

@@ -111,9 +111,7 @@ def _cycle_stack(n: int, t: int, rng: SplitMix64) -> list[int]:
     return adj
 
 
-def gen_hamiltonian_stack(
-    n: int, t: int, extra_edge_prob: float, seed: int
-) -> Graph:
+def gen_hamiltonian_stack(n: int, t: int, extra_edge_prob: float, seed: int) -> Graph:
     """Union of t edge-disjoint Hamiltonian cycles plus random extras.
 
     2t-edge-connected by construction (_cycle_stack), which is still checked
@@ -124,9 +122,7 @@ def gen_hamiltonian_stack(
     if t < 1:
         raise ValueError("t must be at least 1")
     if 2 * t >= n:
-        raise ValueError(
-            f"cannot pack {t} edge-disjoint hamiltonian cycles on {n} vertices"
-        )
+        raise ValueError(f"cannot pack {t} edge-disjoint hamiltonian cycles on {n} vertices")
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise ValueError("extra_edge_prob must be a probability")
     rng = SplitMix64(seed)
@@ -139,9 +135,7 @@ def gen_hamiltonian_stack(
                 adj[v] |= 1 << u
     g = Graph._of_masks(adj)
     if not is_k_edge_connected(g, 2 * t):
-        raise InternalCheckError(
-            "hamiltonian stack failed its structural connectivity guarantee"
-        )
+        raise InternalCheckError("hamiltonian stack failed its structural connectivity guarantee")
     return g
 
 
@@ -154,6 +148,8 @@ def _augmented_attempt(n: int, k: int, delta_min: int, seed: int) -> Graph | Non
     except GenerationError:
         return None
     rng = SplitMix64(derive_seed(seed, 1))
+    # each draw adds an edge at a vertex below delta_min, at a bound up to n - 1
+    draws = rng.draws(sum(max(0, delta_min - mask.bit_count()) for mask in adj), n - 1)
     full = (1 << n) - 1
     # v is the lowest id at the minimum degree low: ids below v are above low,
     # and degrees only grow, so v moves up, back to 0 when low does
@@ -167,7 +163,8 @@ def _augmented_attempt(n: int, k: int, delta_min: int, seed: int) -> Graph | Non
             # v's non-neighbours (deg v < delta_min < n leaves one); the draw picks
             # among them in ascending order: drop that many lowest, take the next
             rest = full & ~adj[v] & ~(1 << v)
-            for _ in range(rng.randrange(rest.bit_count())):
+            b = rest.bit_count()
+            for _ in range(rng.randrange(b) if draws is None else next(draws) % b):
                 rest &= rest - 1
             w = (rest & -rest).bit_length() - 1
             adj[v] |= 1 << w

@@ -23,7 +23,7 @@ from kedge.generators import (
     random_graph,
     two_cliques_bridged,
 )
-from kedge import generators
+from kedge import generators, rng as rng_module
 from kedge.graph import MAX_ORDER
 from kedge.io import write_edge_list, write_graph6
 from kedge.rng import (
@@ -31,9 +31,10 @@ from kedge.rng import (
     _GOLDEN_INV,
     _MASK64,
     SplitMix64,
-    _jump_table,
+    _clear,
     _limit,
     _mix64,
+    _rejected_positions,
     _rejected_states,
     _unmix64,
     derive_seed,
@@ -206,17 +207,20 @@ def _assert_cycle_matches_reference(seed, n, avoid, tries=1):
     return got
 
 
-def test_cycle_skips_rejected_draws_like_the_whole_shuffle():
+def test_cycle_skips_rejected_draws_like_the_whole_shuffle(monkeypatch):
     """Random seeds almost never draw a rejected value, so these seeds are
     built to: state seed + d * golden is the preimage of a draw at or above
     the limit of the bound of draw d, so that draw is rejected.  On K_n
     masks every try is lost and takes n - 1 draws, so d = (t - 1)(n - 1) + j
-    puts the rejection at draw j of try t.  The first shared edge shows
-    after draw 2, so j <= 2 rejects before it and j >= 3 inside the draws
-    that a jump would skip: at n = 7, 12 and 40 all of them are tabled, and
-    at n = 70 draws at bounds 70..65 are mixed before the jump.  With empty
-    masks the rejected draw sits inside the first try, which is accepted."""
-    for n in (7, 12, 40, 70):
+    puts the rejection at draw j of try t, inside the call's window of
+    3(n - 1) draws, which is then not clear: draws are made one at a time,
+    and a lost try's draws left are jumped only when they are clear.  The
+    first shared edge shows after draw 2, so j <= 2 rejects before it and
+    j >= 3 among the draws a jump would skip.  n = 64 has the last tabled
+    bound and n = 65 the first untabled one; at n = 70 draws at bounds
+    70..65 are made before the jump.  With empty masks the rejected draw
+    sits inside the first try, which is accepted."""
+    for n in (7, 12, 40, 64, 65, 70):
         full = (1 << n) - 1
         complete_masks = [full ^ 1 << v for v in range(n)]
         for j in range(1, n):
@@ -229,6 +233,27 @@ def test_cycle_skips_rejected_draws_like_the_whole_shuffle():
                     assert _assert_cycle_matches_reference(seed, n, complete_masks, 3) is None
                 seed = (_unmix64(y) - j * _GOLDEN) & _MASK64
                 assert _assert_cycle_matches_reference(seed, n, [0] * n) is not None
+    # the window's edges: a rejected state at the last of the call's 3 * 11
+    # draws, and one just past it, which leaves the window clear
+    r, n = _unmix64(_MASK64), 12
+    complete_masks = [(1 << n) - 1 ^ 1 << v for v in range(n)]
+    for d, clear in ((33, False), (34, True)):
+        seed = (r - d * _GOLDEN) & _MASK64
+        assert _clear(seed, 3 * (n - 1)) is clear
+        assert _assert_cycle_matches_reference(seed, n, complete_masks, 3) is None
+    # a window that wraps past 2^64 goes on from position 0: from position
+    # 2^64 - 5, the least rejected position p is draw p + 5
+    seed, least = -5 * _GOLDEN & _MASK64, _rejected_positions()[0]
+    assert _clear(seed, least + 4) and not _clear(seed, least + 5)
+    assert _assert_cycle_matches_reference(seed, n, complete_masks, 3) is None
+    assert _assert_cycle_matches_reference(seed, n, [0] * n) is not None
+    # only orders up to 64, whose bounds are all tabled, mix their draws in lanes
+    mixed, real = [], rng_module._mixed
+    monkeypatch.setattr(rng_module, "_mixed", lambda *args: mixed.append(args) or real(*args))
+    for n in (64, 65):
+        mixed.clear()
+        assert _assert_cycle_matches_reference(1, n, [0] * n) is not None
+        assert bool(mixed) is (n == 64), n
 
 
 def test_cycle_matches_the_whole_shuffle_on_drawn_masks():
@@ -249,12 +274,17 @@ def test_cycle_matches_the_whole_shuffle_on_drawn_masks():
     assert 0 < later < accepted < 300  # some accepted tries follow a lost one
 
 
-def test_jump_table_holds_each_rejected_state_at_its_least_bound():
-    table = _jump_table()
-    assert len(table) == 849
-    for b in range(2, 65):
-        for r in _rejected_states(b):
-            assert 2 <= table[(r * _GOLDEN_INV + b) & _MASK64] <= b, (b, r)
+def test_rejected_positions_are_the_tabled_states_over_gamma():
+    """The sorted tuple holds r / gamma for each of the 849 tabled rejected
+    states (bound, r), which fall on 55 distinct states, and nothing else."""
+    positions = _rejected_positions()
+    pairs = [(b, r) for b in range(2, 65) for r in _rejected_states(b)]
+    assert len(pairs) == 849 and len(positions) == 55
+    assert list(positions) == sorted(set(positions))
+    assert set(positions) == {r * _GOLDEN_INV & _MASK64 for _, r in pairs}
+    for p in positions:
+        state = p * _GOLDEN & _MASK64  # the state at stream position p
+        assert any(_mix64(state) >= _limit(b) for b in range(3, 65)), p
 
 
 def test_cycle_checks_its_arguments():
@@ -334,6 +364,70 @@ def test_generator_golden_outputs(monkeypatch):
     assert len(attempts) == 64
     with pytest.raises(GenerationError, match="cycle 3 of 3 after 200 tries"):
         gen_hamiltonian_stack(7, 3, 0.0, 1)
+
+
+class _Counted(SplitMix64):
+    """A stream that records the draw each randrange call starts at."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.starts, self.made = [], 0
+
+    def next_u64(self):
+        self.made += 1
+        return super().next_u64()
+
+    def randrange(self, n):
+        self.starts.append(self.made + 1)
+        return super().randrange(n)
+
+
+def _reference_degree_pass(n, k, delta_min, seed, rng):
+    """_augmented_attempt's masks with the degree pass drawn through
+    randrange: while the least degree is below delta_min, the lowest vertex
+    at it gets a uniform one of its non-neighbours, in ascending order."""
+    adj = generators._cycle_stack(n, (k + 1) // 2, SplitMix64(seed))
+    while (low := min(mask.bit_count() for mask in adj)) < delta_min:
+        v = next(u for u in range(n) if adj[u].bit_count() == low)
+        rest = [w for w in range(n) if w != v and not adj[v] >> w & 1]
+        w = rest[rng.randrange(len(rest))]
+        adj[v] |= 1 << w
+        adj[w] |= 1 << v
+    return adj
+
+
+def test_degree_pass_draws_like_randrange_on_crafted_seeds():
+    """derive_seed(seed, 1) = mix(mix(seed) ^ gamma) is inverted so that the
+    pass's stream reaches r = unmix(2^64 - 1), a tabled state that every
+    bound other than a power of two rejects, at draw d: the pass's first
+    draw, one in the middle, its last and one past its last.  Each attempt
+    must give the reference's masks; in the first three the draw at d is
+    rejected.  A 66-vertex host may draw at bounds up to 65, past the table,
+    so its pass draws through randrange."""
+    r = _unmix64(_MASK64)
+
+    def run(n, delta_min, d):
+        seed = _unmix64(_unmix64((r - d * _GOLDEN) & _MASK64) ^ _GOLDEN)
+        rng = _Counted(derive_seed(seed, 1))
+        want = _reference_degree_pass(n, 2, delta_min, seed, rng)
+        got = generators._augmented_attempt(n, 2, delta_min, seed).adjacency_masks()
+        assert list(got) == want, (n, delta_min, d)
+        return rng
+
+    placed = {}
+    for n, delta_min in ((12, 6), (12, 7)):
+        for d in range(1, 5 * n):
+            rng = run(n, delta_min, d)
+            if d in rng.starts and rng.made == len(rng.starts) + 1:
+                where = "first" if d == 1 else "last" if d == rng.starts[-1] else "middle"
+                placed.setdefault(where, (n, delta_min, d))
+            elif rng.made == d - 1:
+                placed.setdefault("past", (n, delta_min, d))
+    assert sorted(placed) == ["first", "last", "middle", "past"], placed
+    for seed in range(3):
+        rng = _Counted(derive_seed(seed, 1))
+        want = _reference_degree_pass(66, 2, 4, seed, rng)
+        assert list(generators._augmented_attempt(66, 2, 4, seed).adjacency_masks()) == want
 
 
 def test_gen_with_hypotheses_checks_each_promise_once(monkeypatch):
