@@ -328,12 +328,26 @@ MUTANTS = [
         "if False:",
         "tests/test_harness.py::test_config_rejects_m_values_with_trees",
     ),
-    # _confirm_miss reruns the finder, which must miss again
+    # a miss the statement does not predict reruns the finder, which must miss again
     (
         "harness.py",
-        "if rerun() is not None:",
+        "if statement.find(g, k, tree) is not None:",
         "if False:",
         "tests/test_harness.py::test_flaky_finder_is_an_internal_error",
+    ),
+    # only a predicted miss skips the recheck; an open cell's miss does not
+    (
+        "harness.py",
+        "if expected == OUTCOME_NOT_FOUND:",
+        "if expected != OUTCOME_WITNESS:",
+        "tests/test_harness.py::test_flaky_finder_is_an_internal_error",
+    ),
+    # a host with lambda < k fails the hypotheses before any finder runs
+    (
+        "harness.py",
+        "return kprime if kprime >= k else None",
+        "return kprime",
+        "tests/test_harness.py::test_counterexample_host_below_hypotheses_is_a_generation_failure",
     ),
 ]
 

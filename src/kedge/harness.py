@@ -4,11 +4,11 @@ A campaign fixes a statement (removable vertex, removable edge pair,
 removable tree, or the tightness family), sweeps cells of parameters
 (k, and tree shape where relevant), and runs seeded trials per cell:
 generate a graph meeting the statement's hypotheses, run the finder, and
-re-verify whatever comes back.  A finder miss in a cell where the
-statement guarantees success is escalated to a violation candidate only
-after the hypotheses and the miss both re-verify from scratch; cells
-beyond the proven range are recorded as open-conjecture datapoints and
-never treated as failures.
+re-verify whatever comes back.  Campaigns, `verify_tightness` and
+`counterexample_search` share one hypotheses gate and one outcome rule:
+a hit is a witness, a miss the statement predicts is `not_found`, and any
+other miss is re-verified from scratch before it becomes a violation
+candidate, or an open-conjecture datapoint beyond the proven range.
 
 Everything is deterministic in the master seed: trial seeds are derived
 per (cell, trial), so re-running a config reproduces every report field
@@ -62,6 +62,7 @@ class Statement:
     its hypotheses ask for; `expected(k, m)` is the outcome every trial
     must show, or None where the statement is open; `shaped` says whether
     its cells sweep tree shapes (tree and m are None for the unshaped ones).
+    Only a miss `expected` predicts skips `_outcome`'s recheck.
     """
 
     kind: str
@@ -74,7 +75,8 @@ class Statement:
 # the finders are looked up when called, so a patched module name takes effect;
 # the tree statement (arXiv 2312.05886) is proven except for k >= 4, m >= 3,
 # and removing a tree from K_{k+m} leaves K_k, whose lambda k-1 misses k
-# unless k = 1, where K_1 counts as 1-edge-connected (see `TightnessReport`)
+# unless k = 1, where K_1 counts as 1-edge-connected (see `TightnessReport`);
+# the tightness floor is K_{k+m}'s degree, and a k = 1 miss is re-verified
 STATEMENTS = {
     "mader_vertex": Statement(
         "vertex", lambda g, k, tree: find_removable_vertex(g, k),
@@ -89,7 +91,7 @@ STATEMENTS = {
         lambda k, m: None if k >= 4 and m >= 3 else OUTCOME_WITNESS, shaped=True,
     ),
     "tightness": Statement(
-        "tree", lambda g, k, tree: find_removable_tree(g, k, tree), lambda k, m: k + m,
+        "tree", lambda g, k, tree: find_removable_tree(g, k, tree), lambda k, m: k + m - 1,
         lambda k, m: OUTCOME_WITNESS if k == 1 else OUTCOME_NOT_FOUND, shaped=True,
     ),
 }
@@ -304,32 +306,51 @@ def _draw_graph(
         return None
 
 
-def _confirm_miss(
-    g: Graph, k: int, delta: int, rerun: Callable[[], RemovalCertificate | None]
-) -> None:
-    """Re-verify a finder miss from scratch before it becomes a candidate.
+def _hypotheses(g: Graph | None, k: int, delta: int) -> int | None:
+    """The host's edge connectivity, or None when there is no host or it
+    misses the hypotheses: two vertices, minimum degree >= delta, lambda >= k."""
+    if g is None or g.n < 2 or g.min_degree() < delta:
+        return None
+    # lambda alone, with no witness cut: best is clamped to the minimum degree
+    kprime = _edge_value(g.adjacency_masks(), g.full_mask(), g.n, 0)[0]
+    return kprime if kprime >= k else None
 
-    The hypotheses are rechecked through the bipartition oracle when that
-    is feasible, and `rerun()` repeats the search, which must miss again.
+
+def _outcome(
+    name: str, g: Graph, k: int, tree: TreeSpec | None, delta: int
+) -> tuple[str, RemovalCertificate | None]:
+    """Statement `name`'s outcome and witness on a host that met its hypotheses.
+
+    A miss `expected` does not predict is re-verified first: the hypotheses
+    through the bipartition oracle when that is feasible, and a second
+    finder pass must miss again.
     """
+    statement = STATEMENTS[name]
+    cert = statement.find(g, k, tree)
+    if cert is not None:
+        return OUTCOME_WITNESS, cert
+    expected = statement.expected(k, tree.order if tree is not None else None)
+    if expected == OUTCOME_NOT_FOUND:
+        return OUTCOME_NOT_FOUND, None
     if g.min_degree() < delta or not (
         edge_connectivity_bruteforce(g) >= k
         if 2 <= g.n <= EXHAUSTIVE_LIMIT
         else is_k_edge_connected(g, k)
     ):
         raise InternalCheckError("hypotheses failed on recheck after a miss")
-    if rerun() is not None:
+    if statement.find(g, k, tree) is not None:
         raise InternalCheckError("finder disagreed with itself on a rerun")
+    return (OUTCOME_OPEN if expected is None else OUTCOME_VIOLATION), None
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run every (cell, trial) of the config and summarize outcomes per cell.
 
     Trials are independent and ordered by (cell index, trial index); the
-    report sequence does not depend on execution order.  A miss where the
-    statement guarantees a witness becomes a violation candidate only
-    after the hypotheses re-verify (oracle connectivity on small graphs)
-    and a second finder pass still comes up empty.
+    report sequence does not depend on execution order.  Each trial's
+    outcome comes from `_outcome`, so a miss the statement does not predict
+    is recorded only after the hypotheses re-verify (oracle connectivity
+    on small graphs) and a second finder pass still comes up empty.
     """
     cells = _cells(config)
     trials: list[TrialReport] = []
@@ -344,33 +365,11 @@ def _run_trial(
     config: CampaignConfig, cell: Cell, trial_index: int, seed: int
 ) -> TrialReport:
     start = time.perf_counter()
-    statement = STATEMENTS[config.statement]
-    delta = statement.floor(cell.k, cell.m) if config.delta_min is None else config.delta_min
-
-    def report(g, outcome, cert=None, kprime=None):
-        return TrialReport(
-            statement=config.statement,
-            k=cell.k,
-            m=cell.m,
-            tree=cell.spec,
-            cell_index=cell.index,
-            trial_index=trial_index,
-            seed=seed,
-            n=g.n if g is not None else None,
-            edge_count=g.edge_count if g is not None else None,
-            min_degree=g.min_degree() if g is not None else None,
-            kprime=kprime,
-            outcome=outcome,
-            witness_removed=cert.removed if cert is not None else None,
-            witness_residual_kprime=cert.residual_kprime if cert else None,
-            witness_residual_trivial=bool(cert and cert.residual_trivial),
-            graph=graph_payload(g) if g is not None else None,
-            wall_time=time.perf_counter() - start,
-        )
-
+    delta = STATEMENTS[config.statement].floor(cell.k, cell.m)
     if config.statement == "tightness":
-        g = complete(cell.k + cell.m)
+        g = complete(cell.k + cell.m)  # delta_min, model and n_range go unread
     else:
+        delta = delta if config.delta_min is None else config.delta_min
         g = _draw_graph(
             seed,
             config.n_range,
@@ -380,26 +379,30 @@ def _run_trial(
             config.params,
             min_order=cell.m + 1 if cell.m else 0,  # room for the tree
         )
-        # any model is allowed, so the hypotheses are confirmed up front
-        # (the value kernel needs two vertices)
-        if g is None or g.n < 2 or g.min_degree() < delta:
-            return report(g, OUTCOME_GENFAIL)
-    # lambda alone, with no witness cut: best is clamped to the minimum degree
-    kprime = _edge_value(g.adjacency_masks(), g.full_mask(), g.n, 0)[0]
-    # never true for tightness: K_{k+m} has edge connectivity k+m-1
-    if kprime < cell.k:
-        return report(g, OUTCOME_GENFAIL)
-    cert = statement.find(g, cell.k, cell.tree)
-    if cert is not None:
-        return report(g, OUTCOME_WITNESS, cert=cert, kprime=kprime)
-
-    if config.statement == "tightness":
-        return report(g, OUTCOME_NOT_FOUND, kprime=kprime)
-    if statement.expected(cell.k, cell.m) is None:
-        return report(g, OUTCOME_OPEN, kprime=kprime)
-
-    _confirm_miss(g, cell.k, delta, lambda: statement.find(g, cell.k, cell.tree))
-    return report(g, OUTCOME_VIOLATION, kprime=kprime)
+    # any model is allowed, so the hypotheses are confirmed up front
+    kprime = _hypotheses(g, cell.k, delta)
+    outcome, cert = OUTCOME_GENFAIL, None
+    if kprime is not None:
+        outcome, cert = _outcome(config.statement, g, cell.k, cell.tree, delta)
+    return TrialReport(
+        statement=config.statement,
+        k=cell.k,
+        m=cell.m,
+        tree=cell.spec,
+        cell_index=cell.index,
+        trial_index=trial_index,
+        seed=seed,
+        n=g.n if g is not None else None,
+        edge_count=g.edge_count if g is not None else None,
+        min_degree=g.min_degree() if g is not None else None,
+        kprime=kprime,
+        outcome=outcome,
+        witness_removed=cert.removed if cert is not None else None,
+        witness_residual_kprime=cert.residual_kprime if cert else None,
+        witness_residual_trivial=bool(cert and cert.residual_trivial),
+        graph=graph_payload(g) if g is not None else None,
+        wall_time=time.perf_counter() - start,
+    )
 
 
 def _summarize(
@@ -407,7 +410,8 @@ def _summarize(
 ) -> dict:
     per_cell: dict[str, dict] = {}
     for cell in cells:
-        rows = [t for t in trials if t.cell_index == cell.index]
+        # trials are ordered by (cell index, trial index), config.trials per cell
+        rows = trials[cell.index * config.trials : (cell.index + 1) * config.trials]
         counts = Counter(t.outcome for t in rows)
         expected = STATEMENTS[config.statement].expected(cell.k, cell.m)
         entry = {
@@ -462,12 +466,12 @@ def verify_tightness(k: int, m: int) -> TightnessReport:
         raise ValueError("k and m must be at least 1")
     g = complete(k + m)
     convention = k == 1
-    expected = STATEMENTS["tightness"].expected(k, m)
+    statement = STATEMENTS["tightness"]
+    expected, delta = statement.expected(k, m), statement.floor(k, m)
     rows = []
     ok = True
     for tree in enumerate_trees(m):
-        cert = find_removable_tree(g, k, tree)
-        outcome = OUTCOME_NOT_FOUND if cert is None else OUTCOME_WITNESS
+        outcome, cert = _outcome("tightness", g, k, tree, delta)
         rows.append((tree.spec_string(), outcome))
         # a witness is expected only at k = 1, and only by the convention
         if outcome != expected or cert is not None and not cert.residual_trivial:
@@ -516,31 +520,28 @@ def counterexample_search(k: int, m: int, budget: int, seed: int) -> Counterexam
 
     Generates `budget` graphs with connectivity >= k, minimum degree >=
     delta = k+m and order delta+1 to delta+8, and tries every tree of order
-    m on each.  A miss is reported as a candidate only after the hypotheses
+    m on each.  A host that misses the hypotheses counts as a generation
+    failure.  A miss is reported as a candidate only after the hypotheses
     re-verify and a second exhaustive pass still finds nothing.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    statement = STATEMENTS["tree"]
-    delta = statement.floor(k, m)
+    delta = STATEMENTS["tree"].floor(k, m)
     trees = enumerate_trees(m)
     candidates: list[dict] = []
     genfail = 0
-    tested = 0
-    min_delta_success: int | None = None
+    removable_degrees: list[int] = []
     for i in range(budget):
         trial_seed = derive_seed(seed, i)
         g = _draw_graph(trial_seed, (delta + 1, delta + 8), "with_hypotheses", k, delta)
-        if g is None:
+        if _hypotheses(g, k, delta) is None:
             genfail += 1
             continue
-        tested += 1
-        all_removable = True
-        for tree in trees:
-            if statement.find(g, k, tree) is not None:
-                continue
-            all_removable = False
-            _confirm_miss(g, k, delta, lambda: statement.find(g, k, tree))
+        # an open datapoint is a candidate here too: the search is for any miss
+        missed = [t for t in trees if _outcome("tree", g, k, t, delta)[0] != OUTCOME_WITNESS]
+        if not missed:
+            removable_degrees.append(g.min_degree())
+        for tree in missed:
             candidates.append(
                 {
                     "graph": graph_payload(g),
@@ -552,18 +553,14 @@ def counterexample_search(k: int, m: int, budget: int, seed: int) -> Counterexam
                     "min_degree": g.min_degree(),
                 }
             )
-        if all_removable:
-            d = g.min_degree()
-            if min_delta_success is None or d < min_delta_success:
-                min_delta_success = d
     return CounterexampleReport(
         k=k,
         m=m,
         budget=budget,
         seed=seed,
-        graphs_tested=tested,
+        graphs_tested=budget - genfail,
         trees_per_graph=len(trees),
         generation_failures=genfail,
         candidates=tuple(candidates),
-        min_delta_success=min_delta_success,
+        min_delta_success=min(removable_degrees, default=None),
     )

@@ -18,7 +18,7 @@ from kedge.harness import (
     write_report,
 )
 from kedge.connectivity import connectivity_report
-from kedge.generators import petersen_graph
+from kedge.generators import cycle_graph, petersen_graph, two_cliques_bridged
 from kedge.io import load_graph, parse_graph6, save_graph
 from kedge.rng import derive_seed
 from kedge.trees import enumerate_trees
@@ -208,17 +208,41 @@ def test_forced_miss_becomes_violation_candidate(monkeypatch):
         assert t.graph is not None  # reproduction data survives
 
 
-def test_flaky_finder_is_an_internal_error(monkeypatch):
+@pytest.mark.parametrize(
+    "finder, overrides",
+    [
+        ("find_removable_vertex", dict(statement="mader_vertex")),
+        # a miss in an open cell is re-verified before it becomes a datapoint
+        ("find_removable_tree", dict(statement="tree", k_values=(4,), m_values=(3,))),
+    ],
+    ids=["vertex", "open_tree_cell"],
+)
+def test_flaky_finder_is_an_internal_error(monkeypatch, finder, overrides):
     calls = {"n": 0}
-    real = harness.find_removable_vertex
+    real = getattr(harness, finder)
 
-    def flaky(g, k):
+    def flaky(*args):
         calls["n"] += 1
-        return None if calls["n"] % 2 else real(g, k)
+        return None if calls["n"] % 2 else real(*args)
 
-    monkeypatch.setattr(harness, "find_removable_vertex", flaky)
-    with pytest.raises(InternalCheckError):
-        run_campaign(small_config(statement="mader_vertex", trials=1))
+    monkeypatch.setattr(harness, finder, flaky)
+    with pytest.raises(InternalCheckError, match="rerun"):
+        run_campaign(small_config(trials=1, **overrides))
+    assert calls["n"] == 2
+
+
+def test_forced_tightness_miss_at_k1_is_a_violation_candidate(monkeypatch):
+    """Removal from K_{1+m} succeeds by the trivial-residual convention, so a
+    miss there, which only a broken finder gives, is re-verified and
+    escalated in the campaign and in `verify_tightness` alike."""
+    monkeypatch.setattr(harness, "find_removable_tree", lambda g, k, tree: None)
+    res = run_campaign(CampaignConfig("tightness", (1,), 2, 3, m_values=(3,)))
+    assert res.has_violation
+    assert [t.outcome for t in res.trials] == ["theorem_violation_candidate"] * 2
+    assert res.summary["per_cell"]["tightness k=1 tree=prufer:0"]["all_expected"] is False
+    rep = verify_tightness(1, 3)
+    assert rep.rows == (("prufer:0", "theorem_violation_candidate"),)
+    assert not rep.passed
 
 
 def test_config_validation():
@@ -316,6 +340,19 @@ def test_counterexample_search_small():
     assert rep.to_dict()["candidates"] == []
     with pytest.raises(ValueError):
         counterexample_search(2, 2, budget=0, seed=1)
+
+
+@pytest.mark.parametrize(
+    "host",
+    # below the degree floor k+m = 4, then above it with edge connectivity 1
+    [cycle_graph(12), two_cliques_bridged(6, 1)],
+    ids=["low_degree", "low_connectivity"],
+)
+def test_counterexample_host_below_hypotheses_is_a_generation_failure(monkeypatch, host):
+    monkeypatch.setattr(harness, "_draw_graph", lambda *args: host)
+    rep = counterexample_search(k=2, m=2, budget=3, seed=1)
+    assert (rep.graphs_tested, rep.generation_failures) == (0, 3)
+    assert rep.candidates == () and rep.min_delta_success is None
 
 
 def test_counterexample_miss_becomes_candidate(monkeypatch):
