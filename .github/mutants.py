@@ -160,7 +160,7 @@ MUTANTS = [
         "a = min(c, _ROW_BITS - 1)",
         "tests/test_connectivity.py::test_scan_walks_in_rows_from_eight_vertices",
     ),
-    # _certify's oracle cross-check
+    # _first_certified's oracle cross-check
     (
         "removal.py",
         "if oracle != kprime:",
@@ -170,8 +170,15 @@ MUTANTS = [
     # the tree walk's floor: hosts strictly above the floor vertex's host
     (
         "removal.py",
-        "left[i] &= -(2 << hosts[floors[i]])",
-        "left[i] &= -(4 << hosts[floors[i]])",
+        "candidates &= -(2 << hosts[floors[i]])",
+        "candidates &= -(4 << hosts[floors[i]])",
+        "tests/test_removal.py::test_tree_images_follow_first_embedding_order",
+    ),
+    # the walk gives a level back its used mask when it ascends to it
+    (
+        "removal.py",
+        "before = base[i]",
+        "before = 0",
         "tests/test_removal.py::test_tree_images_follow_first_embedding_order",
     ),
     # a floor of 0 only for a vertex whose whole-tree code is the root's

@@ -101,11 +101,6 @@ def _edge_value(
     at the last step that lowered best, None if no step did.  A zero cut ends
     the orderings, as no later phase can lower best or move the side.
     """
-    def find(v: int) -> int:
-        while leader[v] != v:
-            leader[v] = v = leader[leader[v]]
-        return v
-
     # the lowest vertex first: a large host missing stop there is not decoded
     first = (masks[(alive & -alive).bit_length() - 1] & alive).bit_count()
     if first < stop:
@@ -125,6 +120,12 @@ def _edge_value(
     nb = [m & alive for m in masks[: alive.bit_length()]]
     if len(ids) <= EXHAUSTIVE_LIMIT and _far_pairs_reach(nb, ids, alive, best):
         return best, None
+
+    def find(v: int) -> int:
+        while leader[v] != v:
+            leader[v] = v = leader[leader[v]]
+        return v
+
     deg = list(map(int.bit_count, nb))
     members = [1 << v for v in range(len(nb))]
     owner = list(range(len(nb)))

@@ -61,8 +61,9 @@ class Statement:
     `find(g, k, tree)` runs its finder; `floor(k, m)` is the minimum degree
     its hypotheses ask for; `expected(k, m)` is the outcome every trial
     must show, or None where the statement is open; `shaped` says whether
-    its cells sweep tree shapes (tree and m are None for the unshaped ones).
-    Only a miss `expected` predicts skips `_outcome`'s recheck.
+    its cells sweep tree shapes (tree and m are None for the unshaped ones);
+    `convention(k)`, whether that outcome at k rests on K_1 counting as
+    1-edge-connected.  Only a miss `expected` predicts skips `_outcome`'s recheck.
     """
 
     kind: str
@@ -70,13 +71,13 @@ class Statement:
     floor: Callable[[int, int | None], int]
     expected: Callable[[int, int | None], str | None]
     shaped: bool
+    convention: Callable[[int], bool] = lambda k: False
 
 
 # the finders are looked up when called, so a patched module name takes effect;
-# the tree statement (arXiv 2312.05886) is proven except for k >= 4, m >= 3,
-# and removing a tree from K_{k+m} leaves K_k, whose lambda k-1 misses k
-# unless k = 1, where K_1 counts as 1-edge-connected (see `TightnessReport`);
-# the tightness floor is K_{k+m}'s degree, and a k = 1 miss is re-verified
+# the tree statement (arXiv 2312.05886) is proven except for k >= 4, m >= 3;
+# a tree off K_{k+m} leaves K_k, whose lambda k-1 misses k unless k = 1, the
+# convention cell (see `TightnessReport`); the tightness floor is K_{k+m}'s degree
 STATEMENTS = {
     "mader_vertex": Statement(
         "vertex", lambda g, k, tree: find_removable_vertex(g, k),
@@ -93,6 +94,7 @@ STATEMENTS = {
     "tightness": Statement(
         "tree", lambda g, k, tree: find_removable_tree(g, k, tree), lambda k, m: k + m - 1,
         lambda k, m: OUTCOME_WITNESS if k == 1 else OUTCOME_NOT_FOUND, shaped=True,
+        convention=lambda k: k == 1,
     ),
 }
 
@@ -425,7 +427,7 @@ def _summarize(
         }
         if expected is not None:
             entry["all_expected"] = counts[expected] == len(rows)
-        if config.statement == "tightness" and cell.k == 1:
+        if STATEMENTS[config.statement].convention(cell.k):
             entry["convention_sensitive"] = True
         per_cell[cell.label(config.statement)] = entry
     return {"per_cell": per_cell}
@@ -465,15 +467,15 @@ def verify_tightness(k: int, m: int) -> TightnessReport:
     if k < 1 or m < 1:
         raise ValueError("k and m must be at least 1")
     g = complete(k + m)
-    convention = k == 1
     statement = STATEMENTS["tightness"]
+    convention = statement.convention(k)
     expected, delta = statement.expected(k, m), statement.floor(k, m)
     rows = []
     ok = True
     for tree in enumerate_trees(m):
         outcome, cert = _outcome("tightness", g, k, tree, delta)
         rows.append((tree.spec_string(), outcome))
-        # a witness is expected only at k = 1, and only by the convention
+        # a witness is expected only in the convention cell, with a trivial residual
         if outcome != expected or cert is not None and not cert.residual_trivial:
             ok = False
     # the residual is the complete graph on k vertices; pin its value

@@ -2,19 +2,20 @@
 
 A vertex, edge, or subtree is removable when deleting it (with all incident
 edges) leaves the graph k-edge-connected.  The finders here scan in a fixed
-deterministic order, re-verify every hit from scratch, and return None when
-nothing qualifies.  Trees are placed by one walk, `_tree_images`, which
-yields the distinct vertex images of the tree's embeddings, each at its
+deterministic order and return None when nothing qualifies;
+`_first_certified`, the one certification routine, re-verifies every hit
+from scratch.  Trees are placed by one walk, `_tree_images`, which yields
+the distinct vertex images of the tree's embeddings, each at its
 lexicographically first embedding (tree vertices in index order, hosts
-ascending); its docstring gives the two pruning rules and why neither
-loses an image.  The tree finder walks it exhaustively.  Separately,
+ascending); its docstring gives the two pruning rules and why neither loses
+an image.  The tree finder walks it exhaustively.  Separately,
 `removable_tree_via_thomassen` handles graphs of very large minimum degree:
 it extracts a highly connected subgraph and takes the first image of the
 same walk inside the subgraph's interior, away from its boundary.  The
 extraction is `_extract`, which returns the subgraph and its boundary as
 vertex masks and raises ExtractionFailed on a miss; the dense route walks
-those masks, and `extract_connected_subgraph` wraps them in an HCSubgraph.
-The tree finder never takes that route.
+those masks, and `extract_connected_subgraph` wraps them in an
+HCSubgraph.  The tree finder never takes that route.
 """
 
 from __future__ import annotations
@@ -103,41 +104,34 @@ def _size_miss(order: int, boundary: int, k_target: int) -> str | None:
     return None
 
 
-def _certify(g: Graph, kind: str, removed: int, k: int) -> RemovalCertificate | None:
-    """Build a certificate if deleting the vertex mask `removed` keeps g k-edge-connected.
-
-    The residual is g's masks on the surviving vertices, with no graph
-    built.  One call of the value kernel gives its exact edge connectivity
-    or a value below k; the value is checked against the bipartition oracle,
-    which runs no flow either, whenever the residual is small enough.
-    """
-    masks = g.adjacency_masks()
-    alive = g.full_mask() & ~removed
-    if not alive & alive - 1:
-        # at most one vertex left: K1 is 1-edge-connected and nothing more
-        if alive and k == 1:
-            return RemovalCertificate(kind, tuple(_bits(removed)), None, True)
-        return None
-    kprime = _edge_value(masks, alive, alive.bit_count(), k)[0]
-    if kprime < k:
-        return None
-    if alive.bit_count() <= EXHAUSTIVE_LIMIT:
-        oracle = _scan_bipartitions(masks, alive)[0]
-        if oracle != kprime:
-            raise InternalCheckError(
-                f"kernel and oracle disagree on residual connectivity ({kprime} vs {oracle})"
-            )
-    return RemovalCertificate(kind, tuple(_bits(removed)), kprime, False)
-
-
 def _first_certified(
     g: Graph, kind: str, candidates: Iterable[int], k: int
 ) -> RemovalCertificate | None:
-    """Certificate for the first candidate vertex mask that `_certify` accepts."""
+    """Certificate for the first candidate vertex mask whose deletion keeps g k-edge-connected.
+
+    The one certification loop.  A residual is g's masks on the surviving
+    vertices, with no graph built: one value-kernel call gives its exact edge
+    connectivity or a value below k, checked against the bipartition oracle
+    (no flow either) whenever the residual is small enough.
+    """
+    masks, full = g.adjacency_masks(), g.full_mask()
     for removed in candidates:
-        cert = _certify(g, kind, removed, k)
-        if cert is not None:
-            return cert
+        alive = full & ~removed
+        if not alive & alive - 1:
+            # at most one vertex left: K1 is 1-edge-connected and nothing more
+            if alive and k == 1:
+                return RemovalCertificate(kind, tuple(_bits(removed)), None, True)
+            continue
+        kprime = _edge_value(masks, alive, alive.bit_count(), k)[0]
+        if kprime < k:
+            continue
+        if alive.bit_count() <= EXHAUSTIVE_LIMIT:
+            oracle = _scan_bipartitions(masks, alive)[0]
+            if oracle != kprime:
+                raise InternalCheckError(
+                    f"kernel and oracle disagree on residual connectivity ({kprime} vs {oracle})"
+                )
+        return RemovalCertificate(kind, tuple(_bits(removed)), kprime, False)
     return None
 
 
@@ -213,10 +207,11 @@ def _tree_images(
     The last tree vertex is placed in bulk: `filled[u]` masks the x for
     which u | x was yielded already.  It needs no floor: a completion the
     floor would cut is not first, so its image came out earlier, and
-    `filled` drops it with every other such completion.  The stack lives
-    in per-level arrays: a recursive generator would refer to itself
-    through its closure and keep every call's sets alive until the cyclic
-    collector runs.
+    `filled` drops it with every other such completion.  The level being
+    walked keeps its candidates and used mask in locals; `left` and `base`
+    save them on descent and give them back on ascent.  A recursive generator
+    would refer to itself through its closure and keep every call's sets
+    alive until the cyclic collector runs.
     """
     region = g.full_mask() if region is None else region
     last = tree.order - 1
@@ -239,19 +234,19 @@ def _tree_images(
     explored: set[int] = set()
     filled: dict[int, int] = {}
     hosts = [0] * tree.order
-    # per level: candidates left, used mask before placing
-    left = [0] * last
-    base = [0] * last
-    left[0] = region
-    i = 0
-    while i >= 0:
-        candidates = left[i]
+    left, base = [0] * last, [0] * last
+    candidates, before, i = region, 0, 0
+    while True:
         if not candidates:
+            if not i:
+                return
             i -= 1
+            candidates = left[i]
+            before = base[i]
             continue
         low = candidates & -candidates
-        left[i] = candidates ^ low
-        used = base[i] | low
+        candidates ^= low
+        used = before | low
         hosts[i] = low.bit_length() - 1
         if i == last - 1:
             # used lies inside region, so region ^ used is region minus used
@@ -275,11 +270,13 @@ def _tree_images(
         if key in explored:
             continue
         explored.add(key)
+        left[i] = candidates
+        base[i] = before
         i += 1
-        left[i] = masks[hosts[parents[i]]] & unused
+        candidates = masks[hosts[parents[i]]] & unused
         if floors[i] >= 0:
-            left[i] &= -(2 << hosts[floors[i]])
-        base[i] = used
+            candidates &= -(2 << hosts[floors[i]])
+        before = used
 
 
 def find_removable_tree(
@@ -372,7 +369,7 @@ def removable_tree_via_thomassen(
         raise InternalCheckError(
             "tree embedding failed inside a verified core interior"
         )
-    cert = _certify(g, "tree", image, k)
+    cert = _first_certified(g, "tree", (image,), k)
     if cert is None:
         raise TheoremViolation(
             "verified core produced a tree whose removal broke"

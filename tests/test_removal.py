@@ -1,6 +1,7 @@
 """Removable-structure finders, certificates, and the dense-graph machinery."""
 
 import itertools
+import math
 
 import pytest
 
@@ -22,7 +23,7 @@ from kedge.graph import Graph, mask_of
 from kedge.removal import (
     HCSubgraph,
     RemovalCertificate,
-    _certify,
+    _first_certified,
     _tree_images,
     decompose_cut,
     extract_connected_subgraph,
@@ -312,7 +313,7 @@ def test_tree_images_match_reference_on_twin_rich_hosts():
 def reference_tree_finder(g, k, tree):
     """First hit among the deduplicated embedding images, certified one by one."""
     for image in first_seen_images(g, tree):
-        cert = _certify(g, "tree", image, k)
+        cert = _first_certified(g, "tree", (image,), k)
         if cert is not None:
             return cert
     return None
@@ -338,6 +339,31 @@ def test_tree_finder_matches_reference_on_hits_and_misses():
             assert cert == reference_tree_finder(g, k, tree)
             outcomes.add(cert is None)
     assert outcomes == {True, False}
+
+
+def test_tightness_miss_certifies_each_image_once(monkeypatch):
+    """On K_{k+m} every m-subset is an image of every tree of order m, and
+    each leaves K_k, of lambda k-1: the finder misses after exactly
+    C(k+m, m) value-kernel calls, one per distinct image."""
+    true_value = removal._edge_value
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return true_value(*args)
+
+    monkeypatch.setattr(removal, "_edge_value", counting)
+    cases = 0
+    for k in (2, 3):
+        for m in (3, 4, 5):
+            g = complete(k + m)
+            for tree in enumerate_trees(m):
+                calls = 0
+                assert find_removable_tree(g, k, tree) is None
+                assert calls == math.comb(k + m, m)
+                cases += 1
+    assert cases == 2 * (1 + 2 + 3)
 
 
 def test_region_walk_first_image_is_deterministic():
@@ -472,7 +498,7 @@ def test_dense_route_failure_branches(monkeypatch):
     """A failed certificate and an empty walk are reported with full context."""
     g = complete(38)
     tree = path_tree(2)
-    monkeypatch.setattr(removal, "_certify", lambda *args: None)
+    monkeypatch.setattr(removal, "_first_certified", lambda *args: None)
     with pytest.raises(TheoremViolation) as info:
         removable_tree_via_thomassen(g, 1, tree)
     payload = info.value.payload
@@ -556,7 +582,7 @@ def test_mask_route_matches_relabelled_route():
         for _ in range(3):
             removed = {rng.randrange(g.n) for _ in range(rng.randrange(6))}
             certs, cut = relabelled_route(g, removed, ks)
-            assert [_certify(g, "x", mask_of(removed), k) for k in ks] == certs
+            assert [_first_certified(g, "x", (mask_of(removed),), k) for k in ks] == certs
             certified += sum(cert is not None for cert in certs)
             if cut is None:
                 with pytest.raises(ValueError):
