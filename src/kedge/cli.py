@@ -39,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="connectivity report for a graph file")
     p.add_argument("file")
-    p.add_argument("--format", choices=("edgelist", "graph6"), default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser(
@@ -96,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(args) -> int:
-    rep = connectivity_report(load_graph(args.file, args.format))
+    rep = connectivity_report(load_graph(args.file))
     print(f"vertices: {rep.n}")
     print(f"edges: {rep.edge_count}")
     print(f"min degree: {rep.min_degree}")

@@ -117,13 +117,12 @@ class CampaignConfig:
 
     For the shaped statements, shapes come from either `trees` (textual tree
     specs) or `m_values` (every tree of each listed order); the others take
-    neither.  The generator's degree target defaults to the statement's
-    degree floor in `STATEMENTS` and can be overridden with `delta_min`.
-    Configs come from JSON files, so field types are checked: counts, seeds
-    and delta_min must be ints (not bools), trees and model strings, and
-    params values numbers; a params key the model does not read is an error.
-    Orders are capped at `graph.MAX_ORDER`: it bounds n_range's high
-    end, and delta_min stays below it, since the order must exceed delta_min.
+    neither.  The generator's degree target is the statement's degree floor
+    in `STATEMENTS`, the same floor the hypotheses gate checks.
+    Configs come from JSON files, so field types are checked: counts and
+    seeds must be ints (not bools), trees and model strings, and params
+    values numbers; a params key the model does not read is an error.
+    Orders are capped at `graph.MAX_ORDER`, which bounds n_range's high end.
     """
 
     statement: str
@@ -134,7 +133,6 @@ class CampaignConfig:
     m_values: tuple[int, ...] = ()
     trees: tuple[str, ...] = ()
     model: str = "with_hypotheses"
-    delta_min: int | None = None
     params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
@@ -149,7 +147,6 @@ class CampaignConfig:
             ("trials", type(self.trials) is int),
             ("master_seed", type(self.master_seed) is int),
             ("model", type(self.model) is str),
-            ("delta_min", self.delta_min is None or type(self.delta_min) is int),
             ("params", all(type(v) in (int, float) for _, v in self.params)),
         ):
             if not ok:
@@ -170,8 +167,6 @@ class CampaignConfig:
             raise ValueError("n_range low end must be at least 1")
         if self.n_range[1] > MAX_ORDER:
             raise ValueError(f"n_range high end must be at most {MAX_ORDER}")
-        if self.delta_min is not None and not 0 <= self.delta_min < MAX_ORDER:
-            raise ValueError(f"delta_min must be at least 0 and below {MAX_ORDER}")
         if self.trees and self.m_values:
             raise ValueError("m_values and trees are mutually exclusive")
         shaped = STATEMENTS[self.statement].shaped
@@ -369,9 +364,8 @@ def _run_trial(
     start = time.perf_counter()
     delta = STATEMENTS[config.statement].floor(cell.k, cell.m)
     if config.statement == "tightness":
-        g = complete(cell.k + cell.m)  # delta_min, model and n_range go unread
+        g = complete(cell.k + cell.m)  # model, n_range and params go unread
     else:
-        delta = delta if config.delta_min is None else config.delta_min
         g = _draw_graph(
             seed,
             config.n_range,

@@ -139,18 +139,15 @@ def sniff_format(text: str) -> str:
     return "edgelist"
 
 
-def parse_graph(text: str, fmt: str | None = None) -> Graph:
-    fmt = fmt or sniff_format(text)
-    if fmt == "edgelist":
+def parse_graph(text: str) -> Graph:
+    if sniff_format(text) == "edgelist":
         return parse_edge_list(text)
-    if fmt == "graph6":
-        return parse_graph6(text)
-    raise ValueError(f"unknown graph format {fmt!r}")
+    return parse_graph6(text)
 
 
-def load_graph(path: str | os.PathLike, fmt: str | None = None) -> Graph:
+def load_graph(path: str | os.PathLike) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read(), fmt)
+        return parse_graph(fh.read())
 
 
 def graph_payload(g: Graph) -> dict:

@@ -147,9 +147,8 @@ class SplitMix64:
         order[n] = n is in no mask), then (order[0], order[1]) and the wrap
         edge.  When n <= 64 and the call's tries * (n - 1) draws are clear, try
         c starts c * (n - 1) draws in and the first 4 draws of a chunk of tries
-        are mixed at once.  Otherwise draws are made one at a time, and a lost
-        try's draws left are jumped when all are at tabled bounds and clear.
-        The stream ends where the whole shuffles' would.
+        are mixed at once.  Otherwise draws are made one at a time.  The stream
+        ends where the whole shuffles' would.
         """
         if n < 3 or len(avoid) != n or tries < 1:
             got = f"n={n}, {len(avoid)} masks, tries={tries}"
@@ -192,9 +191,6 @@ class SplitMix64:
                 if not shared:
                     order[i], order[j] = order[j], order[i]
                     shared = avoid[order[i]] >> order[i + 1] & 1
-                if shared and i <= _TABLED_BOUND and _clear(self._state, i - 1):
-                    self._state = (self._state + (i - 1) * _GOLDEN) & _MASK64
-                    break
             if not (shared or avoid[order[0]] >> order[1] & 1 or avoid[order[step]] >> order[0] & 1):
                 return order[:n]
         return None

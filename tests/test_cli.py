@@ -15,9 +15,11 @@ def run(args, capsys):
     return code, out.out, out.err
 
 
-def test_analyze(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ["edgelist", "graph6"])
+def test_analyze(tmp_path, capsys, fmt):
+    """The content picks the parser, whatever the file is called."""
     path = tmp_path / "k5.txt"
-    save_graph(complete(5), path)
+    save_graph(complete(5), path, fmt)
     code, out, _ = run(["analyze", str(path)], capsys)
     assert code == 0
     assert "edge connectivity: 4" in out
@@ -198,13 +200,14 @@ TREE_CONFIG = VALID_CONFIG | {"statement": "tree", "m_values": [2]}
             id="list-param",
         ),
         pytest.param(VALID_CONFIG | {"trials": 2.7}, id="fractional-trials"),
-        pytest.param(VALID_CONFIG | {"delta_min": 3.5}, id="fractional-delta_min"),
         pytest.param([VALID_CONFIG], id="top-level-list"),
         pytest.param(
             {key: v for key, v in VALID_CONFIG.items() if key != "k_values"},
             id="missing-k_values",
         ),
         pytest.param(VALID_CONFIG | {"n_rnage": [30, 40]}, id="unknown-key"),
+        # the degree floor is the statement's: a lower one would call C_8 a violation
+        pytest.param(VALID_CONFIG | {"model": "cycle:8", "delta_min": 2}, id="retired-delta_min"),
         # cells are keyed by label, so a repeated cell would merge in the summary
         pytest.param(VALID_CONFIG | {"k_values": [2, 2]}, id="repeated-k"),
         pytest.param(TREE_CONFIG | {"m_values": [2, 2]}, id="repeated-m"),
@@ -220,7 +223,6 @@ TREE_CONFIG = VALID_CONFIG | {"statement": "tree", "m_values": [2]}
         pytest.param(VALID_CONFIG | {"n_range": [8, 2**64 + 8]}, id="huge-n_range"),
         # one draw reaches this order, which no generator could allocate
         pytest.param(VALID_CONFIG | {"n_range": [8, 2**64 - 1]}, id="huge-order"),
-        pytest.param(VALID_CONFIG | {"delta_min": 2**64 - 1}, id="huge-delta_min"),
         pytest.param(
             TREE_CONFIG | {"m_values": [], "trees": [f"path:{MAX_ORDER + 1}"]}, id="huge-tree"
         ),

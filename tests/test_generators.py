@@ -214,12 +214,12 @@ def test_cycle_skips_rejected_draws_like_the_whole_shuffle(monkeypatch):
     masks every try is lost and takes n - 1 draws, so d = (t - 1)(n - 1) + j
     puts the rejection at draw j of try t, inside the call's window of
     3(n - 1) draws, which is then not clear: draws are made one at a time,
-    and a lost try's draws left are jumped only when they are clear.  The
-    first shared edge shows after draw 2, so j <= 2 rejects before it and
-    j >= 3 among the draws a jump would skip.  n = 64 has the last tabled
-    bound and n = 65 the first untabled one; at n = 70 draws at bounds
-    70..65 are made before the jump.  With empty masks the rejected draw
-    sits inside the first try, which is accepted."""
+    and a lost try still makes all n - 1 of its draws.  The first shared
+    edge shows after draw 2, so j <= 2 rejects before it and j >= 3 among
+    the draws a lost try makes after it.  n = 64 has the last tabled bound
+    and n = 65 the first untabled one; at n = 70 the first draws are at the
+    untabled bounds 70..65.  With empty masks the rejected draw sits inside
+    the first try, which is accepted."""
     for n in (7, 12, 40, 64, 65, 70):
         full = (1 << n) - 1
         complete_masks = [full ^ 1 << v for v in range(n)]
@@ -329,8 +329,8 @@ GOLDEN_HAMILTONIAN_STACK = {
     (15, 2, 0.3, 21): "NNRPAcxRDFekEfpB|[?",
 }
 
-# orders above graph6's 62, so pinned by the sha256 of the edge list: each
-# lost try mixes its draws at bounds above 64 before the rest are jumped
+# orders above graph6's 62, so pinned by the sha256 of the edge list: above
+# 64 vertices draws are made one at a time, all n - 1 of each lost try's
 GOLDEN_EDGE_LIST_SHA256 = {
     (gen_hamiltonian_stack, (70, 3, 0.1, 5)):
         "fa7706955db7d10daf1c82baab2631271e9f6003f110449274829069219d79b3",

@@ -109,7 +109,6 @@ def test_save_and_load(tmp_path):
     save_graph(g, p2, "graph6")
     assert load_graph(p1) == g
     assert load_graph(p2) == g
-    assert load_graph(p2, "graph6") == g
 
 
 def test_graph_payload_formats():
