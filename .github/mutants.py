@@ -229,6 +229,20 @@ MUTANTS = [
         "outside |= 0",
         "tests/test_removal.py::test_extract_connected_subgraph",
     ),
+    # a cut splits a connected core when either side keeps core vertices
+    # clear of it while the other holds core vertices
+    (
+        "removal.py",
+        "(h1 - d1 and h2 or h2 - d2 and h1)",
+        "(h2 - d2 and h1)",
+        "tests/test_removal.py::test_decompose_cut_raises_when_a_cut_splits_a_connected_core",
+    ),
+    (
+        "removal.py",
+        "(h1 - d1 and h2 or h2 - d2 and h1)",
+        "(h1 - d1 and h2)",
+        "tests/test_removal.py::test_decompose_cut_raises_when_a_cut_splits_a_connected_core",
+    ),
     # the two fragments of an overlap check belong to one graph
     (
         "fragments.py",
@@ -313,7 +327,7 @@ MUTANTS = [
         "None if k >= 3 and m >= 3 else",
         "tests/test_harness.py::test_open_range_starts_at_k4_m3",
     ),
-    # an unshaped statement takes no shapes
+    # a statement without a tree takes no shapes
     (
         "harness.py",
         "if shaped != bool(self.m_values or self.trees):",
@@ -347,6 +361,20 @@ MUTANTS = [
         "return kprime if kprime >= k else None",
         "return kprime",
         "tests/test_harness.py::test_counterexample_host_below_hypotheses_is_a_generation_failure",
+    ),
+    # a witness off K_{1+m} leaves K_1: the campaign reports its residual as
+    # trivial, and verify_tightness fails one with a residual value
+    (
+        "harness.py",
+        "witness_residual_trivial=cert is not None and cert.residual_kprime is None,",
+        "witness_residual_trivial=False,",
+        "tests/test_harness.py::test_convention_witness_reports_a_trivial_residual",
+    ),
+    (
+        "harness.py",
+        "if outcome != expected or cert is not None and cert.residual_kprime is not None:",
+        "if outcome != expected:",
+        "tests/test_harness.py::test_convention_witness_with_a_residual_value_fails_tightness",
     ),
 ]
 

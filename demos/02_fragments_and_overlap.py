@@ -34,7 +34,8 @@ f = next(fr for fr in fragments_of(g6, (0, 1), 4) if fr.side == frozenset({4}))
 f1 = next(fr for fr in fragments_of(g6, (2, 3), 4) if fr.side == frozenset({0, 1, 4}))
 res = check_fragment_overlap(f, f1)
 print("K6 overlap verdict:", res.verdict.name)
-print("  boundary splits evenly:", res.d_intersection_remainder, "=", res.d_remainder_complement)
+print("  edges to the remainder:", res.d_intersection_remainder)
+print("  host boundary:", res.d_intersection_outward, "= host connectivity", f.host_kprime)
 
 # a small-complement case found by scanning a sparse 6-vertex graph;
 # threshold 2 sits above both damaged graphs' connectivities
@@ -53,12 +54,12 @@ print("K6 scan:", stats.configurations, "configurations,",
 # descend to a minimal fragment and audit its disjointness property
 g = two_cliques_bridged(5, 2)
 f0 = fragments_of(g, (0, 1), 2)[0]
-res = minimal_fragment_descent(f0, 2)
-print("minimal fragment side", sorted(res.fragment.side), "from edge", res.fragment.deleted)
-audit = verify_descent_conclusion(res, 2)
+f1 = minimal_fragment_descent(f0, 2)
+print("minimal fragment side", sorted(f1.side), "from edge", f1.deleted)
+audit = verify_descent_conclusion(f1, 2)
 print("audit:", audit.fragments_checked, "fragments checked,",
       audit.disjoint_confirmed, "confirmed disjoint, min side degree", audit.min_side_degree)
 
 # cut-degree lower bounds for every vertex of a fragment side
-bounds = fragment_degree_bounds(res.fragment, 2)
+bounds = fragment_degree_bounds(f1, 2)
 print("degree bounds hold:", bounds.all_hold)

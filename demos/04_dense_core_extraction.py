@@ -47,4 +47,5 @@ parts = decompose_cut(g, core, (7,), cut, 2)
 print("cut ends on the small side:", sorted(parts.cut_ends_side))
 print("cut ends on the large side:", sorted(parts.cut_ends_complement))
 print("core parts per side:", len(parts.in_subgraph_side), "/", len(parts.in_subgraph_complement))
-print("some core vertex survives clear of the cut:", parts.surviving_interior)
+print("core connected enough for the dichotomy:", parts.subgraph_connected_enough,
+      "- large:", parts.subgraph_large)

@@ -47,9 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--k", type=int, required=True)
     which = p.add_mutually_exclusive_group(required=True)
-    # --vertex and --edge pick the unshaped statements; --tree takes a shape
+    # --vertex and --edge pick the statements without a tree; --tree takes a shape
     for name, statement in STATEMENTS.items():
-        if not statement.shaped:
+        if statement.kind != "tree":
             which.add_argument(
                 f"--{statement.kind}", dest="statement", action="store_const", const=name
             )
@@ -115,7 +115,7 @@ def cmd_find_removable(args) -> int:
         print(f"no removable {statement.kind} for k={args.k}")
         return EXIT_OK
     print(f"removable {cert.kind}: vertices {cert.removed}")
-    if cert.residual_trivial:
+    if cert.residual_kprime is None:
         print("residual: single vertex (trivially 1-edge-connected)")
     else:
         print(f"residual edge connectivity: {cert.residual_kprime}")
@@ -225,10 +225,6 @@ def main(argv: list[str] | None = None) -> int:
     except (KedgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def entry() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

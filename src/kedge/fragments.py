@@ -153,18 +153,16 @@ class OverlapResult:
     For an INTERSECTION_FRAGMENT verdict the boundary counts are filled in:
     `intersection` is side(f) & side(f1), `remainder` below means
     side(f) - side(f1), and `outward` means complement(f) | complement(f1).
-    `d_intersection_remainder` and `d_remainder_complement` count ambient
-    edges and are equal; `d_intersection_outward` counts edges of the first
-    host and equals `host_kprime`.
+    `d_intersection_remainder` counts ambient edges and equals the count
+    between the remainder and complement(f); `d_intersection_outward`
+    counts edges of the first host and equals f's `host_kprime`.
     """
 
     verdict: OverlapVerdict
     reason: str | None = None
     intersection: frozenset[int] | None = None
     d_intersection_remainder: int | None = None
-    d_remainder_complement: int | None = None
     d_intersection_outward: int | None = None
-    host_kprime: int | None = None
 
 
 def _unmet(reason: str) -> OverlapResult:
@@ -249,9 +247,7 @@ def _overlap_verdict(
                 OverlapVerdict.INTERSECTION_FRAGMENT,
                 intersection=frozenset(_bits(intersection)),
                 d_intersection_remainder=d_a,
-                d_remainder_complement=d_b,
                 d_intersection_outward=d_out,
-                host_kprime=kprime,
             )
     elif fc.bit_count() < f1s.bit_count():
         return OverlapResult(
@@ -345,16 +341,7 @@ def scan_overlap_cases(g: Graph) -> OverlapScanStats:
     return OverlapScanStats(pairs, configs, alpha, beta)
 
 
-@dataclass(frozen=True)
-class DescentResult:
-    """Smallest fragment confined to a region; its deleted pair is the edge
-    that spawned it."""
-
-    fragment: Fragment
-    region: frozenset[int]
-
-
-def minimal_fragment_descent(f0: Fragment, k: int) -> DescentResult:
+def minimal_fragment_descent(f0: Fragment, k: int) -> Fragment:
     """Find a smallest fragment inside f0's side plus the endpoints of e0.
 
     f0 is a fragment of g minus the endpoints of the edge e0.  The graph
@@ -364,6 +351,7 @@ def minimal_fragment_descent(f0: Fragment, k: int) -> DescentResult:
     whose endpoint deletion is still deficient contributes all fragments
     whose side stays inside the region; the smallest one wins.  Ties break
     toward the lexicographically least sorted side, then the least edge.
+    Its `deleted` pair is the edge that spawned it.
 
     The seed fragment itself belongs to the family, so the result is never
     larger than f0; when f0 is already minimal the descent returns it
@@ -392,8 +380,7 @@ def minimal_fragment_descent(f0: Fragment, k: int) -> DescentResult:
     if not family:
         raise InternalCheckError("seed fragment vanished from its own family")
     _, _, edge, side, alive, kprime = min(family)
-    fragment = _fragment(g, edge, alive, side, kprime)
-    return DescentResult(fragment, frozenset(_bits(region)))
+    return _fragment(g, edge, alive, side, kprime)
 
 
 @dataclass(frozen=True)
@@ -413,17 +400,18 @@ class DescentConclusionReport:
     min_side_degree: int
 
 
-def verify_descent_conclusion(result: DescentResult, k: int) -> DescentConclusionReport:
+def verify_descent_conclusion(f1: Fragment, k: int) -> DescentConclusionReport:
     """Confirm no later fragment avoiding the chosen edge meets the minimal one.
 
-    For every edge inside the minimal fragment's side whose endpoint
-    deletion is still deficient, and every fragment of that residual graph:
+    `f1` is the minimal fragment that `minimal_fragment_descent` returns,
+    and the chosen edge is its deleted pair.  For every edge inside f1's
+    side whose endpoint deletion is still deficient, and every fragment of
+    that residual graph:
     if the chosen edge lies in the fragment's complement, the fragment must
     be disjoint from the minimal side (TheoremViolation otherwise); if it
     lies in the fragment's side, the case is out of scope; if the fragment
     splits the chosen edge's endpoints, the case is recorded separately.
     """
-    f1 = result.fragment
     g = f1.graph
     e1 = normalize_edge(g, f1.deleted)
     minimal, _, _ = _checked_fragment(f1)

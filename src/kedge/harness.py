@@ -57,11 +57,11 @@ OUTCOME_GENFAIL = "generation_failed"
 class Statement:
     """What one checked statement says, for a cell's k and tree order m.
 
-    `kind` names what a witness removes (a certificate's kind);
-    `find(g, k, tree)` runs its finder; `floor(k, m)` is the minimum degree
-    its hypotheses ask for; `expected(k, m)` is the outcome every trial
-    must show, or None where the statement is open; `shaped` says whether
-    its cells sweep tree shapes (tree and m are None for the unshaped ones);
+    `kind` names what a witness removes (a certificate's kind); the "tree"
+    statements' cells sweep tree shapes, and tree and m are None for the
+    others.  `find(g, k, tree)` runs its finder; `floor(k, m)` is the minimum
+    degree its hypotheses ask for; `expected(k, m)` is the outcome every
+    trial must show, or None where the statement is open;
     `convention(k)`, whether that outcome at k rests on K_1 counting as
     1-edge-connected.  Only a miss `expected` predicts skips `_outcome`'s recheck.
     """
@@ -70,7 +70,6 @@ class Statement:
     find: Callable[[Graph, int, TreeSpec | None], RemovalCertificate | None]
     floor: Callable[[int, int | None], int]
     expected: Callable[[int, int | None], str | None]
-    shaped: bool
     convention: Callable[[int], bool] = lambda k: False
 
 
@@ -81,19 +80,19 @@ class Statement:
 STATEMENTS = {
     "mader_vertex": Statement(
         "vertex", lambda g, k, tree: find_removable_vertex(g, k),
-        lambda k, m: k + 1, lambda k, m: OUTCOME_WITNESS, shaped=False,
+        lambda k, m: k + 1, lambda k, m: OUTCOME_WITNESS,
     ),
     "edge_pair": Statement(
         "edge", lambda g, k, tree: find_removable_edge(g, k),
-        lambda k, m: k + 2, lambda k, m: OUTCOME_WITNESS, shaped=False,
+        lambda k, m: k + 2, lambda k, m: OUTCOME_WITNESS,
     ),
     "tree": Statement(
         "tree", lambda g, k, tree: find_removable_tree(g, k, tree), lambda k, m: k + m,
-        lambda k, m: None if k >= 4 and m >= 3 else OUTCOME_WITNESS, shaped=True,
+        lambda k, m: None if k >= 4 and m >= 3 else OUTCOME_WITNESS,
     ),
     "tightness": Statement(
         "tree", lambda g, k, tree: find_removable_tree(g, k, tree), lambda k, m: k + m - 1,
-        lambda k, m: OUTCOME_WITNESS if k == 1 else OUTCOME_NOT_FOUND, shaped=True,
+        lambda k, m: OUTCOME_WITNESS if k == 1 else OUTCOME_NOT_FOUND,
         convention=lambda k: k == 1,
     ),
 }
@@ -169,7 +168,7 @@ class CampaignConfig:
             raise ValueError(f"n_range high end must be at most {MAX_ORDER}")
         if self.trees and self.m_values:
             raise ValueError("m_values and trees are mutually exclusive")
-        shaped = STATEMENTS[self.statement].shaped
+        shaped = STATEMENTS[self.statement].kind == "tree"
         if shaped != bool(self.m_values or self.trees):
             need = "needs" if shaped else "takes no"
             raise ValueError(f"statement {self.statement!r} {need} m_values or trees")
@@ -259,7 +258,7 @@ class CampaignResult:
 
 
 def _cells(config: CampaignConfig) -> list[Cell]:
-    # the config holds shapes exactly when its statement is shaped
+    # the config holds shapes exactly when its statement removes a tree
     shapes: list[TreeSpec | None] = [None]
     if config.trees:
         shapes = [parse_tree_spec(s) for s in config.trees]
@@ -286,18 +285,18 @@ def _draw_graph(
     k: int,
     delta: int,
     params: tuple[tuple[str, float], ...] = (),
-    min_order: int = 0,
 ) -> Graph | None:
     """The seeded trial graph, or None when the generator gives up.
 
-    The order is drawn from `n_range`, then raised to at least `min_order`
-    and past `delta`, to leave room for minimum degree `delta`.
+    The order is drawn from `n_range`, then raised past `delta`, to leave
+    room for minimum degree `delta`.  That leaves room for a tree of order
+    m too: the tree statement's floor is k+m, so the order is above m.
     """
     lo, hi = n_range
     n = lo + SplitMix64(seed).randrange(hi - lo + 1)
     try:
         return generate(
-            model, max(n, delta + 1, min_order), k, delta, derive_seed(seed, 1), params
+            model, max(n, delta + 1), k, delta, derive_seed(seed, 1), params
         )
     except GenerationError:
         return None
@@ -366,15 +365,7 @@ def _run_trial(
     if config.statement == "tightness":
         g = complete(cell.k + cell.m)  # model, n_range and params go unread
     else:
-        g = _draw_graph(
-            seed,
-            config.n_range,
-            config.model,
-            cell.k,
-            delta,
-            config.params,
-            min_order=cell.m + 1 if cell.m else 0,  # room for the tree
-        )
+        g = _draw_graph(seed, config.n_range, config.model, cell.k, delta, config.params)
     # any model is allowed, so the hypotheses are confirmed up front
     kprime = _hypotheses(g, cell.k, delta)
     outcome, cert = OUTCOME_GENFAIL, None
@@ -395,7 +386,7 @@ def _run_trial(
         outcome=outcome,
         witness_removed=cert.removed if cert is not None else None,
         witness_residual_kprime=cert.residual_kprime if cert else None,
-        witness_residual_trivial=bool(cert and cert.residual_trivial),
+        witness_residual_trivial=cert is not None and cert.residual_kprime is None,
         graph=graph_payload(g) if g is not None else None,
         wall_time=time.perf_counter() - start,
     )
@@ -470,7 +461,7 @@ def verify_tightness(k: int, m: int) -> TightnessReport:
         outcome, cert = _outcome("tightness", g, k, tree, delta)
         rows.append((tree.spec_string(), outcome))
         # a witness is expected only in the convention cell, with a trivial residual
-        if outcome != expected or cert is not None and not cert.residual_trivial:
+        if outcome != expected or cert is not None and cert.residual_kprime is not None:
             ok = False
     # the residual is the complete graph on k vertices; pin its value
     if not convention and edge_connectivity(complete(k))[0] != k - 1:

@@ -47,14 +47,12 @@ class RemovalCertificate:
     `removed` is the deleted vertex set (for an edge, its two endpoints;
     for a tree, the embedded image).  `residual_kprime` is the exact edge
     connectivity of what remains, or None when the residual is a single
-    vertex and the trivial-graph convention applies instead
-    (`residual_trivial`).
+    vertex and the trivial-graph convention applies instead.
     """
 
     kind: str
     removed: tuple[int, ...]
     residual_kprime: int | None
-    residual_trivial: bool
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ def _first_certified(
         if not alive & alive - 1:
             # at most one vertex left: K1 is 1-edge-connected and nothing more
             if alive and k == 1:
-                return RemovalCertificate(kind, tuple(_bits(removed)), None, True)
+                return RemovalCertificate(kind, tuple(_bits(removed)), None)
             continue
         kprime = _edge_value(masks, alive, alive.bit_count(), k)[0]
         if kprime < k:
@@ -131,7 +129,7 @@ def _first_certified(
                 raise InternalCheckError(
                     f"kernel and oracle disagree on residual connectivity ({kprime} vs {oracle})"
                 )
-        return RemovalCertificate(kind, tuple(_bits(removed)), kprime, False)
+        return RemovalCertificate(kind, tuple(_bits(removed)), kprime)
     return None
 
 
@@ -399,11 +397,10 @@ class CutDecomposition:
     """How a small residual cut interacts with a highly connected core.
 
     The cut's two sides are split by membership in the core subgraph, and
-    the cut-edge endpoints are listed per side.  The boolean diagnostics
-    record the structural facts this decomposition must satisfy when the
-    core is sufficiently connected (and, for `surviving_interior`, also
-    sufficiently large); they are None when the respective hypothesis does
-    not hold.
+    the cut-edge endpoints are listed per side.  `subgraph_connected_enough`
+    says whether the core induces a (k+|tprime|)-connected subgraph, the
+    hypothesis under which `decompose_cut` checks its dichotomy, and
+    `subgraph_large` whether the core has more than 4(k+|tprime|)^2 vertices.
     """
 
     in_subgraph_side: frozenset[int]
@@ -412,12 +409,8 @@ class CutDecomposition:
     outside_complement: frozenset[int]
     cut_ends_side: frozenset[int]
     cut_ends_complement: frozenset[int]
-    cut_ends_small: bool
     subgraph_connected_enough: bool
     subgraph_large: bool
-    first_dichotomy: bool | None
-    second_dichotomy: bool | None
-    surviving_interior: bool | None
 
 
 def decompose_cut(
@@ -431,12 +424,17 @@ def decompose_cut(
 
     `tprime` is the removed tree image (inside the core's interior) and
     `cut` a minimum edge-cut of g minus tprime, given in ambient labels,
-    with value at most k-1.  The six sets partition the surviving vertices.
-    When the core induces a (k+|tprime|)-connected subgraph, each side's
-    core part must vanish once cut endpoints are discounted unless the
-    other side misses the core entirely; with the core also large, at
-    least one side keeps a core vertex clear of the cut.  Violations of
-    those facts raise TheoremViolation.
+    with value at most k-1.  The four in/outside sets partition the
+    surviving vertices, and each side's cut ends lie inside it.  When the
+    core induces a (k+|tprime|)-connected subgraph, each side's core part
+    must vanish once cut endpoints are discounted unless the other side
+    misses the core entirely; a violation raises TheoremViolation.
+
+    A large core always keeps a core vertex clear of the cut, which needs
+    no check.  Each cut edge has one end per side, so a side holds at most
+    k-1 cut ends.  A core whose parts on both sides are all cut ends thus
+    has at most 2(k-1) + |tprime| vertices, below the 4(k+|tprime|)^2 that
+    large requires.
     """
     tset = frozenset(tprime)
     if k < 1:
@@ -465,31 +463,17 @@ def decompose_cut(
     h2 = complement & h
     k_target = k + len(tset)
     connected_enough = _is_k_connected(masks, core_mask, k_target)
-    large = len(h) > 4 * k_target**2
-    cut_ends_small = len(d1) <= k - 1 and len(d2) <= k - 1
-
-    payload = {
-        "graph": graph_payload(g),
-        "k": k,
-        "tprime": tuple(sorted(tset)),
-        "cut_value": cut.value,
-        "core": tuple(sorted(h)),
-    }
-    first = second = surviving = None
-    if connected_enough:
-        first = not (h1 - d1) or not h2
-        second = not (h2 - d2) or not h1
-        if not (first and second):
-            raise TheoremViolation(
-                "small residual cut splits the connected core", payload
-            )
-        if large:
-            surviving = bool(h1 - d1) or bool(h2 - d2)
-            if not surviving:
-                raise TheoremViolation(
-                    "large core left no interior vertex clear of the cut",
-                    payload,
-                )
+    if connected_enough and (h1 - d1 and h2 or h2 - d2 and h1):
+        raise TheoremViolation(
+            "small residual cut splits the connected core",
+            {
+                "graph": graph_payload(g),
+                "k": k,
+                "tprime": tuple(sorted(tset)),
+                "cut_value": cut.value,
+                "core": tuple(sorted(h)),
+            },
+        )
     return CutDecomposition(
         in_subgraph_side=h1,
         in_subgraph_complement=h2,
@@ -497,10 +481,6 @@ def decompose_cut(
         outside_complement=complement - h,
         cut_ends_side=d1,
         cut_ends_complement=d2,
-        cut_ends_small=cut_ends_small,
         subgraph_connected_enough=connected_enough,
-        subgraph_large=large,
-        first_dichotomy=first,
-        second_dichotomy=second,
-        surviving_interior=surviving,
+        subgraph_large=len(h) > 4 * k_target**2,
     )

@@ -215,8 +215,8 @@ def test_08_minimal_fragment_descent_on_bridged_cliques():
     g = two_cliques_bridged(5, 2)
     f0 = fragments_of(g, (0, 1), 2)[0]
     res = minimal_fragment_descent(f0, 2)
-    assert len(res.fragment.side) == 3
-    assert sorted(res.fragment.side) == [0, 2, 3]
+    assert len(res.side) == 3
+    assert sorted(res.side) == [0, 2, 3]
     report = verify_descent_conclusion(res, 2)
     assert report.fragments_checked == 4
     assert report.disjoint_confirmed == 2

@@ -1,4 +1,8 @@
+import importlib
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -313,3 +317,17 @@ def test_counterexample(capsys):
     )
     assert code == 0
     assert "no counterexample candidates" in out
+
+
+def test_console_script_target(monkeypatch, capsys):
+    """The installed `kedge` script calls the target that pyproject.toml
+    names with no arguments and exits with what it returns, so the target
+    reads sys.argv and returns the exit code."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    module, name = re.search(r'^kedge = "([\w.]+):(\w+)"$', text, re.M).groups()
+    target = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(sys, "argv", ["kedge", "gen", "--model", "petersen"])
+    assert target() == 0
+    assert capsys.readouterr().out.startswith("10 15\n")
+    monkeypatch.setattr(sys, "argv", ["kedge", "gen", "--model", "nosuch"])
+    assert target() == 2

@@ -9,7 +9,6 @@ from kedge.connectivity import EXHAUSTIVE_LIMIT, edge_connectivity_bruteforce
 from kedge import connectivity
 from kedge.errors import InternalCheckError, TheoremViolation
 from kedge.fragments import (
-    DescentResult,
     Fragment,
     OverlapVerdict,
     _overlap_verdict,
@@ -106,7 +105,7 @@ def test_fragment_calls_reject_a_deleted_pair_that_is_not_an_edge():
         lambda: check_fragment_overlap(f, bad),
         lambda: check_fragment_overlap(bad, f),
         lambda: minimal_fragment_descent(bad, 1),
-        lambda: verify_descent_conclusion(DescentResult(bad, frozenset(range(3))), 1),
+        lambda: verify_descent_conclusion(bad, 1),
         lambda: fragment_degree_bounds(bad, 1),
     ):
         with pytest.raises(ValueError, match="not an edge"):
@@ -214,8 +213,8 @@ def test_overlap_alpha_on_k6():
     r = check_fragment_overlap(f, f1)
     assert r.verdict is OverlapVerdict.INTERSECTION_FRAGMENT
     assert r.intersection == {4}
-    assert r.d_intersection_remainder == r.d_remainder_complement == 0
-    assert r.d_intersection_outward == 3 == r.host_kprime
+    assert r.d_intersection_remainder == 0
+    assert r.d_intersection_outward == 3 == f.host_kprime
 
 
 def test_overlap_violation_carries_payload():
@@ -250,7 +249,7 @@ def test_overlap_alpha_zero_cut_host():
     f1 = next(x for x in fragments_of(g, (1, 2), 9) if x.side == {0, 3, 4})
     r = check_fragment_overlap(f, f1)
     assert r.verdict is OverlapVerdict.INTERSECTION_FRAGMENT
-    assert r.d_intersection_outward == 0 == r.host_kprime
+    assert r.d_intersection_outward == 0 == f.host_kprime
 
 
 def test_overlap_beta_case():
@@ -371,13 +370,13 @@ def test_descent_on_bridged_cliques():
     g = two_cliques_bridged(5, 2)
     f0 = fragments_of(g, (0, 1), 2)[0]
     res = minimal_fragment_descent(f0, 2)
-    assert res.fragment.deleted == (1, 4)
-    assert sorted(res.fragment.side) == [0, 2, 3]
-    assert res.region == frozenset(range(5))
-    res.fragment.validate()
+    assert res.deleted == (1, 4)
+    assert sorted(res.side) == [0, 2, 3]
+    assert res.side | set(res.deleted) <= f0.side | set(f0.deleted)
+    res.validate()
     # descending from the answer reproduces it
-    again = minimal_fragment_descent(res.fragment, 2)
-    assert again.fragment == res.fragment
+    again = minimal_fragment_descent(res, 2)
+    assert again == res
 
 
 def test_descent_conclusion_report():
@@ -403,7 +402,7 @@ def test_fragment_degree_bounds():
     g = two_cliques_bridged(5, 2)
     f0 = fragments_of(g, (0, 1), 2)[0]
     res = minimal_fragment_descent(f0, 2)
-    rep = fragment_degree_bounds(res.fragment, 2)
+    rep = fragment_degree_bounds(res, 2)
     assert rep.all_hold
     assert rep.side_order == 3
     assert len(rep.rows) == 3

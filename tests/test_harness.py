@@ -20,6 +20,7 @@ from kedge.harness import (
 from kedge.connectivity import connectivity_report
 from kedge.generators import cycle_graph, petersen_graph, two_cliques_bridged
 from kedge.io import load_graph, parse_graph6, save_graph
+from kedge.removal import RemovalCertificate
 from kedge.rng import derive_seed
 from kedge.trees import enumerate_trees
 
@@ -123,6 +124,15 @@ def test_explicit_tree_list():
         "tree k=1 tree=star:3",
         "tree k=1 tree=path:4",
     }
+
+
+def test_tree_draws_leave_room_for_the_tree():
+    """The order is raised past the degree floor, which for the tree
+    statement is k+m, so it already exceeds the tree's order m: n_range
+    (1, 1) draws order k+m+1, and every tree is removed."""
+    res = run_campaign(CampaignConfig("tree", (1, 3), 2, 0, n_range=(1, 1), m_values=(6,)))
+    assert {(t.k, t.n) for t in res.trials} == {(1, 8), (3, 10)}
+    assert all(t.outcome == "witness_found" for t in res.trials)
 
 
 def test_replay_determinism():
@@ -240,6 +250,25 @@ def test_forced_tightness_miss_at_k1_is_a_violation_candidate(monkeypatch):
     assert res.summary["per_cell"]["tightness k=1 tree=prufer:0"]["all_expected"] is False
     rep = verify_tightness(1, 3)
     assert rep.rows == (("prufer:0", "theorem_violation_candidate"),)
+    assert not rep.passed
+
+
+def test_convention_witness_reports_a_trivial_residual():
+    """At k = 1 a tree off K_{1+m} leaves K_1, whose witness the campaign
+    reports as trivial, with no residual connectivity."""
+    (trial,) = run_campaign(CampaignConfig("tightness", (1,), 1, 0, m_values=(3,))).trials
+    assert trial.outcome == "witness_found"
+    assert trial.witness_residual_trivial is True
+    assert trial.witness_residual_kprime is None
+
+
+def test_convention_witness_with_a_residual_value_fails_tightness(monkeypatch):
+    """The k = 1 cell expects a witness with a trivial residual; one that
+    carries a residual connectivity fails `verify_tightness`."""
+    cert = RemovalCertificate("tree", (0, 1, 2), 1)
+    monkeypatch.setattr(harness, "find_removable_tree", lambda g, k, tree: cert)
+    rep = verify_tightness(1, 3)
+    assert rep.rows == (("prufer:0", "witness_found"),)
     assert not rep.passed
 
 

@@ -73,7 +73,7 @@ def test_certify_checks_the_kernel_against_the_oracle(monkeypatch):
 def test_vertex_finder_trivial_residual():
     cert = find_removable_vertex(complete(2), 1)
     assert cert is not None
-    assert cert.residual_trivial and cert.residual_kprime is None
+    assert cert.residual_kprime is None
 
 
 def test_edge_finder_known_instances():
@@ -521,7 +521,7 @@ def test_dense_route_runs_no_flow(monkeypatch):
     core.validate(g)
     assert (core.vertices, core.boundary) == (frozenset(range(42)), frozenset())
     cert = removable_tree_via_thomassen(g, 1, path_tree(2))
-    assert cert == RemovalCertificate("tree", (0, 1), 35, False)
+    assert cert == RemovalCertificate("tree", (0, 1), 35)
     # two K_6 sharing vertices 4 and 5: vertices 0 and 6 have 2 < 3 common
     # neighbours, so deciding 3-connectivity needs a flow
     shared = Graph(10, [e for e in complete(10).edges() if e[1] < 6 or e[0] >= 4])
@@ -555,11 +555,11 @@ def relabelled_route(g, removed, ks):
         return [None for _ in ks], None
     residual, index = g.delete_vertices(removed)
     if residual.n == 1:
-        trivial = RemovalCertificate("x", removed, None, True)
+        trivial = RemovalCertificate("x", removed, None)
         return [trivial if is_k_edge_connected(residual, k) else None for k in ks], None
     kprime, cut = edge_connectivity(residual)
     certs = [
-        RemovalCertificate("x", removed, kprime, False)
+        RemovalCertificate("x", removed, kprime)
         if is_k_edge_connected(residual, k) else None
         for k in ks
     ]
@@ -607,10 +607,33 @@ def test_decompose_cut_pendant_instance():
     assert dec.outside_side == frozenset()
     assert dec.in_subgraph_complement == frozenset()
     assert dec.cut_ends_side == {0} and dec.cut_ends_complement == {38}
-    assert dec.cut_ends_small
     assert dec.subgraph_connected_enough and dec.subgraph_large
-    assert dec.first_dichotomy and dec.second_dichotomy
-    assert dec.surviving_interior
+
+
+@pytest.mark.parametrize(
+    "removed, core",
+    [
+        pytest.param(3, range(7), id="side-keeps-core-clear-of-the-cut"),
+        pytest.param(9, (0, 6, 7, 8, 9, 10, 11), id="complement-keeps-core-clear-of-the-cut"),
+    ],
+)
+def test_decompose_cut_raises_when_a_cut_splits_a_connected_core(monkeypatch, removed, core):
+    """The bridge 0-6 of two K_6 is the residual's min cut, and the core
+    straddles it.  In the first case the side keeps core vertices off the
+    cut while the complement holds core vertex 6; in the second the
+    complement keeps them while the side holds core vertex 0.  The core is
+    not 3-connected, so the dichotomy is not checked; once it counts as
+    connected enough, each case raises on its own half of the condition."""
+    g = two_cliques_bridged(6, 1)
+    hc = HCSubgraph(frozenset(core), frozenset(), 3)
+    cut = residual_min_cut(g, (removed,))
+    assert cut.edges == {(0, 6)}
+    assert not decompose_cut(g, hc, (removed,), cut, 2).subgraph_connected_enough
+    monkeypatch.setattr(removal, "_is_k_connected", lambda *args: True)
+    with pytest.raises(TheoremViolation, match="splits the connected core") as info:
+        decompose_cut(g, hc, (removed,), cut, 2)
+    assert info.value.payload["core"] == tuple(sorted(core))
+    assert info.value.payload["tprime"] == (removed,)
 
 
 def test_decompose_cut_preconditions():
