@@ -257,6 +257,27 @@ MUTANTS = [
         ", f1.deleted",
         "tests/test_fragments.py::test_fragment_calls_reject_a_deleted_pair_that_is_not_an_edge",
     ),
+    # the overlap hypotheses: the second edge lies in f's complement, and
+    # the two sides meet
+    (
+        "fragments.py",
+        "if e1m & ~fc:\n        return _unmet(",
+        "if False:\n        return _unmet(",
+        "tests/test_fragments.py::test_overlap_hypotheses_unmet",
+    ),
+    (
+        "fragments.py",
+        "if not fs & f1s:",
+        "if False:",
+        "tests/test_fragments.py::test_overlap_hypotheses_unmet",
+    ),
+    # the side intersection's boundary in the first host is recounted
+    (
+        "fragments.py",
+        "elif _boundary_count(masks, intersection, fc | f1c) != kprime:",
+        "elif False:",
+        "tests/test_fragments.py::test_overlap_violation_carries_payload",
+    ),
     # Graph.mask, the one range check on a caller's vertex ids, has two ends
     (
         "graph.py",
@@ -333,6 +354,13 @@ MUTANTS = [
         "if shaped != bool(self.m_values or self.trees):",
         "if shaped and not (self.m_values or self.trees):",
         "tests/test_cli.py::test_verify_usage_errors",
+    ),
+    # a tightness config draws no graph, so it names no model or order range
+    (
+        "harness.py",
+        'if self.statement == "tightness" and (self.model, self.n_range) != defaults:',
+        "if False:",
+        "tests/test_cli.py::test_verify_rejects_a_malformed_config",
     ),
     # a config takes shapes from m_values or from trees, not both
     (

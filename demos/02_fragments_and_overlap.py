@@ -35,7 +35,7 @@ f1 = next(fr for fr in fragments_of(g6, (2, 3), 4) if fr.side == frozenset({0, 1
 res = check_fragment_overlap(f, f1)
 print("K6 overlap verdict:", res.verdict.name)
 print("  edges to the remainder:", res.d_intersection_remainder)
-print("  host boundary:", res.d_intersection_outward, "= host connectivity", f.host_kprime)
+print("  its host boundary is a minimum cut, of size", f.host_kprime)
 
 # a small-complement case found by scanning a sparse 6-vertex graph;
 # threshold 2 sits above both damaged graphs' connectivities

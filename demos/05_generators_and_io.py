@@ -56,5 +56,5 @@ print("parse back:", parse_graph6(write_graph6(g)) == g)
 
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "k4.g6")
-    save_graph(g, path, fmt="graph6")
+    save_graph(g, path)
     print("file round-trip:", load_graph(path) == g)

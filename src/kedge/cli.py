@@ -130,8 +130,7 @@ def cmd_gen(args) -> int:
     params = tuple((key, float(value)) for key, _, value in pairs)
     g = generate(args.model, args.n, args.k, delta, args.seed, params)
     if args.out:
-        fmt = "graph6" if str(args.out).endswith(".g6") else "edgelist"
-        save_graph(g, args.out, fmt)
+        save_graph(g, args.out)
         print(f"wrote {g.n} vertices, {g.edge_count} edges to {args.out}")
     else:
         sys.stdout.write(write_edge_list(g))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .connectivity import EdgeCut, _edge_value, _host_sides, is_k_edge_connected
+from .connectivity import _edge_value, _host_sides, is_k_edge_connected
 from .errors import InternalCheckError, TheoremViolation
 from .graph import (
     Graph,
@@ -38,35 +38,33 @@ from .io import graph_payload
 class Fragment:
     """One side of a minimum edge-cut of `graph` minus `deleted`.
 
-    `side` and `complement` partition the surviving vertices, `cut_edges`
-    is exactly the set of host edges between them, and `host_kprime` is the
-    edge connectivity of the host (so `len(cut_edges) == host_kprime`).
-    All vertices and edges use ambient-graph labels; the host is the ambient
+    The record is the graph, the deleted pair and `side`; the rest is
+    derived.  `complement` is the rest of the surviving vertices,
+    `cut_edges` the host edges between the two, and `host_kprime` their
+    count, which `validate` confirms is the host's edge connectivity.  All
+    vertices and edges use ambient-graph labels; the host is the ambient
     graph restricted to the surviving vertices.
     """
 
     graph: Graph
     deleted: tuple[int, ...]
     side: frozenset[int]
-    complement: frozenset[int]
-    cut_edges: frozenset[tuple[int, int]]
-    host_kprime: int
 
     def __post_init__(self):
         object.__setattr__(self, "deleted", tuple(sorted(self.deleted)))
         object.__setattr__(self, "side", frozenset(self.side))
-        object.__setattr__(self, "complement", frozenset(self.complement))
-        object.__setattr__(
-            self,
-            "cut_edges",
-            frozenset(
-                (u, v) if u < v else (v, u) for u, v in self.cut_edges
-            ),
-        )
 
     @property
-    def order(self) -> int:
-        return len(self.side)
+    def complement(self) -> frozenset[int]:
+        return frozenset(range(self.graph.n)) - self.side - set(self.deleted)
+
+    @property
+    def cut_edges(self) -> frozenset[tuple[int, int]]:
+        return _edges_between(self.graph, mask_of(self.side), mask_of(self.complement))
+
+    @property
+    def host_kprime(self) -> int:
+        return len(self.cut_edges)
 
     def validate(self) -> None:
         """Recheck every structural invariant from scratch.
@@ -81,42 +79,30 @@ class Fragment:
 def _checked_fragment(f: Fragment) -> tuple[int, int, list[int]]:
     """Validate f from scratch.  Returns f's side and complement masks and
     _host_sides's side masks of its host."""
-    host = f.graph
+    g = f.graph
     if len(set(f.deleted)) != len(f.deleted):
         raise ValueError("deleted vertices repeat")
-    alive = host.full_mask() & ~host.mask(f.deleted)
-    EdgeCut(f.cut_edges, tuple(f.side), tuple(f.complement)).validate(host, alive)
-    kprime, sides = _host_sides(host, alive)
-    if kprime != f.host_kprime:
-        raise ValueError(
-            f"stored host connectivity {f.host_kprime} is wrong"
-            f" (actual {kprime})"
-        )
-    side = mask_of(f.side)
-    if len(f.cut_edges) != kprime:
-        raise ValueError("cut is not a minimum edge-cut of the host")
+    alive = g.full_mask() & ~g.mask(f.deleted)
+    side = g.mask(f.side)
+    if not side or side & ~alive or side == alive:
+        raise ValueError("side must be a nonempty proper part of the host")
+    _, sides = _host_sides(g, alive)
+    if side not in sides:
+        raise ValueError("side is not a side of a minimum edge-cut of the host")
     return side, alive & ~side, sides
 
 
-def _fragment(g: Graph, e: tuple[int, int], alive: int, side: int, kprime: int) -> Fragment:
-    """The fragment of g minus the endpoints of e with side mask `side`, on
-    the host mask `alive` of connectivity kprime."""
-    rest = alive & ~side
-    halves = frozenset(_bits(side)), frozenset(_bits(rest))
-    return Fragment(g, e, *halves, _edges_between(g, side, rest), kprime)
-
-
 def _deficient_hosts(g: Graph, k: int, region: int):
-    """(edge, host mask, connectivity, _host_sides's sides) for each edge of
-    g, in order, whose endpoints lie in the mask `region` (so the region and
-    the host cover g) and whose endpoint deletion leaves connectivity below k."""
+    """(edge, _host_sides's sides) for each edge of g, in order, whose
+    endpoints lie in the mask `region` (so the region and the host cover g)
+    and whose endpoint deletion leaves connectivity below k."""
     full = g.full_mask()
     for u, v in g.edges():
         alive = full & ~(1 << u | 1 << v)
         if region | alive == full:
             kprime, sides = _host_sides(g, alive)
             if kprime < k:
-                yield (u, v), alive, kprime, sides
+                yield (u, v), sides
 
 
 def fragments_of(g: Graph, e: tuple[int, int], k: int) -> list[Fragment]:
@@ -133,11 +119,10 @@ def fragments_of(g: Graph, e: tuple[int, int], k: int) -> list[Fragment]:
         raise ValueError("graph must have at least 4 vertices")
     if k < 1:
         raise ValueError("threshold must be at least 1")
-    alive = g.full_mask() & ~mask_of(e)
-    kprime, sides = _host_sides(g, alive)
+    kprime, sides = _host_sides(g, g.full_mask() & ~mask_of(e))
     if kprime >= k:
         return []
-    return [_fragment(g, e, alive, side, kprime) for side in sides]
+    return [Fragment(g, e, _bits(side)) for side in sides]
 
 
 class OverlapVerdict(Enum):
@@ -150,19 +135,16 @@ class OverlapVerdict(Enum):
 class OverlapResult:
     """Outcome of one overlap check.
 
-    For an INTERSECTION_FRAGMENT verdict the boundary counts are filled in:
-    `intersection` is side(f) & side(f1), `remainder` below means
-    side(f) - side(f1), and `outward` means complement(f) | complement(f1).
-    `d_intersection_remainder` counts ambient edges and equals the count
-    between the remainder and complement(f); `d_intersection_outward`
-    counts edges of the first host and equals f's `host_kprime`.
+    For either conclusion `intersection` is side(f) & side(f1).  For an
+    INTERSECTION_FRAGMENT verdict `d_intersection_remainder` counts the
+    ambient edges from it to side(f) - side(f1); it equals the count between
+    that remainder and complement(f) (see _overlap_verdict).
     """
 
     verdict: OverlapVerdict
     reason: str | None = None
     intersection: frozenset[int] | None = None
     d_intersection_remainder: int | None = None
-    d_intersection_outward: int | None = None
 
 
 def _unmet(reason: str) -> OverlapResult:
@@ -181,8 +163,8 @@ def check_fragment_overlap(f: Fragment, f1: Fragment) -> OverlapResult:
     When the hypotheses hold, exactly one of two conclusions must:
 
     - the complements also intersect, and then side(f) & side(f1) is itself
-      a fragment of the first host, with the boundary counts described on
-      OverlapResult holding exactly (INTERSECTION_FRAGMENT), or
+      a fragment of the first host, whose boundary there is a minimum cut
+      (INTERSECTION_FRAGMENT), or
     - the complements are disjoint, and then f's complement is strictly
       smaller than f1's side (SMALL_COMPLEMENT).
 
@@ -194,6 +176,15 @@ def check_fragment_overlap(f: Fragment, f1: Fragment) -> OverlapResult:
     e, e1 = normalize_edge(g, f.deleted), normalize_edge(g, f1.deleted)
     fs, fc, host_sides = _checked_fragment(f)
     f1s, f1c, _ = _checked_fragment(f1)
+    em, e1m = mask_of(e), mask_of(e1)
+    if em & e1m:
+        return _unmet("edges share an endpoint")
+    if em & ~f1s:
+        return _unmet("first edge does not lie inside the second fragment's side")
+    if e1m & ~fc:
+        return _unmet("second edge does not lie inside the first fragment's complement")
+    if not fs & f1s:
+        return _unmet("fragment sides are disjoint")
     return _overlap_verdict(g, e, e1, fs, fc, f1s, f1c, frozenset(host_sides), f.host_kprime)
 
 
@@ -208,46 +199,35 @@ def _overlap_verdict(
     host_sides: frozenset[int],
     kprime: int,
 ) -> OverlapResult:
-    """The verdict of check_fragment_overlap on inputs already checked.
+    """The conclusion of check_fragment_overlap on inputs that meet its
+    hypotheses.
 
     `e` and `e1` are normalized edges of g.  `fs`/`fc` are the side and
     complement masks of a fragment of g minus the endpoints of e, and
     `f1s`/`f1c` those of a fragment of g minus the endpoints of e1.
     `host_sides` holds the side mask of every fragment of the first host,
     and `kprime` is that host's edge connectivity.
-    """
-    em = 1 << e[0] | 1 << e[1]
-    e1m = 1 << e1[0] | 1 << e1[1]
-    if em & e1m:
-        return _unmet("edges share an endpoint")
-    if em & ~f1s:
-        return _unmet("first edge does not lie inside the second fragment's side")
-    if e1m & ~fc:
-        return _unmet("second edge does not lie inside the first fragment's complement")
-    intersection = fs & f1s
-    if not intersection:
-        return _unmet("fragment sides are disjoint")
 
+    Let X = fs & f1s and R = fs - f1s.  The hypotheses give fc | f1c =
+    R | fc: f1c avoids V(e), which lies in f1s, and meets fs exactly in R,
+    as V(e1) lies in fc.  So fc | f1c is the rest of the first host, and
+    counting X's boundary there in g counts it in that host.  Once that
+    count is kprime, d(X, R) + d(X, fc) = kprime, and f's own cut gives
+    d(X, fc) + d(R, fc) = d(fs, fc) = kprime, so d(X, R) = d(R, fc) needs
+    no recount.
+    """
+    intersection = fs & f1s
     if fc & f1c:
         masks = g.adjacency_masks()
-        remainder = fs & ~f1s
-        d_a = _boundary_count(masks, intersection, remainder)
-        d_b = _boundary_count(masks, remainder, fc)
-        # outward avoids V(e) (e is inside f1's side), so counting in g equals
-        # counting in the first host
-        d_out = _boundary_count(masks, intersection, fc | f1c)
         if intersection not in host_sides:
             failure = "side intersection is not a fragment of the first host"
-        elif d_a != d_b:
-            failure = "boundary counts around the side intersection differ"
-        elif d_out != kprime:
+        elif _boundary_count(masks, intersection, fc | f1c) != kprime:
             failure = "side intersection's host boundary is not a minimum cut"
         else:
             return OverlapResult(
                 OverlapVerdict.INTERSECTION_FRAGMENT,
                 intersection=frozenset(_bits(intersection)),
-                d_intersection_remainder=d_a,
-                d_intersection_outward=d_out,
+                d_intersection_remainder=_boundary_count(masks, intersection, fs & ~f1s),
             )
     elif fc.bit_count() < f1s.bit_count():
         return OverlapResult(
@@ -278,7 +258,7 @@ def scan_overlap_cases(g: Graph) -> OverlapScanStats:
 
     Enumerates all ordered pairs of nonadjacent edges and all fragment
     pairs of the two residual graphs, filters to configurations meeting the
-    overlap hypotheses, and runs the full check on each.  Fragments stay
+    overlap hypotheses, and checks the conclusion on each.  Fragments stay
     side and complement masks throughout.  Each host is checked once,
     against a route that scans no bipartition: its connectivity must equal
     the value kernel's, which the far-pair path bound or the
@@ -311,7 +291,6 @@ def scan_overlap_cases(g: Graph) -> OverlapScanStats:
     pairs = 0
     configs = 0
     alpha = 0
-    beta = 0
     for e in edges:
         em = 1 << e[0] | 1 << e[1]
         kprime, frags, host_sides = hosts[e]
@@ -330,15 +309,8 @@ def scan_overlap_cases(g: Graph) -> OverlapScanStats:
                     res = _overlap_verdict(
                         g, e, e1, fs, fc, f1s, f1c, host_sides, kprime
                     )
-                    if res.verdict is OverlapVerdict.INTERSECTION_FRAGMENT:
-                        alpha += 1
-                    elif res.verdict is OverlapVerdict.SMALL_COMPLEMENT:
-                        beta += 1
-                    else:
-                        raise InternalCheckError(
-                            "pre-filtered configuration reported unmet hypotheses"
-                        )
-    return OverlapScanStats(pairs, configs, alpha, beta)
+                    alpha += res.verdict is OverlapVerdict.INTERSECTION_FRAGMENT
+    return OverlapScanStats(pairs, configs, alpha, configs - alpha)
 
 
 def minimal_fragment_descent(f0: Fragment, k: int) -> Fragment:
@@ -372,15 +344,15 @@ def minimal_fragment_descent(f0: Fragment, k: int) -> Fragment:
 
     region = seed | mask_of(e0)
     family = [
-        (side.bit_count(), _bits(side), edge, side, alive, kprime)
-        for edge, alive, kprime, sides in _deficient_hosts(g, k, region)
+        (side.bit_count(), _bits(side), edge)
+        for edge, sides in _deficient_hosts(g, k, region)
         for side in sides
         if not side & ~region
     ]
     if not family:
         raise InternalCheckError("seed fragment vanished from its own family")
-    _, _, edge, side, alive, kprime = min(family)
-    return _fragment(g, edge, alive, side, kprime)
+    _, side, edge = min(family)
+    return Fragment(g, edge, side)
 
 
 @dataclass(frozen=True)
@@ -420,7 +392,7 @@ def verify_descent_conclusion(f1: Fragment, k: int) -> DescentConclusionReport:
     fragments_checked = 0
     disjoint = 0
     splits: list[tuple[tuple[int, int], tuple[int, ...], bool]] = []
-    for edge, _, _, sides in _deficient_hosts(g, k, minimal):
+    for edge, sides in _deficient_hosts(g, k, minimal):
         edges_checked += 1
         for side in sides:
             fragments_checked += 1
@@ -458,16 +430,12 @@ class DegreeBoundRow:
     vertex: int
     cross_neighbors: int
     inside_neighbors: int
-    cross_bound: int
     cross_ok: bool
-    inside_bound_applies: bool
     inside_ok: bool
 
 
 @dataclass(frozen=True)
 class FragmentDegreeReport:
-    edge: tuple[int, int]
-    side_order: int
     rows: tuple[DegreeBoundRow, ...]
     all_hold: bool
 
@@ -478,35 +446,22 @@ def fragment_degree_bounds(f1: Fragment, k: int) -> FragmentDegreeReport:
     Requires minimum degree at least k+2 in the ambient graph.  Each vertex
     of the side has at most two neighbors among the deleted endpoints and
     at most |side|-1 inside, so it must have at least k - |side| + 1
-    neighbors in the complement; a vertex with no complement neighbors must
-    have at least k inside.  Both checks are reported per vertex.
+    neighbors in the complement (`cross_ok`); a vertex with no complement
+    neighbors must have at least k inside (`inside_ok`, True for the others).
     """
     g = f1.graph
-    e1 = normalize_edge(g, f1.deleted)
+    normalize_edge(g, f1.deleted)
     side, complement, _ = _checked_fragment(f1)
     if g.min_degree() < k + 2:
         raise ValueError(f"minimum degree must be at least {k + 2}")
     masks = g.adjacency_masks()
-    order = len(f1.side)
+    bound = k - side.bit_count() + 1
     rows = []
     for z in _bits(side):
         cross = (masks[z] & complement).bit_count()
         inside = (masks[z] & side).bit_count()
-        applies = cross == 0
-        rows.append(
-            DegreeBoundRow(
-                vertex=z,
-                cross_neighbors=cross,
-                inside_neighbors=inside,
-                cross_bound=k - order + 1,
-                cross_ok=cross >= k - order + 1,
-                inside_bound_applies=applies,
-                inside_ok=inside >= k if applies else True,
-            )
-        )
+        rows.append(DegreeBoundRow(z, cross, inside, cross >= bound, cross > 0 or inside >= k))
     return FragmentDegreeReport(
-        edge=e1,
-        side_order=order,
         rows=tuple(rows),
         all_hold=all(r.cross_ok and r.inside_ok for r in rows),
     )

@@ -120,7 +120,9 @@ class CampaignConfig:
     in `STATEMENTS`, the same floor the hypotheses gate checks.
     Configs come from JSON files, so field types are checked: counts and
     seeds must be ints (not bools), trees and model strings, and params
-    values numbers; a params key the model does not read is an error.
+    values numbers; a params key the model does not read is an error.  A
+    tightness config draws no graph, so it keeps model, n_range and params
+    at their defaults.
     Orders are capped at `graph.MAX_ORDER`, which bounds n_range's high end.
     """
 
@@ -166,6 +168,10 @@ class CampaignConfig:
             raise ValueError("n_range low end must be at least 1")
         if self.n_range[1] > MAX_ORDER:
             raise ValueError(f"n_range high end must be at most {MAX_ORDER}")
+        # the default model reads no params, so _check_params covers them
+        defaults = (CampaignConfig.model, CampaignConfig.n_range)
+        if self.statement == "tightness" and (self.model, self.n_range) != defaults:
+            raise ValueError("a tightness config takes no model or n_range: its host is K_(k+m)")
         if self.trees and self.m_values:
             raise ValueError("m_values and trees are mutually exclusive")
         shaped = STATEMENTS[self.statement].kind == "tree"
@@ -363,7 +369,7 @@ def _run_trial(
     start = time.perf_counter()
     delta = STATEMENTS[config.statement].floor(cell.k, cell.m)
     if config.statement == "tightness":
-        g = complete(cell.k + cell.m)  # model, n_range and params go unread
+        g = complete(cell.k + cell.m)  # model, n_range and params are the defaults
     else:
         g = _draw_graph(seed, config.n_range, config.model, cell.k, delta, config.params)
     # any model is allowed, so the hypotheses are confirmed up front

@@ -160,12 +160,8 @@ def graph_payload(g: Graph) -> dict:
     return {"format": "edgelist", "data": write_edge_list(g)}
 
 
-def save_graph(g: Graph, path: str | os.PathLike, fmt: str = "edgelist") -> None:
-    if fmt == "edgelist":
-        text = write_edge_list(g)
-    elif fmt == "graph6":
-        text = write_graph6(g) + "\n"
-    else:
-        raise ValueError(f"unknown graph format {fmt!r}")
+def save_graph(g: Graph, path: str | os.PathLike) -> None:
+    """Write g to `path`: graph6 for a `.g6` path, edge-list text otherwise."""
+    text = write_graph6(g) + "\n" if str(path).endswith(".g6") else write_edge_list(g)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

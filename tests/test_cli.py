@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
+import kedge.cli as cli
 import kedge.harness as harness
 from kedge.cli import main
+from kedge.errors import TheoremViolation
 from kedge.generators import complete, petersen_graph
 from kedge.graph import MAX_ORDER
-from kedge.io import save_graph, write_edge_list
+from kedge.io import save_graph, write_edge_list, write_graph6
 
 
 def run(args, capsys):
@@ -23,7 +25,7 @@ def run(args, capsys):
 def test_analyze(tmp_path, capsys, fmt):
     """The content picks the parser, whatever the file is called."""
     path = tmp_path / "k5.txt"
-    save_graph(complete(5), path, fmt)
+    path.write_text({"edgelist": write_edge_list, "graph6": write_graph6}[fmt](complete(5)))
     code, out, _ = run(["analyze", str(path)], capsys)
     assert code == 0
     assert "edge connectivity: 4" in out
@@ -54,7 +56,7 @@ def test_analyze_malformed_file(tmp_path, capsys):
 
 def test_find_removable(tmp_path, capsys):
     path = tmp_path / "pet.g6"
-    save_graph(petersen_graph(), path, "graph6")
+    save_graph(petersen_graph(), path)
     code, out, _ = run(["find-removable", "--k", "1", "--vertex", str(path)], capsys)
     assert code == 0 and "removable vertex: vertices (0,)" in out
     code, out, _ = run(["find-removable", "--k", "3", "--vertex", str(path)], capsys)
@@ -63,11 +65,20 @@ def test_find_removable(tmp_path, capsys):
         ["find-removable", "--k", "1", "--tree", "path:3", str(path)], capsys
     )
     assert code == 0 and "removable tree" in out
+    # deleting a vertex of K_2 leaves K_1, which has no connectivity value
+    path = tmp_path / "k2.txt"
+    save_graph(complete(2), path)
+    code, out, _ = run(["find-removable", "--k", "1", "--vertex", str(path)], capsys)
+    assert code == 0
+    assert out == (
+        "removable vertex: vertices (0,)\n"
+        "residual: single vertex (trivially 1-edge-connected)\n"
+    )
 
 
 def test_find_removable_flags_are_exclusive(tmp_path, capsys):
     path = tmp_path / "pet.g6"
-    save_graph(petersen_graph(), path, "graph6")
+    save_graph(petersen_graph(), path)
     with pytest.raises(SystemExit) as exc:
         main(["find-removable", "--k", "1", "--vertex", "--edge", str(path)])
     assert exc.value.code == 2
@@ -147,7 +158,7 @@ def test_verify_tightness_statement(capsys):
     assert code == 0 and "[trivial-residual convention]" in out
 
 
-def test_verify_open_cell_not_gated(capsys):
+def test_verify_open_cell_not_gated(capsys, monkeypatch):
     code, out, _ = run(
         ["verify", "--statement", "tree", "--k", "4", "--m", "3",
          "--trials", "2", "--seed", "42"],
@@ -155,6 +166,18 @@ def test_verify_open_cell_not_gated(capsys):
     )
     assert code == 0
     assert "[open conjecture cell, not gated]" in out
+    # an open cell's re-verified miss is an open datapoint, with its count
+    monkeypatch.setattr(harness, "find_removable_tree", lambda g, k, tree: None)
+    code, out, _ = run(
+        ["verify", "--statement", "tree", "--k", "4", "--tree", "path:3",
+         "--trials", "2", "--seed", "42"],
+        capsys,
+    )
+    assert code == 0
+    assert out == (
+        "tree k=4 tree=path:3: witness_found=0 not_found=0 violations=0"
+        " open_datapoints=2 [open conjecture cell, not gated]\n"
+    )
 
 
 def test_verify_config_file(tmp_path, capsys):
@@ -241,6 +264,20 @@ TREE_CONFIG = VALID_CONFIG | {"statement": "tree", "m_values": [2]}
             TREE_CONFIG | {"statement": "tightness", "m_values": [3], "params": {"zz": 1}},
             id="tightness-param",
         ),
+        # a tightness host is K_(k+m), so a model or an order range goes unread
+        pytest.param(
+            TREE_CONFIG | {"statement": "tightness", "m_values": [3], "model": "gnp"},
+            id="tightness-model",
+        ),
+        pytest.param(
+            TREE_CONFIG | {"statement": "tightness", "m_values": [3], "n_range": [100, 200]},
+            id="tightness-n_range",
+        ),
+        pytest.param(
+            TREE_CONFIG
+            | {"statement": "tightness", "m_values": [3], "model": "gnp", "params": {"p": 0.3}},
+            id="tightness-model-params",
+        ),
     ],
 )
 def test_verify_rejects_a_malformed_config(tmp_path, capsys, config):
@@ -280,9 +317,16 @@ def test_huge_tree_or_tightness_order_is_usage_error(tmp_path, capsys):
         assert code == 2 and f"exceeds {MAX_ORDER}" in err
 
 
-def test_verify_usage_errors(capsys):
+def test_verify_usage_errors(tmp_path, capsys):
     code, _, err = run(["verify", "--statement", "edge-pair", "--k", "2"], capsys)
     assert code == 2 and "required" in err
+    # a campaign comes from --config or from --statement: exactly one of them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(VALID_CONFIG))
+    code, _, err = run(["verify", "--config", str(cfg), "--statement", "edge-pair"], capsys)
+    assert code == 2 and "--config and --statement are mutually exclusive" in err
+    code, _, err = run(["verify", "--k", "2", "--trials", "1", "--seed", "0"], capsys)
+    assert code == 2 and "either --config or --statement is required" in err
     code, _, err = run(
         ["verify", "--statement", "tightness", "--k", "2", "--m", "3",
          "--tree", "path:3", "--trials", "1", "--seed", "0"],
@@ -309,7 +353,50 @@ def test_verify_violation_exit_code(tmp_path, capsys, monkeypatch):
     assert "violation candidates present" in out
 
 
-def test_counterexample(capsys):
+def test_verify_prints_generation_failures(capsys, monkeypatch):
+    """A host the generator gave up on is a generation failure, with its
+    count, and the cell misses its expected outcome."""
+    monkeypatch.setattr(harness, "_draw_graph", lambda *args: None)
+    code, out, _ = run(
+        ["verify", "--statement", "mader-vertex", "--k", "2", "--trials", "1", "--seed", "1"],
+        capsys,
+    )
+    assert code == 0
+    assert out == (
+        "mader_vertex k=2: witness_found=0 not_found=0 violations=0"
+        " generation_failed=1 [expected witness_found: MISSED]\n"
+    )
+
+
+def test_main_maps_internal_errors_and_violations(tmp_path, capsys, monkeypatch):
+    """An internal check failure exits 3, and a violation candidate exits 1
+    with its payload as one sorted JSON line, both on stderr."""
+    real, calls = harness.find_removable_vertex, []
+
+    def flaky(g, k):
+        calls.append(g)
+        return None if len(calls) == 1 else real(g, k)
+
+    monkeypatch.setattr(harness, "find_removable_vertex", flaky)
+    code, out, err = run(
+        ["verify", "--statement", "mader-vertex", "--k", "2", "--trials", "1", "--seed", "1"],
+        capsys,
+    )
+    assert (code, out) == (3, "")
+    assert err == "internal check failed: finder disagreed with itself on a rerun\n"
+
+    def violation(g):
+        raise TheoremViolation("a stated bound failed", {"e": (0, 1), "graph": "C~"})
+
+    monkeypatch.setattr(cli, "connectivity_report", violation)
+    path = tmp_path / "k4.txt"
+    save_graph(complete(4), path)
+    code, out, err = run(["analyze", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == 'violation candidate: a stated bound failed\n{"e": [0, 1], "graph": "C~"}\n'
+
+
+def test_counterexample(capsys, monkeypatch):
     code, out, _ = run(
         ["counterexample", "--k", "2", "--m", "2", "--budget", "3",
          "--seed", "9"],
@@ -317,6 +404,18 @@ def test_counterexample(capsys):
     )
     assert code == 0
     assert "no counterexample candidates" in out
+    # each verified miss is printed as one JSON record, and the exit code is 1
+    monkeypatch.setattr(harness, "find_removable_tree", lambda g, k, tree: None)
+    code, out, _ = run(
+        ["counterexample", "--k", "2", "--m", "2", "--budget", "1", "--seed", "9"], capsys
+    )
+    assert code == 1
+    head, count, *records = out.splitlines()
+    assert head == "k=2 m=2: 1 graphs x 1 trees, 0 generation failures"
+    assert count == "1 counterexample candidate(s):"
+    (record,) = [json.loads(line) for line in records]
+    assert (record["k"], record["m"], record["tree"]) == (2, 2, "path:2")
+    assert record["min_degree"] >= 4
 
 
 def test_console_script_target(monkeypatch, capsys):

@@ -20,7 +20,7 @@ from kedge.fragments import (
     verify_descent_conclusion,
 )
 from kedge.generators import all_connected_graphs, complete, cycle_graph, two_cliques_bridged
-from kedge.graph import Graph, _bits, _edges_between, mask_of
+from kedge.graph import Graph, _bits, mask_of
 from kedge.io import graph_payload
 
 from conftest import seeded_random_graphs
@@ -67,26 +67,15 @@ def test_fragment_validate_rejects_tampering():
     # host K4 on {2, 3, 4, 5}; f cuts off vertex 2
     f = next(x for x in fragments_of(complete(6), (0, 1), 4) if x.side == {2})
     f.validate()
-    pair = frozenset({(2, 4), (2, 5), (3, 4), (3, 5)})
-    big = complete(EXHAUSTIVE_LIMIT + 3)
-    oversized = Fragment(
-        big,
-        (0, 1),
-        {2},
-        set(range(3, big.n)),
-        {(2, v) for v in range(3, big.n)},
-        EXHAUSTIVE_LIMIT,
-    )
+    oversized = Fragment(complete(EXHAUSTIVE_LIMIT + 3), (0, 1), {2})
     cases = [
-        (replace(f, host_kprime=f.host_kprime + 1), "stored host connectivity"),
         (replace(f, deleted=(0, 0)), "repeat"),
         (replace(f, deleted=(0, 6)), "vertex 6 out of range for n=6"),
-        (replace(f, side=frozenset()), "nonempty"),
-        (replace(f, side={2, 3}), "partition"),
-        (replace(f, complement={3, 4}), "partition"),
-        (replace(f, cut_edges=f.cut_edges - {(2, 3)}), "boundary"),
-        (replace(f, cut_edges=f.cut_edges | {(3, 4)}), "boundary"),
-        (replace(f, side={2, 3}, complement={4, 5}, cut_edges=pair), "minimum"),
+        (replace(f, side=frozenset()), "nonempty proper part"),
+        (replace(f, side={1, 2}), "nonempty proper part"),
+        (replace(f, side={2, 3, 4, 5}), "nonempty proper part"),
+        (replace(f, side={2, 6}), "vertex 6 out of range for n=6"),
+        (replace(f, side={2, 3}), "minimum"),
         (oversized, "exhaustive limit"),
     ]
     for wrong, message in cases:
@@ -98,7 +87,7 @@ def test_fragment_calls_reject_a_deleted_pair_that_is_not_an_edge():
     """A record whose deleted pair is no edge passes validate, which checks
     only the cut, but every call that reads the pair as an edge raises."""
     g = cycle_graph(6)
-    bad = Fragment(g, (0, 2), {1}, {3, 4, 5}, frozenset(), 0)
+    bad = Fragment(g, (0, 2), {1})
     bad.validate()
     f = fragments_of(g, (3, 4), 2)[0]
     for call in (
@@ -113,49 +102,38 @@ def test_fragment_calls_reject_a_deleted_pair_that_is_not_an_edge():
 
 
 def _is_fragment_by_definition(f, lambdas):
-    """The definition of a fragment, from scratch: side and complement
-    partition the host into two nonempty parts, cut_edges is the set of host
-    edges between them, its size is the host's edge connectivity by the
-    oracle (as is host_kprime), and when that is positive both parts induce
-    connected subgraphs.  `lambdas` caches the oracle per deleted pair."""
+    """The definition of a fragment, from scratch: side and the rest of the
+    host are both nonempty, the host edges between them are as many as the
+    host's edge connectivity by the oracle, and side induces a connected
+    subgraph, as does the rest when that connectivity is positive (so a
+    disconnected host's fragments are its components).  The record's derived
+    complement, cut_edges and host_kprime must restate the first two.
+    `lambdas` caches the oracle per deleted pair."""
     g = f.graph
     host = set(range(g.n)) - set(f.deleted)
-    if not f.side or not f.complement or f.side & f.complement:
-        return False
-    if f.side | f.complement != host:
+    rest = host - f.side
+    if not f.side or not rest or not f.side <= host:
         return False
     boundary = {
         (u, v) for u, v in g.edges() if {u, v} <= host and (u in f.side) != (v in f.side)
     }
-    if f.cut_edges != boundary:
-        return False
+    assert (f.complement, f.cut_edges, f.host_kprime) == (rest, boundary, len(boundary))
     if f.deleted not in lambdas:
         host_graph, _ = g.delete_vertices(f.deleted)
         lambdas[f.deleted] = edge_connectivity_bruteforce(host_graph)
     lam = lambdas[f.deleted]
-    if len(boundary) != lam or f.host_kprime != lam:
+    if len(boundary) != lam:
         return False
-    halves = (f.side, f.complement)
-    return lam == 0 or all(g.induced_subgraph(h)[0].is_connected() for h in halves)
+    halves = (f.side, rest) if lam else (f.side,)
+    return all(g.induced_subgraph(h)[0].is_connected() for h in halves)
 
 
 def _perturbed(f):
-    """Records near f: host_kprime off by one, each host vertex moved across
-    (cut_edges recomputed), each cut edge dropped, one host edge added, and
-    the endpoints of each other edge of the graph as the deleted pair."""
-    g = f.graph
-    yield replace(f, host_kprime=f.host_kprime + 1)
-    yield replace(f, host_kprime=f.host_kprime - 1)
+    """Records near f: each host vertex moved across the cut, and the
+    endpoints of each other edge of the graph as the deleted pair."""
     for v in f.side | f.complement:
-        side, rest = f.side ^ {v}, f.complement ^ {v}
-        yield replace(f, side=side, complement=rest,
-                      cut_edges=_edges_between(g, mask_of(side), mask_of(rest)))
-    for edge in f.cut_edges:
-        yield replace(f, cut_edges=f.cut_edges - {edge})
-    inner = [e for e in g.edges() if not set(e) & set(f.deleted) and e not in f.cut_edges]
-    if inner:
-        yield replace(f, cut_edges=f.cut_edges | {inner[0]})
-    for edge in g.edges():
+        yield replace(f, side=f.side ^ {v})
+    for edge in f.graph.edges():
         if edge != f.deleted:
             yield replace(f, deleted=edge)
 
@@ -179,8 +157,9 @@ def test_fragment_validate_matches_definition():
                     else:
                         assert valid, record
                     verdicts[valid] += 1
-    # 316 perturbations, each a vertex moved across, land on another minimum cut
-    assert (originals, verdicts[True], verdicts[False]) == (703, 703 + 316, 17581)
+    # 312 vertex moves land on another fragment of the same host, and 2,222
+    # sides are a fragment of another edge's host too
+    assert (originals, verdicts[True], verdicts[False]) == (703, 703 + 312 + 2222, 11970)
 
 
 def test_overlap_check_scans_two_hosts(monkeypatch):
@@ -214,11 +193,12 @@ def test_overlap_alpha_on_k6():
     assert r.verdict is OverlapVerdict.INTERSECTION_FRAGMENT
     assert r.intersection == {4}
     assert r.d_intersection_remainder == 0
-    assert r.d_intersection_outward == 3 == f.host_kprime
+    assert f.host_kprime == 3
 
 
 def test_overlap_violation_carries_payload():
-    """A side set missing the intersection must raise, with a replay payload."""
+    """A failed conclusion raises with a replay payload: a side set missing
+    the intersection, or a stated connectivity its host boundary misses."""
     g = complete(6)
     f = next(x for x in fragments_of(g, (0, 1), 4) if x.side == {4})
     f1 = next(x for x in fragments_of(g, (2, 3), 4) if x.side == {0, 1, 4})
@@ -241,6 +221,14 @@ def test_overlap_violation_carries_payload():
         "f_side": (4,),
         "f1_side": (0, 1, 4),
     }
+    # so must an intersection among the sides whose host boundary is not
+    # the stated connectivity
+    with pytest.raises(TheoremViolation, match="host boundary is not a minimum cut") as again:
+        _overlap_verdict(
+            g, (0, 1), (2, 3), mask_of(f.side), mask_of(f.complement),
+            mask_of(f1.side), mask_of(f1.complement), frozenset({mask_of([4])}), 2,
+        )
+    assert again.value.payload == info.value.payload
 
 
 def test_overlap_alpha_zero_cut_host():
@@ -249,7 +237,7 @@ def test_overlap_alpha_zero_cut_host():
     f1 = next(x for x in fragments_of(g, (1, 2), 9) if x.side == {0, 3, 4})
     r = check_fragment_overlap(f, f1)
     assert r.verdict is OverlapVerdict.INTERSECTION_FRAGMENT
-    assert r.d_intersection_outward == 0 == f.host_kprime
+    assert f.host_kprime == 0
 
 
 def test_overlap_beta_case():
@@ -262,17 +250,20 @@ def test_overlap_beta_case():
 
 
 def test_overlap_hypotheses_unmet():
+    """Each hypothesis fails alone on K6, with f the side {4} of edge (0, 1),
+    and gives its own reason."""
     g = complete(6)
-    frags = fragments_of(g, (0, 1), 4)
-    f = next(x for x in frags if x.side == {4})
-    # adjacent edges are rejected
-    r = check_fragment_overlap(f, fragments_of(g, (1, 2), 4)[0])
-    assert r.verdict is OverlapVerdict.HYPOTHESES_UNMET
-    assert r.reason
-    # disjoint sides are rejected
-    f5 = next(x for x in fragments_of(g, (2, 3), 4) if x.side == {5})
-    r = check_fragment_overlap(f, f5)
-    assert r.verdict is OverlapVerdict.HYPOTHESES_UNMET
+    f = next(x for x in fragments_of(g, (0, 1), 4) if x.side == {4})
+    cases = [
+        ((1, 2), {0}, "edges share an endpoint"),
+        ((2, 3), {5}, "first edge does not lie inside the second fragment's side"),
+        ((2, 4), {0, 1, 3}, "second edge does not lie inside the first fragment's complement"),
+        ((2, 3), {0, 1, 5}, "fragment sides are disjoint"),
+    ]
+    for e1, side, reason in cases:
+        f1 = next(x for x in fragments_of(g, e1, 4) if x.side == side)
+        r = check_fragment_overlap(f, f1)
+        assert (r.verdict, r.reason) == (OverlapVerdict.HYPOTHESES_UNMET, reason)
 
 
 def test_overlap_rejects_foreign_fragments():
@@ -404,13 +395,13 @@ def test_fragment_degree_bounds():
     res = minimal_fragment_descent(f0, 2)
     rep = fragment_degree_bounds(res, 2)
     assert rep.all_hold
-    assert rep.side_order == 3
-    assert len(rep.rows) == 3
+    assert len(res.side) == len(rep.rows) == 3
     for row in rep.rows:
         assert row.cross_ok
-        assert row.cross_neighbors >= 2 - rep.side_order + 1
-    # side {0, 2, 3} of host minus (1, 4); the deleted endpoints count as neither
+        assert row.cross_neighbors >= 2 - len(res.side) + 1
+    # side {0, 2, 3} of host minus (1, 4); the deleted endpoints count as
+    # neither, and 2 and 3 have no complement neighbour, so k = 2 inside
     assert [
-        (r.vertex, r.cross_neighbors, r.inside_neighbors, r.inside_bound_applies)
+        (r.vertex, r.cross_neighbors, r.inside_neighbors, r.inside_ok)
         for r in rep.rows
-    ] == [(0, 1, 2, False), (2, 0, 2, True), (3, 0, 2, True)]
+    ] == [(0, 1, 2, True), (2, 0, 2, True), (3, 0, 2, True)]

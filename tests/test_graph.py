@@ -159,7 +159,7 @@ def test_every_entry_checks_caller_vertex_ids_with_one_message():
             g, HCSubgraph(frozenset({0, v}), frozenset(), 1), (), cut, 1
         ),
         "residual_min_cut": lambda v: residual_min_cut(g, [v]),
-        "Fragment.validate": lambda v: Fragment(g, (0, v), {1}, {2, 3, 4}, set(), 3).validate(),
+        "Fragment.validate": lambda v: Fragment(g, (0, v), {1}).validate(),
         "local_edge_connectivity": lambda v: local_edge_connectivity(g, 0, v),
     }
     for name, call in entries.items():

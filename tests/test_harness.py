@@ -202,6 +202,44 @@ def test_one_vertex_graph_fails_generation(model, n_range):
         assert res.summary["per_cell"][f"mader_vertex k={k}"]["generation_failed"] == 1
 
 
+def test_generator_giving_up_is_a_generation_failure():
+    """Four edge-disjoint hamiltonian cycles on 9 vertices are a
+    decomposition of K_9, which 200 random tries per cycle do not find: the
+    generator's GenerationError becomes a failed trial with no graph."""
+    cfg = CampaignConfig(
+        statement="mader_vertex",
+        k_values=(1,),
+        trials=2,
+        master_seed=5,
+        n_range=(9, 9),
+        model="hamiltonian_stack",
+        params=(("t", 4),),
+    )
+    res = run_campaign(cfg)
+    assert [(t.outcome, t.n, t.graph) for t in res.trials] == [("generation_failed", None, None)] * 2
+
+
+def test_miss_recheck_above_the_oracle_limit(monkeypatch):
+    """A miss on a host above 16 vertices rechecks the hypotheses with the
+    k-edge decision, not the oracle; a recheck that fails, on either route,
+    is an internal error."""
+    monkeypatch.setattr(harness, "find_removable_vertex", lambda g, k: None)
+
+    def no_oracle(g):
+        raise AssertionError(f"oracle called on {g.n} vertices")
+
+    monkeypatch.setattr(harness, "edge_connectivity_bruteforce", no_oracle)
+    big = small_config(statement="mader_vertex", trials=1, n_range=(17, 17))
+    (trial,) = run_campaign(big).trials
+    assert (trial.outcome, trial.n) == ("theorem_violation_candidate", 17)
+    monkeypatch.setattr(harness, "is_k_edge_connected", lambda g, k: False)
+    with pytest.raises(InternalCheckError, match="hypotheses failed on recheck"):
+        run_campaign(big)
+    monkeypatch.setattr(harness, "edge_connectivity_bruteforce", lambda g: 0)
+    with pytest.raises(InternalCheckError, match="hypotheses failed on recheck"):
+        run_campaign(small_config(statement="mader_vertex", trials=1))
+
+
 def test_forced_miss_becomes_violation_candidate(monkeypatch):
     """A reproducible finder miss on a theorem cell is escalated only after
     the recheck; the plumbing is exercised with a stubbed finder."""
@@ -281,6 +319,8 @@ def test_config_validation():
         CampaignConfig(statement="edge_pair", k_values=(), trials=1, master_seed=0)
     with pytest.raises(ValueError):
         CampaignConfig(statement="edge_pair", k_values=(1,), trials=0, master_seed=0)
+    with pytest.raises(ValueError, match="k values must be at least 1"):
+        CampaignConfig(statement="edge_pair", k_values=(2, 0), trials=1, master_seed=0)
     with pytest.raises(ValueError):
         CampaignConfig(
             statement="edge_pair",
@@ -300,7 +340,7 @@ def test_config_validation():
             )
 
 
-def test_verify_tightness():
+def test_verify_tightness(monkeypatch):
     rep = verify_tightness(2, 3)
     assert rep.passed and not rep.convention_sensitive
     assert rep.expected_residual_kprime == 1
@@ -310,6 +350,11 @@ def test_verify_tightness():
     rep = verify_tightness(4, 4)
     assert rep.passed and len(rep.rows) == 2
     assert rep.to_dict()["residual_order"] == 4
+    # the residual K_k's connectivity is pinned at k - 1 too, so a kernel
+    # giving another value fails the report though every tree misses
+    monkeypatch.setattr(harness, "edge_connectivity", lambda g: (g.n, None))
+    rep = verify_tightness(3, 2)
+    assert rep.rows == (("path:2", "not_found"),) and not rep.passed
 
 
 def test_verify_tightness_trivial_convention():
@@ -349,7 +394,7 @@ def test_verify_tightness_preconditions():
 
 def test_analyze(tmp_path):
     path = tmp_path / "pet.g6"
-    save_graph(petersen_graph(), path, "graph6")
+    save_graph(petersen_graph(), path)
     rep = connectivity_report(load_graph(path))
     assert rep.edge_connectivity == 3 and rep.n == 10
 

@@ -102,11 +102,14 @@ def test_sniff_format():
 
 
 def test_save_and_load(tmp_path):
+    """save_graph writes graph6 to a .g6 path and an edge list to any other."""
     g = petersen_graph()
     p1 = tmp_path / "g.txt"
     p2 = tmp_path / "g.g6"
-    save_graph(g, p1, "edgelist")
-    save_graph(g, p2, "graph6")
+    save_graph(g, p1)
+    save_graph(g, p2)
+    assert p1.read_text() == write_edge_list(g)
+    assert p2.read_text() == write_graph6(g) + "\n"
     assert load_graph(p1) == g
     assert load_graph(p2) == g
 
