@@ -229,20 +229,6 @@ MUTANTS = [
         "outside |= 0",
         "tests/test_removal.py::test_extract_connected_subgraph",
     ),
-    # a cut splits a connected core when either side keeps core vertices
-    # clear of it while the other holds core vertices
-    (
-        "removal.py",
-        "(h1 - d1 and h2 or h2 - d2 and h1)",
-        "(h2 - d2 and h1)",
-        "tests/test_removal.py::test_decompose_cut_raises_when_a_cut_splits_a_connected_core",
-    ),
-    (
-        "removal.py",
-        "(h1 - d1 and h2 or h2 - d2 and h1)",
-        "(h1 - d1 and h2)",
-        "tests/test_removal.py::test_decompose_cut_raises_when_a_cut_splits_a_connected_core",
-    ),
     # the two fragments of an overlap check belong to one graph
     (
         "fragments.py",
@@ -403,6 +389,41 @@ MUTANTS = [
         "if outcome != expected or cert is not None and cert.residual_kprime is not None:",
         "if outcome != expected:",
         "tests/test_harness.py::test_convention_witness_with_a_residual_value_fails_tightness",
+    ),
+    # file input: an edge-list header count is nonnegative, on its line
+    (
+        "io.py",
+        "if a < 0 or b < 0:",
+        "if False:",
+        "tests/test_io.py::test_edge_list_errors_carry_line_numbers",
+    ),
+    # a self-loop fails on its line, not in Graph without one
+    (
+        "io.py",
+        "if a == b:",
+        "if False:",
+        "tests/test_io.py::test_edge_list_errors_carry_line_numbers",
+    ),
+    # a repeated edge names both lines
+    (
+        "io.py",
+        "if key in seen:",
+        "if False:",
+        "tests/test_io.py::test_edge_list_rejects_a_repeated_edge",
+    ),
+    # a graph6 body has exactly the bytes its order needs
+    (
+        "io.py",
+        "if len(body) != need:",
+        "if False:",
+        "tests/test_io.py::test_graph6_rejects_garbage",
+    ),
+    # and its last byte's padding bits are zero
+    (
+        "io.py",
+        "if pad and body[-1] & ((1 << pad) - 1):",
+        "if False:",
+        "tests/test_io.py::test_graph6_rejects_garbage",
     ),
 ]
 

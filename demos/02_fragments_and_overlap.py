@@ -15,7 +15,6 @@ from kedge import (
     Graph,
     OverlapVerdict,
     check_fragment_overlap,
-    fragment_degree_bounds,
     fragments_of,
     minimal_fragment_descent,
     scan_overlap_cases,
@@ -59,7 +58,3 @@ print("minimal fragment side", sorted(f1.side), "from edge", f1.deleted)
 audit = verify_descent_conclusion(f1, 2)
 print("audit:", audit.fragments_checked, "fragments checked,",
       audit.disjoint_confirmed, "confirmed disjoint, min side degree", audit.min_side_degree)
-
-# cut-degree lower bounds for every vertex of a fragment side
-bounds = fragment_degree_bounds(f1, 2)
-print("degree bounds hold:", bounds.all_hold)

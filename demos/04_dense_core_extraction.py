@@ -5,19 +5,14 @@ Extracting a highly connected core and removing a path inside it
 When the minimum degree clears 4t^2, some induced subgraph is
 t-connected with a small boundary.  The extraction peels low-degree
 vertices and splits along small vertex cuts until a valid core remains;
-a subtree embedded in the core's interior is then removable.  The last
-section dissects a minimum cut of a residual graph against the core
-geometry.
+a subtree embedded in the core's interior is then removable.
 """
 
 from kedge import (
     complete,
-    decompose_cut,
     extract_connected_subgraph,
     parse_tree_spec,
     removable_tree_via_thomassen,
-    residual_min_cut,
-    two_cliques_bridged,
 )
 
 # K38 has minimum degree 37 > 4 * 3^2, enough for a 3-connected core
@@ -37,15 +32,3 @@ g = random_graph(42, 0.95, seed=1)
 print("seeded instance: min degree", g.min_degree(), "of", g.n - 1, "possible")
 cert = removable_tree_via_thomassen(g, 1, parse_tree_spec("path:2"))
 print("removed", cert.removed, "- residual connectivity", cert.residual_kprime)
-
-# dissect a residual minimum cut against the extracted core
-g = two_cliques_bridged(38, 1)
-cut = residual_min_cut(g, (7,))
-print("bridged cliques minus vertex 7: min cut", sorted(cut.edges))
-core = extract_connected_subgraph(g, 2)
-parts = decompose_cut(g, core, (7,), cut, 2)
-print("cut ends on the small side:", sorted(parts.cut_ends_side))
-print("cut ends on the large side:", sorted(parts.cut_ends_complement))
-print("core parts per side:", len(parts.in_subgraph_side), "/", len(parts.in_subgraph_complement))
-print("core connected enough for the dichotomy:", parts.subgraph_connected_enough,
-      "- large:", parts.subgraph_large)

@@ -6,9 +6,9 @@ Wagner, JACM 1997; Nagamochi & Ibaraki, SIAM J. Discrete Math. 1992) on
 supervertices kept as member masks.  It reads every degree itself, so its
 callers scan none.  It gives the value and, as the ordering prefix that
 reached it, a witness side; is_k_edge_connected above k = 1 and the removal
-certificates take the value, edge_connectivity and residual_min_cut the cut
-too.  The overlap scan in fragments takes the value as well, to cross-check
-each fragment host's bipartition scan by a route that scans no bipartition.
+certificates take the value, edge_connectivity the cut too.  The overlap
+scan in fragments takes the value as well, to cross-check each fragment
+host's bipartition scan by a route that scans no bipartition.
 Dense inputs need no ordering: once the minimum degree is at least half the
 order, lambda equals it (Chartrand, SIAM J. Appl. Math. 1966), so no cut
 lies below it.  Most small sparser hosts need none either, by a far-pair
@@ -206,13 +206,12 @@ class EdgeCut:
     def value(self) -> int:
         return len(self.edges)
 
-    def validate(self, g: Graph, alive: int | None = None) -> None:
-        """Check that the sides partition the vertex mask `alive` (default:
-        all of g), both nonempty, and that the edges are g's edges between
-        them, each pair in either order."""
+    def validate(self, g: Graph) -> None:
+        """Check that the sides partition g's vertices, both nonempty, and
+        that the edges are g's edges between them, each pair in either
+        order."""
         a, b = g.mask(self.side_a), g.mask(self.side_b)
-        alive = g.full_mask() if alive is None else alive
-        if a & b or a | b != alive or not a or not b:
+        if a & b or a | b != g.full_mask() or not a or not b:
             raise ValueError("cut sides must partition the vertex set, both nonempty")
         if _edges_between(g, a, b) != {(u, v) if u < v else (v, u) for u, v in self.edges}:
             raise ValueError("cut edge set does not match the bipartition boundary")

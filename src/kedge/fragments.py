@@ -9,7 +9,10 @@ all fragments confined to a region there is a well-defined smallest one.
 This module builds those objects and checks those facts exhaustively on
 small hosts.  Every host's fragments come from connectivity._host_sides,
 the package's one exhaustive min-cut routine, which also bounds the host's
-order.
+order.  Under the descent's minimum degree k+2, a side vertex has at most
+two deleted ends and at most |side|-1 side vertices among its neighbours,
+so at least k - |side| + 1 lie in the complement; with none there, at
+least k lie in the side.
 
 Vertex labels inside a Fragment always refer to the ambient graph, not the
 reindexed residual graph, so fragments living in different hosts can be
@@ -422,46 +425,4 @@ def verify_descent_conclusion(f1: Fragment, k: int) -> DescentConclusionReport:
         disjoint_confirmed=disjoint,
         split_endpoint_cases=tuple(splits),
         min_side_degree=min((masks[v] & minimal).bit_count() for v in _bits(minimal)),
-    )
-
-
-@dataclass(frozen=True)
-class DegreeBoundRow:
-    vertex: int
-    cross_neighbors: int
-    inside_neighbors: int
-    cross_ok: bool
-    inside_ok: bool
-
-
-@dataclass(frozen=True)
-class FragmentDegreeReport:
-    rows: tuple[DegreeBoundRow, ...]
-    all_hold: bool
-
-
-def fragment_degree_bounds(f1: Fragment, k: int) -> FragmentDegreeReport:
-    """Per-vertex neighbor counts across a fragment's cut, with lower bounds.
-
-    Requires minimum degree at least k+2 in the ambient graph.  Each vertex
-    of the side has at most two neighbors among the deleted endpoints and
-    at most |side|-1 inside, so it must have at least k - |side| + 1
-    neighbors in the complement (`cross_ok`); a vertex with no complement
-    neighbors must have at least k inside (`inside_ok`, True for the others).
-    """
-    g = f1.graph
-    normalize_edge(g, f1.deleted)
-    side, complement, _ = _checked_fragment(f1)
-    if g.min_degree() < k + 2:
-        raise ValueError(f"minimum degree must be at least {k + 2}")
-    masks = g.adjacency_masks()
-    bound = k - side.bit_count() + 1
-    rows = []
-    for z in _bits(side):
-        cross = (masks[z] & complement).bit_count()
-        inside = (masks[z] & side).bit_count()
-        rows.append(DegreeBoundRow(z, cross, inside, cross >= bound, cross > 0 or inside >= k))
-    return FragmentDegreeReport(
-        rows=tuple(rows),
-        all_hold=all(r.cross_ok and r.inside_ok for r in rows),
     )

@@ -7,7 +7,8 @@ Emission is canonical: edges sorted by (min, max) endpoint, single trailing
 newline, so identical graphs always serialize to identical bytes.
 
 graph6: the usual dense format, limited here to n <= 62 (single header byte
-63+n, then the upper triangle packed 6 bits per byte, column by column).
+63+n, then the upper triangle packed 6 bits per byte, column by column, the
+last byte padded with zero bits).
 """
 
 from __future__ import annotations
@@ -88,6 +89,9 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError(
             f"graph6 body for n={n} needs {need} bytes, got {len(body)}"
         )
+    pad = 6 * need - n * (n - 1) // 2
+    if pad and body[-1] & ((1 << pad) - 1):
+        raise GraphFormatError(f"graph6 padding bits of {s!r} are not zero")
     edges = []
     idx = 0
     for col in range(1, n):

@@ -26,8 +26,6 @@ from typing import Iterable, Iterator
 
 from .connectivity import (
     EXHAUSTIVE_LIMIT,
-    EdgeCut,
-    _edge_cut,
     _edge_value,
     _is_k_connected,
     _scan_bipartitions,
@@ -67,9 +65,6 @@ class HCSubgraph:
     vertices: frozenset[int]
     boundary: frozenset[int]
     k_target: int
-
-    def interior(self) -> frozenset[int]:
-        return self.vertices - self.boundary
 
     def validate(self, g: Graph) -> None:
         core = g.mask(self.vertices)
@@ -382,105 +377,3 @@ def removable_tree_via_thomassen(
             },
         )
     return cert
-
-
-def residual_min_cut(g: Graph, removed: Iterable[int]) -> EdgeCut:
-    """A minimum edge-cut of g minus a vertex set, in ambient labels."""
-    alive = g.full_mask() & ~g.mask(removed)
-    if alive.bit_count() < 2:
-        raise ValueError("edge connectivity needs at least two vertices")
-    return _edge_cut(g, alive)[1]
-
-
-@dataclass(frozen=True)
-class CutDecomposition:
-    """How a small residual cut interacts with a highly connected core.
-
-    The cut's two sides are split by membership in the core subgraph, and
-    the cut-edge endpoints are listed per side.  `subgraph_connected_enough`
-    says whether the core induces a (k+|tprime|)-connected subgraph, the
-    hypothesis under which `decompose_cut` checks its dichotomy, and
-    `subgraph_large` whether the core has more than 4(k+|tprime|)^2 vertices.
-    """
-
-    in_subgraph_side: frozenset[int]
-    in_subgraph_complement: frozenset[int]
-    outside_side: frozenset[int]
-    outside_complement: frozenset[int]
-    cut_ends_side: frozenset[int]
-    cut_ends_complement: frozenset[int]
-    subgraph_connected_enough: bool
-    subgraph_large: bool
-
-
-def decompose_cut(
-    g: Graph,
-    core: HCSubgraph,
-    tprime: Iterable[int],
-    cut: EdgeCut,
-    k: int,
-) -> CutDecomposition:
-    """Split a residual min cut's sides along a highly connected core.
-
-    `tprime` is the removed tree image (inside the core's interior) and
-    `cut` a minimum edge-cut of g minus tprime, given in ambient labels,
-    with value at most k-1.  The four in/outside sets partition the
-    surviving vertices, and each side's cut ends lie inside it.  When the
-    core induces a (k+|tprime|)-connected subgraph, each side's core part
-    must vanish once cut endpoints are discounted unless the other side
-    misses the core entirely; a violation raises TheoremViolation.
-
-    A large core always keeps a core vertex clear of the cut, which needs
-    no check.  Each cut edge has one end per side, so a side holds at most
-    k-1 cut ends.  A core whose parts on both sides are all cut ends thus
-    has at most 2(k-1) + |tprime| vertices, below the 4(k+|tprime|)^2 that
-    large requires.
-    """
-    tset = frozenset(tprime)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    core_mask = g.mask(core.vertices)
-    if not tset <= core.interior():
-        raise ValueError("tprime must lie in the core interior")
-    if cut.value > k - 1:
-        raise ValueError(f"cut value {cut.value} is not below {k}")
-    masks = g.adjacency_masks()
-    alive = g.full_mask() & ~mask_of(tset)
-    cut.validate(g, alive)
-    kprime = _edge_value(masks, alive, cut.value, 0)[0]  # exact: the cut bounds lambda
-    if kprime != cut.value:
-        raise ValueError(
-            f"cut value {cut.value} is not minimum (residual has {kprime})"
-        )
-
-    side = frozenset(cut.side_a)
-    complement = frozenset(cut.side_b)
-    ends = {v for e in cut.edges for v in e}
-    h = core.vertices
-    d1 = frozenset(ends & side)
-    d2 = frozenset(ends & complement)
-    h1 = side & h
-    h2 = complement & h
-    k_target = k + len(tset)
-    connected_enough = _is_k_connected(masks, core_mask, k_target)
-    if connected_enough and (h1 - d1 and h2 or h2 - d2 and h1):
-        raise TheoremViolation(
-            "small residual cut splits the connected core",
-            {
-                "graph": graph_payload(g),
-                "k": k,
-                "tprime": tuple(sorted(tset)),
-                "cut_value": cut.value,
-                "core": tuple(sorted(h)),
-            },
-        )
-    return CutDecomposition(
-        in_subgraph_side=h1,
-        in_subgraph_complement=h2,
-        outside_side=side - h,
-        outside_complement=complement - h,
-        cut_ends_side=d1,
-        cut_ends_complement=d2,
-        subgraph_connected_enough=connected_enough,
-        subgraph_large=len(h) > 4 * k_target**2,
-    )

@@ -13,7 +13,6 @@ from kedge.fragments import (
     OverlapVerdict,
     _overlap_verdict,
     check_fragment_overlap,
-    fragment_degree_bounds,
     fragments_of,
     minimal_fragment_descent,
     scan_overlap_cases,
@@ -95,7 +94,6 @@ def test_fragment_calls_reject_a_deleted_pair_that_is_not_an_edge():
         lambda: check_fragment_overlap(bad, f),
         lambda: minimal_fragment_descent(bad, 1),
         lambda: verify_descent_conclusion(bad, 1),
-        lambda: fragment_degree_bounds(bad, 1),
     ):
         with pytest.raises(ValueError, match="not an edge"):
             call()
@@ -387,21 +385,3 @@ def test_descent_preconditions():
     f0 = fragments_of(g, (0, 1), 2)[0]
     with pytest.raises(ValueError):
         minimal_fragment_descent(f0, 3)  # graph is not 3-edge-connected
-
-
-def test_fragment_degree_bounds():
-    g = two_cliques_bridged(5, 2)
-    f0 = fragments_of(g, (0, 1), 2)[0]
-    res = minimal_fragment_descent(f0, 2)
-    rep = fragment_degree_bounds(res, 2)
-    assert rep.all_hold
-    assert len(res.side) == len(rep.rows) == 3
-    for row in rep.rows:
-        assert row.cross_ok
-        assert row.cross_neighbors >= 2 - len(res.side) + 1
-    # side {0, 2, 3} of host minus (1, 4); the deleted endpoints count as
-    # neither, and 2 and 3 have no complement neighbour, so k = 2 inside
-    assert [
-        (r.vertex, r.cross_neighbors, r.inside_neighbors, r.inside_ok)
-        for r in rep.rows
-    ] == [(0, 1, 2, True), (2, 0, 2, True), (3, 0, 2, True)]

@@ -13,7 +13,7 @@ from kedge.graph import (
     mask_of,
     normalize_edge,
 )
-from kedge.removal import HCSubgraph, decompose_cut, residual_min_cut
+from kedge.removal import HCSubgraph
 
 from conftest import seeded_random_graphs
 
@@ -146,7 +146,6 @@ def test_every_entry_checks_caller_vertex_ids_with_one_message():
     """Each public entry that takes vertex ids from its caller rejects an id
     below the range and one above it, with Graph.mask's one message."""
     g = complete(5)
-    cut = EdgeCut(frozenset(), (0,), (1, 2, 3, 4))
     entries = {
         "neighbors": lambda v: g.neighbors(v),
         "degree": lambda v: g.degree(v),
@@ -155,10 +154,6 @@ def test_every_entry_checks_caller_vertex_ids_with_one_message():
         "boundary_edge_count": lambda v: boundary_edge_count(g, [0], [1, v]),
         "EdgeCut.validate": lambda v: EdgeCut(frozenset(), (v,), (0,)).validate(g),
         "HCSubgraph.validate": lambda v: HCSubgraph(frozenset({0, v}), frozenset(), 1).validate(g),
-        "decompose_cut": lambda v: decompose_cut(
-            g, HCSubgraph(frozenset({0, v}), frozenset(), 1), (), cut, 1
-        ),
-        "residual_min_cut": lambda v: residual_min_cut(g, [v]),
         "Fragment.validate": lambda v: Fragment(g, (0, v), {1}).validate(),
         "local_edge_connectivity": lambda v: local_edge_connectivity(g, 0, v),
     }

@@ -3,7 +3,7 @@
 import pytest
 
 from kedge.errors import GraphFormatError
-from kedge.generators import complete, petersen_graph
+from kedge.generators import complete, cycle_graph, petersen_graph
 from kedge.graph import MAX_ORDER, Graph
 from kedge.io import (
     graph_payload,
@@ -36,6 +36,12 @@ def test_edge_list_errors_carry_line_numbers():
         parse_edge_list("")
     with pytest.raises(GraphFormatError):
         parse_edge_list("3 2\n0 1\n")  # header promises two edges
+    with pytest.raises(GraphFormatError, match="self-loop") as exc:
+        parse_edge_list("3 1\n1 1\n")
+    assert exc.value.line == 2
+    with pytest.raises(GraphFormatError, match="nonnegative") as exc:
+        parse_edge_list("3 -1\n")
+    assert exc.value.line == 1
     # a header order past the cap fails on its line, before any allocation
     with pytest.raises(GraphFormatError, match=f"order 1000000000000 exceeds {MAX_ORDER}") as exc:
         parse_edge_list("# huge\n1000000000000 0\n")
@@ -91,6 +97,12 @@ def test_graph6_rejects_garbage():
         parse_graph6(">>graph6<<")
     with pytest.raises(GraphFormatError):
         parse_graph6("C\x19")
+    # the last byte's padding bits must be zero: "A_" is K_2 and "Dhc" is C_5
+    assert parse_graph6("A_") == Graph(2, [(0, 1)])
+    assert parse_graph6("Dhc") == cycle_graph(5)
+    for text in ("A`", "Dhd"):
+        with pytest.raises(GraphFormatError, match="padding bits"):
+            parse_graph6(text)
 
 
 def test_sniff_format():

@@ -25,24 +25,16 @@ from kedge.removal import (
     RemovalCertificate,
     _first_certified,
     _tree_images,
-    decompose_cut,
     extract_connected_subgraph,
     find_removable_edge,
     find_removable_tree,
     find_removable_vertex,
     removable_tree_via_thomassen,
-    residual_min_cut,
 )
 from kedge.rng import SplitMix64
 from kedge.trees import enumerate_trees, path_tree, star_tree
 
 from conftest import reordered
-
-
-def pendant_complete(n):
-    """K_n plus a degree-1 vertex n hanging off vertex 0."""
-    g = complete(n)
-    return Graph(n + 1, list(g.edges()) + [(0, n)])
 
 
 def test_vertex_finder_on_petersen():
@@ -489,7 +481,7 @@ def test_dense_route_takes_first_interior_image():
     tree = path_tree(3)
     core = extract_connected_subgraph(g, 4)
     assert (core.vertices, core.boundary) == (frozenset(range(73)), frozenset({0, 1, 2}))
-    first = next(iter_tree_embeddings(g, tree, mask_of(core.interior())))
+    first = next(iter_tree_embeddings(g, tree, mask_of(core.vertices - core.boundary)))
     cert = removable_tree_via_thomassen(g, 1, tree)
     assert cert.removed == tuple(sorted(first)) == (3, 4, 5)
 
@@ -527,18 +519,6 @@ def test_dense_route_runs_no_flow(monkeypatch):
     shared = Graph(10, [e for e in complete(10).edges() if e[1] < 6 or e[0] >= 4])
     with pytest.raises(RuntimeError, match="max-flow ran"):
         is_k_connected(shared, 3)
-
-
-def test_residual_min_cut_in_ambient_labels():
-    g = two_cliques_bridged(4, 1)
-    cut = residual_min_cut(g, (7,))
-    assert cut.edges == {(0, 4)}
-    assert 7 not in cut.side_a + cut.side_b
-    assert sorted(cut.side_a + cut.side_b) == [0, 1, 2, 3, 4, 5, 6]
-    # the star 1-2, 1-3 left after deleting 0: lambda is the minimum degree,
-    # so the cut isolates the lowest vertex of that degree, 2
-    star = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    assert residual_min_cut(star, (0,)) == EdgeCut(frozenset({(1, 2)}), (1, 3), (2,))
 
 
 def relabelled_route(g, removed, ks):
@@ -584,88 +564,9 @@ def test_mask_route_matches_relabelled_route():
             certs, cut = relabelled_route(g, removed, ks)
             assert [_first_certified(g, "x", (mask_of(removed),), k) for k in ks] == certs
             certified += sum(cert is not None for cert in certs)
-            if cut is None:
-                with pytest.raises(ValueError):
-                    residual_min_cut(g, removed)
-            else:
-                assert residual_min_cut(g, removed) == cut
+            if cut is not None:
+                alive = g.full_mask() & ~mask_of(removed)
+                assert connectivity._edge_cut(g, alive)[1] == cut
         if g.n >= 2:
             assert edge_connectivity(g)[1] == relabelled_route(g, (), ks)[1]
     assert sum(g.n > 16 for g in graphs) > 20 and certified > 100
-
-
-def test_decompose_cut_pendant_instance():
-    """A pendant vertex off a large clique: the value-1 residual cut must
-    isolate the pendant, leaving the whole core on one side."""
-    g = pendant_complete(38)
-    core = HCSubgraph(frozenset(range(38)), frozenset({0}), 3)
-    core.validate(g)
-    cut = residual_min_cut(g, (5,))
-    assert cut.value == 1
-    dec = decompose_cut(g, core, (5,), cut, 2)
-    assert dec.outside_complement == {38}
-    assert dec.outside_side == frozenset()
-    assert dec.in_subgraph_complement == frozenset()
-    assert dec.cut_ends_side == {0} and dec.cut_ends_complement == {38}
-    assert dec.subgraph_connected_enough and dec.subgraph_large
-
-
-@pytest.mark.parametrize(
-    "removed, core",
-    [
-        pytest.param(3, range(7), id="side-keeps-core-clear-of-the-cut"),
-        pytest.param(9, (0, 6, 7, 8, 9, 10, 11), id="complement-keeps-core-clear-of-the-cut"),
-    ],
-)
-def test_decompose_cut_raises_when_a_cut_splits_a_connected_core(monkeypatch, removed, core):
-    """The bridge 0-6 of two K_6 is the residual's min cut, and the core
-    straddles it.  In the first case the side keeps core vertices off the
-    cut while the complement holds core vertex 6; in the second the
-    complement keeps them while the side holds core vertex 0.  The core is
-    not 3-connected, so the dichotomy is not checked; once it counts as
-    connected enough, each case raises on its own half of the condition."""
-    g = two_cliques_bridged(6, 1)
-    hc = HCSubgraph(frozenset(core), frozenset(), 3)
-    cut = residual_min_cut(g, (removed,))
-    assert cut.edges == {(0, 6)}
-    assert not decompose_cut(g, hc, (removed,), cut, 2).subgraph_connected_enough
-    monkeypatch.setattr(removal, "_is_k_connected", lambda *args: True)
-    with pytest.raises(TheoremViolation, match="splits the connected core") as info:
-        decompose_cut(g, hc, (removed,), cut, 2)
-    assert info.value.payload["core"] == tuple(sorted(core))
-    assert info.value.payload["tprime"] == (removed,)
-
-
-def test_decompose_cut_preconditions():
-    g = pendant_complete(38)
-    core = HCSubgraph(frozenset(range(38)), frozenset({0}), 3)
-    cut = residual_min_cut(g, (5,))
-    with pytest.raises(ValueError):
-        decompose_cut(g, core, (5,), cut, 1)  # cut value exceeds k-1
-    with pytest.raises(ValueError):
-        decompose_cut(g, core, (0,), cut, 2)  # 0 is boundary, not interior
-    for side_a in [(38, 5), (38, 99)]:
-        # a cut naming a removed or absent vertex is rejected, not looked up
-        named = EdgeCut(
-            edges=frozenset({(0, 38)}),
-            side_a=side_a,
-            side_b=tuple(v for v in range(38) if v != 5),
-        )
-        with pytest.raises(ValueError):
-            decompose_cut(g, core, (5,), named, 2)
-    # a core reaching above the range or below 0 fails validate's range
-    # check here too, before any kernel indexes it
-    for vertices in (frozenset(range(45)), frozenset(range(-1, 38))):
-        outside = HCSubgraph(vertices, frozenset({0}), 3)
-        with pytest.raises(ValueError, match="vertex (39|-1) out of range for n=39"):
-            outside.validate(g)
-        with pytest.raises(ValueError, match="vertex (39|-1) out of range for n=39"):
-            decompose_cut(g, outside, (5,), cut, 2)
-    bogus = EdgeCut(
-        edges=frozenset({(0, 38)}),
-        side_a=(38,),
-        side_b=tuple(v for v in range(38) if v != 5),
-    )
-    # right value but wrong minimality metadata is caught by revalidation
-    dec = decompose_cut(g, core, (5,), bogus, 2)
-    assert dec.outside_side == {38}
